@@ -10,6 +10,8 @@ The subpackages map onto the layers of the toolkit:
 - :mod:`qmobius.cli`      command-line front end
 """
 
+from types import ModuleType as _ModuleType
+
 from .quat import Quaternion, DEFAULT_TOL, arg, complex_representative, similar
 from .qmat import (
     InvariantSet,
@@ -61,56 +63,8 @@ from .dynamics import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Quaternion",
-    "DEFAULT_TOL",
-    "arg",
-    "complex_representative",
-    "similar",
-    "InvariantSet",
-    "MatH2",
-    "TildeSet",
-    "alpha",
-    "commutator",
-    "det",
-    "diagonal",
-    "foreman_invariants",
-    "identity",
-    "in_sigma",
-    "invariant_set",
-    "inverse",
-    "lower_triangular",
-    "normalize_to_sigma",
-    "parker_short",
-    "tilde_set",
-    "upper_triangular",
-    "ALL_POINTS",
-    "INFINITY",
-    "IsometryClass",
-    "apply",
-    "classify_normal_form",
-    "TestReport",
-    "Verdict",
-    "auto_select",
-    "beta_t",
-    "extremality_criteria",
-    "hyperbolic_commutator_test",
-    "jg_test",
-    "jss2_test",
-    "jss_test",
-    "jssc2_test",
-    "jlt_test",
-    "k_value",
-    "kellerhals_form",
-    "non_extreme_tau_test",
-    "rez_test",
-    "s_value",
-    "waterman_test",
-    "ConvergenceKind",
-    "IterationTrace",
-    "classify_convergence",
-    "extremal_invariance_check",
-    "iterate",
-    "verify_recurrence",
-    "__version__",
-]
+# the public names are the ones imported above; the submodules the imports
+# bind as attributes are not
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
+__all__.append("__version__")

@@ -13,12 +13,18 @@ Input is either inline JSON or a path to a JSON file. A quaternion is
 "d": [...]}``; a pair is ``{"v": 1, "S": {...}, "T": {...}}``.
 
 Exit codes: 0 inconclusive, 10 obstruction, 11 extremal, 12 not extreme,
-2 usage or malformed input, 3 singular matrix.
+2 usage or malformed input (including a non-finite coordinate, a T that
+matches no test shape or iterate mode, and an unwritable ``--output``),
+3 singular matrix (``invariants`` and ``classify``, and any command whose
+evaluation must invert or act by a singular matrix, such as ``test
+--select jh``). :func:`main` is the one place that maps failures to exit
+codes; ``--batch`` prefixes the message with the input line.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -38,22 +44,32 @@ VERDICT_EXIT = {
     ineq.Verdict.NOT_EXTREME: 12,
 }
 
-SELECTORS = ("auto", "jss", "jss2", "jssc2", "jh", "jg", "rez", "wat",
-             "jlt", "extreme")
+SELECTORS = ("auto", *ineq.TESTS)
 
 
 class InputError(Exception):
     pass
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _open_output(path: str):
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_json(source: str):
     """Accept inline JSON (leading '{' or '[') or a file path."""
     text = source
     if not source.lstrip().startswith(("{", "[")):
-        try:
-            text = Path(source).read_text()
-        except OSError as exc:
-            raise InputError(f"cannot read {source}: {exc}") from exc
+        text = _read(source)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -91,18 +107,24 @@ def _emit(payload: dict, fmt: str) -> None:
 def _run_selected(name: str, s: MatH2, t: MatH2, tol: float) -> ineq.TestReport:
     if name == "auto":
         name = ineq.auto_select(t, tol)
-    if name == "jh":
+    test = ineq.TESTS[name]
+    if test is ineq.hyperbolic_commutator_test:
         # the strictly hyperbolic generator is T, the free one S
-        return ineq.hyperbolic_commutator_test(t, s, tol=tol)
-    return ineq.TESTS[name](s, t, tol=tol)
+        return test(t, s, tol=tol)
+    return test(s, t, tol=tol)
+
+
+def _load_nonsingular(source: str) -> tuple[MatH2, float]:
+    """The matrix and its determinant; a singular matrix is an error."""
+    m = _parse_matrix(_load_json(source))
+    d = qmat.det(m)
+    if d <= qmat.NONZERO_TOL:
+        raise qmat.SingularMatrixError("singular matrix")
+    return m, d
 
 
 def cmd_invariants(args) -> int:
-    m = _parse_matrix(_load_json(args.matrix))
-    d = qmat.det(m)
-    if d <= qmat.NONZERO_TOL:
-        print("error: singular matrix", file=sys.stderr)
-        return EXIT_SINGULAR
+    m, d = _load_nonsingular(args.matrix)
     in_sigma = qmat.in_sigma(m, args.tol)
     payload = {
         "det": d,
@@ -121,12 +143,9 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    m = _parse_matrix(_load_json(args.matrix))
-    if qmat.det(m) <= qmat.NONZERO_TOL:
-        print("error: singular matrix", file=sys.stderr)
-        return EXIT_SINGULAR
+    m, d = _load_nonsingular(args.matrix)
     kind = moebius.classify_normal_form(m, args.tol)
-    payload = {"class": kind.value, "det": qmat.det(m)}
+    payload = {"class": kind.value, "det": d}
     if m.c.norm() <= args.tol:
         fixed = moebius.fixed_points_normal_form(m, args.tol)
         if fixed is moebius.ALL_POINTS:
@@ -141,31 +160,22 @@ def cmd_test(args) -> int:
     if args.batch:
         return _run_batch(args)
     s, t = _parse_pair(_load_json(args.pair))
-    try:
-        report = _run_selected(args.select, s, t, args.tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = _run_selected(args.select, s, t, args.tol)
     _emit(report.to_dict(), args.format)
     return VERDICT_EXIT[report.verdict]
 
 
 def _run_batch(args) -> int:
-    path = Path(args.pair)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    for idx, line in enumerate(lines):
+    for idx, line in enumerate(_read(args.pair).splitlines()):
         if not line.strip():
             continue
         try:
             s, t = _parse_pair(json.loads(line))
             report = _run_selected(args.select, s, t, args.tol)
-        except (json.JSONDecodeError, InputError, ValueError) as exc:
-            print(f"error: line {idx + 1}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        except qmat.SingularMatrixError as exc:
+            raise qmat.SingularMatrixError(f"line {idx + 1}: {exc}") from exc
+        except (InputError, ValueError) as exc:
+            raise InputError(f"line {idx + 1}: {exc}") from exc
         print(json.dumps({"line": idx + 1, **report.to_dict()}))
     return EXIT_OK
 
@@ -176,11 +186,10 @@ def cmd_iterate(args) -> int:
         raise InputError("--steps must be >= 1")
     mode = args.mode
     if mode == "auto":
-        mode = {"jss": "diagonal", "jg": "upper", "rez": "upper",
-                "jlt": "lower"}[ineq.auto_select(t, args.tol)]
+        mode = dynamics.AUTO_MODE[ineq.auto_select(t, args.tol)]
     trace = dynamics.iterate(s, t, args.steps, mode, tol=args.tol)
-    out = open(args.output, "w", newline="") if args.output else sys.stdout
-    try:
+    with (_open_output(args.output) if args.output
+          else contextlib.nullcontext(sys.stdout)) as out:
         if args.format == "json":
             json.dump(trace.to_dict(), out, indent=2)
             out.write("\n")
@@ -189,9 +198,6 @@ def cmd_iterate(args) -> int:
             writer.writerow(dynamics.csv_header(args.full))
             for step in trace.steps:
                 writer.writerow(dynamics.csv_row(step, args.full))
-    finally:
-        if args.output:
-            out.close()
     verdict = dynamics.classify_convergence(trace) if len(trace.steps) >= 5 else None
     summary = {
         "mode": mode,
@@ -208,12 +214,7 @@ def cmd_extreme(args) -> int:
     payload = {}
     if t.b.norm() <= args.tol and t.c.norm() <= args.tol:
         payload["pointwise"] = ineq.extremality_criteria(s, t, tol=args.tol).to_dict()
-    try:
-        invariance = dynamics.extremal_invariance_check(s, t, args.steps,
-                                                        tol=args.tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    invariance = dynamics.extremal_invariance_check(s, t, args.steps, tol=args.tol)
     payload["invariance"] = invariance.to_dict()
     _emit(payload, args.format)
     return VERDICT_EXIT[invariance.verdict]
@@ -279,9 +280,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_SINGULAR if isinstance(exc, qmat.SingularMatrixError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -28,6 +28,10 @@ ELEMENTARY_DECAY_FACTOR = 1e-4
 
 MODES = ("diagonal", "upper", "lower")
 
+# the iterate mode that carries the extremal quantity of each test that
+# ineq.auto_select can pick
+AUTO_MODE = {"jss": "diagonal", "jg": "upper", "rez": "upper", "jlt": "lower"}
+
 
 @dataclass
 class IterationStep:
@@ -225,16 +229,9 @@ def extremal_invariance_check(s: MatH2, t: MatH2, n_steps: int,
     "constant over the horizon"; it never asserts the group is discrete.
     """
     name = ineq.auto_select(t, tol)
-    if name == "jlt":
-        pointwise = ineq.jlt_test(s, t, tol=tol, extremal_tol=extremal_tol,
-                                  b_variant=True)
-        mode = "lower"
-    elif name == "jss":
-        pointwise = ineq.jss_test(s, t, tol=tol, extremal_tol=extremal_tol)
-        mode = "diagonal"
-    else:
-        pointwise = ineq.TESTS[name](s, t, tol=tol, extremal_tol=extremal_tol)
-        mode = "upper"
+    # lower mode propagates the b-based quantity (see IterationStep)
+    variant = {"b_variant": True} if name == "jlt" else {}
+    pointwise = ineq.TESTS[name](s, t, tol=tol, extremal_tol=extremal_tol, **variant)
 
     diag = {
         "pointwise_lhs": pointwise.lhs,
@@ -248,7 +245,7 @@ def extremal_invariance_check(s: MatH2, t: MatH2, n_steps: int,
                                ineq.Verdict.INCONCLUSIVE, False, diag)
     diag["pointwise_extremal"] = 1.0
 
-    trace = iterate(s, t, n_steps, mode, tol=tol)
+    trace = iterate(s, t, n_steps, AUTO_MODE[name], tol=tol)
     target = pointwise.lhs
     max_dev = 0.0
     within = True

@@ -220,14 +220,13 @@ def jssc2_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,
                extremal_tol: float = EXTREMAL_TOL) -> TestReport:
     """Similarity-sup variant beta(T) (1 + |bc|) >= 1.
 
-    beta(T) coincides with K in closed form, so this evaluates the same
-    number as :func:`jss_test` through the similarity-sup reading.
+    beta(T) coincides with K in closed form, so this is the report of
+    :func:`jss_test` under its own name, with beta(T) in diagnostics.
     """
-    ok, diag = _diagonal_gates(s, t, tol)
-    bt = beta_t(t.a, t.d)
-    diag["beta_T"] = bt
-    lhs = bt * (1.0 + diag["bc_norm"])
-    return _inequality_report("jssc2", lhs, 1.0, ok, diag, extremal_tol)
+    report = jss_test(s, t, tol=tol, extremal_tol=extremal_tol)
+    report.test_name = "jssc2"
+    report.diagnostics["beta_T"] = beta_t(t.a, t.d)
+    return report
 
 
 def jss2_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,

@@ -63,7 +63,7 @@ def apply(m: MatH2, z: ExtQuaternion, tol: float = NONZERO_TOL) -> ExtQuaternion
     c != 0 and stays fixed otherwise.
     """
     if qmat.det(m) <= tol:
-        raise ValueError("singular matrix")
+        raise qmat.SingularMatrixError("singular matrix")
     if z is INFINITY:
         if m.c.norm() <= NONZERO_TOL:
             return INFINITY

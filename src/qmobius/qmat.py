@@ -20,6 +20,10 @@ from .quat import Quaternion, ZERO, ONE, DEFAULT_TOL
 NONZERO_TOL = 1e-12
 
 
+class SingularMatrixError(ValueError):
+    """A computation needed an invertible matrix and got a singular one."""
+
+
 @dataclass(frozen=True, slots=True)
 class MatH2:
     """Row-major 2x2 matrix [[a, b], [c, d]] over the quaternions."""
@@ -110,7 +114,7 @@ def normalize_to_sigma(m: MatH2, tol: float = NONZERO_TOL) -> MatH2:
     """Scale by the positive real 1/sqrt(det) so the result has determinant 1."""
     d = det(m)
     if d <= tol:
-        raise ValueError("singular matrix")
+        raise SingularMatrixError("singular matrix")
     return m.scaled(1.0 / math.sqrt(d))
 
 
@@ -188,7 +192,7 @@ def tilde_set(m: MatH2, tol: float = NONZERO_TOL) -> TildeSet:
     inverse is needed.
     """
     if det(m) <= tol:
-        raise ValueError("singular matrix")
+        raise SingularMatrixError("singular matrix")
     a, b, c, d = m.entries()
     l11, l12, l21, l22 = l_values(m)
     r11, r12, r21, r22 = r_values(m)

@@ -123,9 +123,13 @@ class Quaternion:
 
     @classmethod
     def from_list(cls, coords) -> "Quaternion":
+        """Decode [w, x, y, z]; the input boundary, so non-finite values fail."""
         if len(coords) != 4:
             raise ValueError("quaternion encoding must have 4 coordinates")
-        return cls(*(float(c) for c in coords))
+        values = [float(c) for c in coords]
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"quaternion coordinates must be finite, got {values}")
+        return cls(*values)
 
     def __repr__(self) -> str:
         return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"

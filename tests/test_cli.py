@@ -31,6 +31,18 @@ OBSTRUCTION_PAIR = {
                     quat_list(_c7, -_s7)),
 }
 
+FULL_PAIR = {
+    "v": 1,
+    "S": matrix_obj(quat_list(1), quat_list(), quat_list(1), quat_list(1)),
+    "T": matrix_obj(quat_list(1), quat_list(1), quat_list(1), quat_list(2)),
+}
+
+SINGULAR_S_PAIR = {
+    "v": 1,
+    "S": matrix_obj(quat_list(1), quat_list(1), quat_list(1), quat_list(1)),
+    "T": matrix_obj(quat_list(2), quat_list(), quat_list(), quat_list(0.5)),
+}
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -115,12 +127,7 @@ def test_obstruction_pair_auto_routes_to_jss(capsys):
 
 
 def test_auto_rejects_full_matrix(capsys):
-    pair = {
-        "v": 1,
-        "S": matrix_obj(quat_list(1), quat_list(), quat_list(1), quat_list(1)),
-        "T": matrix_obj(quat_list(1), quat_list(1), quat_list(1), quat_list(2)),
-    }
-    code, _, err = run(capsys, "test", json.dumps(pair))
+    code, _, err = run(capsys, "test", json.dumps(FULL_PAIR))
     assert code == 2
     assert "no test shape" in err
 
@@ -235,3 +242,74 @@ def test_missing_pair_entries(capsys):
     code, _, err = run(capsys, "test", json.dumps({"v": 1, "S": {}}))
     assert code == 2
     assert "S and T" in err
+
+
+def assert_one_error_line(err, *fragments):
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    for fragment in fragments:
+        assert fragment in lines[0]
+
+
+def write_batch(tmp_path, *lines):
+    batch = tmp_path / "pairs.jsonl"
+    batch.write_text("".join(line + "\n" for line in lines))
+    return str(batch)
+
+
+@pytest.mark.parametrize("pair, extra, message", [
+    (FULL_PAIR, (), "no test shape"),
+    (EXTREME_PAIR, ("--mode", "diagonal"), "does not match mode"),
+], ids=["full_t", "mode_mismatch"])
+def test_iterate_shape_errors_are_usage_errors(capsys, pair, extra, message):
+    code, out, err = run(capsys, "iterate", json.dumps(pair), *extra)
+    assert code == 2
+    assert out == ""
+    assert_one_error_line(err, message)
+
+
+def test_iterate_unwritable_output_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.csv"
+    code, _, err = run(capsys, "iterate", json.dumps(EXTREME_PAIR),
+                       "--output", str(target))
+    assert code == 2
+    assert_one_error_line(err, "cannot write")
+
+
+def test_jh_singular_matrix_exit_code(capsys):
+    code, out, err = run(capsys, "test", json.dumps(SINGULAR_S_PAIR),
+                         "--select", "jh")
+    assert code == 3
+    assert out == ""
+    assert_one_error_line(err, "singular matrix")
+
+
+def test_batch_jh_singular_matrix_exit_code(capsys, tmp_path):
+    batch = write_batch(tmp_path, json.dumps(SINGULAR_S_PAIR))
+    code, out, err = run(capsys, "test", batch, "--batch", "--select", "jh")
+    assert code == 3
+    assert out == ""
+    assert err == "error: line 1: singular matrix\n"
+
+
+def test_batch_malformed_json_line(capsys, tmp_path):
+    batch = write_batch(tmp_path, json.dumps(EXTREME_PAIR), "{not json")
+    code, out, err = run(capsys, "test", batch, "--batch")
+    assert code == 2
+    assert [json.loads(line)["line"] for line in out.splitlines()] == [1]
+    assert_one_error_line(err, "line 2:")
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize("form", ["single", "batch"])
+def test_non_finite_coordinate_is_usage_error(capsys, tmp_path, token, form):
+    text = json.dumps(EXTREME_PAIR).replace("[1, ", f"[{token}, ", 1)
+    assert token in text
+    if form == "single":
+        code, out, err = run(capsys, "test", text)
+        assert_one_error_line(err, "finite")
+    else:
+        code, out, err = run(capsys, "test", write_batch(tmp_path, text), "--batch")
+        assert_one_error_line(err, "line 1:", "finite")
+    assert code == 2
+    assert out == ""

@@ -148,6 +148,9 @@ def test_json_round_trip():
     assert Quaternion.from_list(q.as_list()) == q
     with pytest.raises(ValueError):
         Quaternion.from_list([1, 2, 3])
+    for bad in (math.nan, math.inf, -math.inf, "nan"):
+        with pytest.raises(ValueError, match="finite"):
+            Quaternion.from_list([1, bad, 0, 0])
 
 
 def test_default_tol_exposed():
