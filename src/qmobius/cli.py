@@ -17,8 +17,11 @@ Exit codes: 0 inconclusive, 10 obstruction, 11 extremal, 12 not extreme,
 matches no test shape or iterate mode, and an unwritable ``--output``),
 3 singular matrix (``invariants`` and ``classify``, and any command whose
 evaluation must invert or act by a singular matrix, such as ``test
---select jh``). :func:`main` is the one place that maps failures to exit
-codes; ``--batch`` prefixes the message with the input line.
+--select jh``), 141 stdout closed early by its reader (e.g. piped into
+``head``; 128 + SIGPIPE). A JSON result that overflows to a non-finite
+value is an error (exit 2), never ``NaN`` or ``Infinity`` in the output.
+:func:`main` is the one place that maps failures to exit codes;
+``--batch`` prefixes the message with the input line.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -36,6 +40,7 @@ from .qmat import MatH2
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_SINGULAR = 3
+EXIT_BROKEN_PIPE = 141      # 128 + SIGPIPE, as a shell reports it
 
 VERDICT_EXIT = {
     ineq.Verdict.INCONCLUSIVE: 0,
@@ -96,12 +101,19 @@ def _parse_pair(obj) -> tuple[MatH2, MatH2]:
     return _parse_matrix(obj["S"]), _parse_matrix(obj["T"])
 
 
+def _dumps(payload, **kwargs) -> str:
+    """Strict JSON text: a NaN or infinite value is an error, never output."""
+    try:
+        return json.dumps(payload, allow_nan=False, **kwargs)
+    except ValueError as exc:
+        raise ValueError("result is not finite (a computation overflowed)") from exc
+
+
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload, indent=2))
     else:
-        for key, value in payload.items():
-            print(f"{key} = {json.dumps(value)}")
+        print("\n".join(f"{key} = {_dumps(value)}" for key, value in payload.items()))
 
 
 def _run_selected(name: str, s: MatH2, t: MatH2, tol: float) -> ineq.TestReport:
@@ -172,11 +184,12 @@ def _run_batch(args) -> int:
         try:
             s, t = _parse_pair(json.loads(line))
             report = _run_selected(args.select, s, t, args.tol)
+            text = _dumps({"line": idx + 1, **report.to_dict()})
         except qmat.SingularMatrixError as exc:
             raise qmat.SingularMatrixError(f"line {idx + 1}: {exc}") from exc
         except (InputError, ValueError) as exc:
             raise InputError(f"line {idx + 1}: {exc}") from exc
-        print(json.dumps({"line": idx + 1, **report.to_dict()}))
+        print(text)
     return EXIT_OK
 
 
@@ -191,8 +204,7 @@ def cmd_iterate(args) -> int:
     with (_open_output(args.output) if args.output
           else contextlib.nullcontext(sys.stdout)) as out:
         if args.format == "json":
-            json.dump(trace.to_dict(), out, indent=2)
-            out.write("\n")
+            out.write(_dumps(trace.to_dict(), indent=2) + "\n")
         else:
             writer = csv.writer(out)
             writer.writerow(dynamics.csv_header(args.full))
@@ -205,7 +217,7 @@ def cmd_iterate(args) -> int:
         "truncated_reason": trace.truncated_reason,
         "convergence": verdict.to_dict() if verdict else "too short to classify",
     }
-    print(json.dumps(summary), file=sys.stderr)
+    print(_dumps(summary), file=sys.stderr)
     return EXIT_OK
 
 
@@ -279,7 +291,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (e.g. `| head`); what is still
+        # buffered goes to devnull so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR if isinstance(exc, qmat.SingularMatrixError) else EXIT_USAGE

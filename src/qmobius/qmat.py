@@ -1,7 +1,8 @@
 """2x2 quaternionic matrices and their conjugacy invariants.
 
-Implements the Dieudonne determinant, the Kellerhals factor/inverse
-machinery, Foreman's conjugacy invariants (beta, gamma, delta) and the
+Implements the Dieudonne determinant, the closed-form inverse, the
+Kellerhals factors and tilde quantities (kept as paper quantities and
+test oracles), Foreman's conjugacy invariants (beta, gamma, delta) and the
 Parker-Short quantities (sigma, tau). The group of determinant-1 matrices
 (called Sigma throughout) acts by isometries on hyperbolic 5-space; its
 boundary action lives in :mod:`qmobius.moebius`.
@@ -210,13 +211,35 @@ def tilde_set(m: MatH2, tol: float = NONZERO_TOL) -> TildeSet:
 
 
 def inverse(m: MatH2, tol: float = NONZERO_TOL) -> MatH2:
-    """Matrix inverse via the left Kellerhals factors.
+    """Matrix inverse in closed form (Cao, Parker & Wang 2004).
 
-    The right-factor route is available as :func:`inverse_r`; the two must
-    agree and the test suite holds them to that.
+        A^-1 = (1/alpha) [[|d|^2 conj(a) - conj(c) d conj(b),  |b|^2 conj(c) - conj(a) b conj(d)],
+                          [|c|^2 conj(b) - conj(d) c conj(a),  |a|^2 conj(d) - conj(b) a conj(c)]]
+
+    Each inverse entry is exactly zero when its source entry (d, b, c, a
+    respectively) has norm <= NONZERO_TOL, as on the Kellerhals routes:
+    exact-zero couplings decide truncation along a trace. Those routes
+    (:func:`tilde_set`, :func:`inverse_r`) stay as the paper's quantities
+    and as test oracles.
     """
-    t = tilde_set(m, tol=tol)
-    return MatH2(t.d_t, -t.b_t, -t.c_t, t.a_t)
+    value = alpha(m)
+    if math.sqrt(value) <= tol:
+        raise SingularMatrixError("singular matrix")
+    if not math.isfinite(value):
+        raise ValueError("matrix entries overflow: determinant is not finite")
+    s = 1.0 / value
+    a, b, c, d = m.entries()
+    ac, bc, cc, dc = a.conj(), b.conj(), c.conj(), d.conj()
+
+    def entry(source: Quaternion, numerator: Quaternion) -> Quaternion:
+        return ZERO if source.norm() <= NONZERO_TOL else numerator * s
+
+    return MatH2(
+        entry(d, ac * d.norm2() - cc * d * bc),
+        entry(b, cc * b.norm2() - ac * b * dc),
+        entry(c, bc * c.norm2() - dc * c * ac),
+        entry(a, dc * a.norm2() - bc * a * cc),
+    )
 
 
 def inverse_r(m: MatH2, tol: float = NONZERO_TOL) -> MatH2:

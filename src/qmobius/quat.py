@@ -39,10 +39,10 @@ class Quaternion:
         return self.w
 
     def im(self) -> "Quaternion":
-        return Quaternion(0.0, self.x, self.y, self.z)
+        return _q(0.0, self.x, self.y, self.z)
 
     def conj(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
+        return _q(self.w, -self.x, -self.y, -self.z)
 
     def norm2(self) -> float:
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
@@ -61,41 +61,41 @@ class Quaternion:
 
     def __add__(self, other) -> "Quaternion":
         if isinstance(other, Quaternion):
-            return Quaternion(self.w + other.w, self.x + other.x,
-                              self.y + other.y, self.z + other.z)
+            return _q(self.w + other.w, self.x + other.x,
+                      self.y + other.y, self.z + other.z)
         if isinstance(other, (int, float)):
-            return Quaternion(self.w + other, self.x, self.y, self.z)
+            return _q(self.w + other, self.x, self.y, self.z)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Quaternion":
         if isinstance(other, Quaternion):
-            return Quaternion(self.w - other.w, self.x - other.x,
-                              self.y - other.y, self.z - other.z)
+            return _q(self.w - other.w, self.x - other.x,
+                      self.y - other.y, self.z - other.z)
         if isinstance(other, (int, float)):
-            return Quaternion(self.w - other, self.x, self.y, self.z)
+            return _q(self.w - other, self.x, self.y, self.z)
         return NotImplemented
 
     def __rsub__(self, other) -> "Quaternion":
         return (-self).__add__(other)
 
     def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
+        return _q(-self.w, -self.x, -self.y, -self.z)
 
     def __mul__(self, other) -> "Quaternion":
         if isinstance(other, Quaternion):
             pw, px, py, pz = self.w, self.x, self.y, self.z
             qw, qx, qy, qz = other.w, other.x, other.y, other.z
-            return Quaternion(
+            return _q(
                 pw * qw - px * qx - py * qy - pz * qz,
                 pw * qx + px * qw + py * qz - pz * qy,
                 pw * qy - px * qz + py * qw + pz * qx,
                 pw * qz + px * qy - py * qx + pz * qw,
             )
         if isinstance(other, (int, float)):
-            return Quaternion(self.w * other, self.x * other,
-                              self.y * other, self.z * other)
+            return _q(self.w * other, self.x * other,
+                      self.y * other, self.z * other)
         return NotImplemented
 
     def __rmul__(self, other) -> "Quaternion":
@@ -104,8 +104,8 @@ class Quaternion:
 
     def __truediv__(self, other) -> "Quaternion":
         if isinstance(other, (int, float)):
-            return Quaternion(self.w / other, self.x / other,
-                              self.y / other, self.z / other)
+            return _q(self.w / other, self.x / other,
+                      self.y / other, self.z / other)
         # q1 / q2 is ambiguous in a noncommutative ring; be explicit:
         # p * q.inverse() or q.inverse() * p.
         return NotImplemented
@@ -115,7 +115,7 @@ class Quaternion:
         n2 = self.norm2()
         if n2 == 0.0:
             raise ZeroDivisionError("non-invertible quaternion")
-        return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
+        return _q(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
 
     def as_list(self) -> list[float]:
         """JSON-friendly [w, x, y, z] encoding."""
@@ -133,6 +133,29 @@ class Quaternion:
 
     def __repr__(self) -> str:
         return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
+
+
+_new = object.__new__
+_set_w = Quaternion.w.__set__
+_set_x = Quaternion.x.__set__
+_set_y = Quaternion.y.__set__
+_set_z = Quaternion.z.__set__
+
+
+def _q(w: float, x: float, y: float, z: float) -> Quaternion:
+    """Build a Quaternion from coordinates that are already floats.
+
+    Arithmetic results are floats by construction, so the public
+    constructor's coercion (``__post_init__``) is skipped; the slot
+    descriptors write past the frozen ``__setattr__``. Equality, hashing
+    and immutability are those of any other instance.
+    """
+    q = _new(Quaternion)
+    _set_w(q, w)
+    _set_x(q, x)
+    _set_y(q, y)
+    _set_z(q, z)
+    return q
 
 
 ZERO = Quaternion()

@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +46,17 @@ SINGULAR_S_PAIR = {
     "S": matrix_obj(quat_list(1), quat_list(1), quat_list(1), quat_list(1)),
     "T": matrix_obj(quat_list(2), quat_list(), quat_list(), quat_list(0.5)),
 }
+
+
+# finite coordinates whose products overflow inside the evaluators
+OVERFLOW_PAIR = {
+    "v": 1,
+    "S": matrix_obj(quat_list(1e200), quat_list(1e200), quat_list(1e200),
+                    quat_list(1)),
+    "T": matrix_obj(quat_list(2), quat_list(), quat_list(), quat_list(0.5)),
+}
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -313,3 +328,67 @@ def test_non_finite_coordinate_is_usage_error(capsys, tmp_path, token, form):
         assert_one_error_line(err, "line 1:", "finite")
     assert code == 2
     assert out == ""
+
+
+def test_readme_pair_iterate_keeps_extremal_quantity_exactly(capsys):
+    # the sequence has integer entries; the closed-form inverse keeps them
+    # exact, so det and the extremal quantity stay 1 over 1000 steps
+    code, out, err = run(capsys, "iterate", json.dumps(EXTREME_PAIR),
+                         "--steps", "1000", "--mode", "upper", "--format", "json")
+    assert code == 0
+    trace = json.loads(out)
+    assert trace["truncated_reason"] is None
+    assert len(trace["steps"]) == 1001
+    assert {step["extremal_lhs"] for step in trace["steps"]} == {1.0}
+    assert {step["det"] for step in trace["steps"]} == {1.0}
+    summary = json.loads(err)
+    assert summary["steps"] == 1000 and summary["truncated_reason"] is None
+
+
+def test_readme_pair_extreme_over_sixty_steps(capsys):
+    code, out, _ = run(capsys, "extreme", json.dumps(EXTREME_PAIR), "--steps", "60")
+    assert code == 11
+    invariance = json.loads(out)["invariance"]
+    assert invariance["verdict"] == "extremal"
+    assert invariance["lhs"] == 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("test",),
+    ("test", "--format", "text"),
+    ("iterate", "--mode", "diagonal", "--format", "json"),
+], ids=["test_json", "test_text", "iterate_json"])
+def test_non_finite_result_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv[0], json.dumps(OVERFLOW_PAIR), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert_one_error_line(err, "not finite")
+
+
+def test_batch_non_finite_result_names_its_line(capsys, tmp_path):
+    batch = write_batch(tmp_path, json.dumps(EXTREME_PAIR), json.dumps(OVERFLOW_PAIR))
+    code, out, err = run(capsys, "test", batch, "--batch")
+    assert code == 2
+    assert [json.loads(line)["line"] for line in out.splitlines()] == [1]
+    assert_one_error_line(err, "line 2:", "not finite")
+
+
+@pytest.mark.parametrize("argv", [
+    ("test", json.dumps(EXTREME_PAIR)),
+    ("iterate", json.dumps(EXTREME_PAIR), "--steps", "20", "--full"),
+], ids=["test", "iterate"])
+def test_closed_stdout_exits_141_without_traceback(argv):
+    # stdout is a pipe whose reader is already gone, as in `| head` after
+    # head has exited, so the first write fails whatever the timing
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qmobius.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qmobius.quat import Quaternion, ZERO, ONE, I, J, isclose
 from qmobius import qmat
@@ -136,6 +137,75 @@ def test_inverse_identity_and_singular():
         qmat.inverse(real_matrix(1, 1, 1, 1))
     with pytest.raises(ValueError):
         qmat.tilde_set(MatH2(ZERO, ZERO, ZERO, ZERO))
+
+
+def test_closed_form_inverse_matches_right_route_oracle():
+    # zero and sub-NONZERO_TOL entries exercise the zero-entry rule: the
+    # closed form must put exact zeros where the Kellerhals route does
+    rng = random.Random(215)
+    checked = 0
+    while checked < 400:
+        entries = [random_quaternion(rng) for _ in range(4)]
+        for idx in rng.sample(range(4), rng.choice((0, 1, 2))):
+            entries[idx] = ZERO if rng.random() < 0.5 else random_quaternion(rng, 1e-13)
+        m = MatH2(*entries)
+        if qmat.det(m) < 0.1:
+            continue
+        checked += 1
+        inv, oracle = qmat.inverse(m), qmat.inverse_r(m)
+        assert ([e == ZERO for e in inv.entries()]
+                == [e == ZERO for e in oracle.entries()])
+        dev = max((p - q).norm() for p, q in zip(inv.entries(), oracle.entries()))
+        assert dev <= 1e-12 * oracle.max_entry_norm()
+
+
+def test_inverse_uses_no_kellerhals_route(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("inverse must not go through the Kellerhals routes")
+
+    for name in ("tilde_set", "l_values", "r_values"):
+        monkeypatch.setattr(qmat, name, forbidden)
+    m = random_sigma(random.Random(216))
+    prod = m @ qmat.inverse(m)
+    assert isclose(prod.a, ONE, 1e-12) and isclose(prod.d, ONE, 1e-12)
+
+
+def test_inverse_rejects_non_finite_determinant():
+    huge = diagonal(Quaternion(1e170), Quaternion(1e170))
+    with pytest.raises(ValueError, match="not finite") as info:
+        qmat.inverse(huge)
+    assert not isinstance(info.value, qmat.SingularMatrixError)
+
+
+_coord = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+_quaternions = st.builds(Quaternion, _coord, _coord, _coord, _coord)
+_matrices = st.builds(MatH2, _quaternions, _quaternions, _quaternions, _quaternions)
+
+
+def _identity_deviation(m: MatH2) -> float:
+    return max((m.a - ONE).norm(), m.b.norm(), m.c.norm(), (m.d - ONE).norm())
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_matrices)
+def test_property_inverse_is_two_sided(m):
+    assume(qmat.det(m) > 0.1)
+    inv = qmat.inverse(m)
+    # rounding in each product entry scales with |m| |m^-1|
+    scale = m.max_entry_norm() * inv.max_entry_norm()
+    assert _identity_deviation(inv @ m) <= 1e-13 * (1.0 + scale)
+    assert _identity_deviation(m @ inv) <= 1e-13 * (1.0 + scale)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_matrices, _matrices)
+def test_property_det_is_multiplicative(m1, m2):
+    d1, d2 = qmat.det(m1), qmat.det(m2)
+    assume(d1 > 0.1 and d2 > 0.1)
+    # alpha is quartic in the entries, and det = sqrt(alpha) divides its
+    # rounding by 2 det
+    scale = (m1.max_entry_norm() * m2.max_entry_norm()) ** 4 / (d1 * d2)
+    assert abs(qmat.det(m1 @ m2) - d1 * d2) <= 1e-13 * scale
 
 
 # --- invariants ------------------------------------------------------------

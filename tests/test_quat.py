@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import random
 
@@ -151,6 +153,24 @@ def test_json_round_trip():
     for bad in (math.nan, math.inf, -math.inf, "nan"):
         with pytest.raises(ValueError, match="finite"):
             Quaternion.from_list([1, bad, 0, 0])
+
+
+def test_arithmetic_results_are_ordinary_quaternions():
+    # arithmetic builds results without the public constructor's coercion;
+    # they must still be indistinguishable from publicly built instances
+    q = Quaternion(1, 2, 3, 4)
+    assert all(type(coord) is float for coord in q.as_list())
+    assert json.dumps(q.as_list()) == "[1.0, 2.0, 3.0, 4.0]"
+    p = Quaternion(0.5, -1, 2, 0.25)
+    results = [q.im(), q.conj(), q + p, q + 1, 1 + q, q - p, q - 1, 1 - q, -q,
+               q * p, q * 2, 2 * q, q / 2, q.inverse()]
+    for r in results:
+        assert type(r) is Quaternion
+        assert all(type(coord) is float for coord in r.as_list())
+        public = Quaternion(*r.as_list())
+        assert r == public and hash(r) == hash(public) and repr(r) == repr(public)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.w = 0.0
 
 
 def test_default_tol_exposed():
