@@ -4,7 +4,8 @@ Writes two files next to this script:
 
 - ``pairs.jsonl``: the seeded corpus of (S, T) pairs, one pair per line
   (a diagonal, an upper-triangular, a lower-triangular, a parabolic and a
-  full T, the README extreme pair and an obstruction pair);
+  full T, the README extreme pair, an obstruction pair, and two elementary
+  pairs: an upper T with S.c = 0 and its mirror, a lower T with S.b = 0);
 - ``expected.jsonl``: one record per run of ``cli.main`` over that corpus,
   holding its argv, exit code, stdout and the first line of stderr.
 
@@ -55,12 +56,20 @@ def _rotation(rng: random.Random, angle: float) -> Quaternion:
     return Quaternion(math.cos(angle)) + _unit_imaginary(rng) * math.sin(angle)
 
 
-def _sigma(rng: random.Random) -> MatH2:
+def _sigma(rng: random.Random, zero: str = "") -> MatH2:
+    """A random Sigma element whose entries named in ``zero`` are exactly 0."""
     while True:
-        m = MatH2(*(Quaternion(*(rng.uniform(-1.0, 1.0) for _ in range(4)))
-                    for _ in range(4)))
+        m = MatH2(*(Quaternion() if key in zero
+                    else Quaternion(*(rng.uniform(-1.0, 1.0) for _ in range(4)))
+                    for key in "abcd"))
         if qmat.det(m) > 0.3:
             return qmat.normalize_to_sigma(m)
+
+
+def _triangular(rng: random.Random, shape) -> MatH2:
+    """``shape``(lam, eta, mu) with Re lam = Re mu inside the jg budget."""
+    theta = rng.uniform(0.03, 0.06)
+    return shape(_rotation(rng, theta), _unit(rng), _rotation(rng, theta))
 
 
 def corpus(seed: int = SEED) -> list[tuple[str, MatH2, MatH2, tuple[str, ...]]]:
@@ -70,12 +79,8 @@ def corpus(seed: int = SEED) -> list[tuple[str, MatH2, MatH2, tuple[str, ...]]]:
     r = rng.uniform(1.0, 1.02)
     diagonal_t = qmat.diagonal(_rotation(rng, rng.uniform(0.05, 0.2)) * r,
                                _rotation(rng, rng.uniform(0.05, 0.2)) * (1.0 / r))
-    theta = rng.uniform(0.03, 0.06)
-    upper_t = qmat.upper_triangular(_rotation(rng, theta), _unit(rng),
-                                    _rotation(rng, theta))
-    theta = rng.uniform(0.03, 0.06)
-    lower_t = qmat.lower_triangular(_rotation(rng, theta), _unit(rng),
-                                    _rotation(rng, theta))
+    upper_t = _triangular(rng, qmat.upper_triangular)
+    lower_t = _triangular(rng, qmat.lower_triangular)
     lam = _rotation(rng, 0.1)
     parabolic_t = qmat.upper_triangular(lam, one, lam)
     c7, s7 = math.cos(math.pi / 7), math.sin(math.pi / 7)
@@ -91,6 +96,11 @@ def corpus(seed: int = SEED) -> list[tuple[str, MatH2, MatH2, tuple[str, ...]]]:
          MatH2(one, Quaternion(0.1), Quaternion(0.1), Quaternion(1.01)),
          qmat.diagonal(Quaternion(c7, s7), Quaternion(c7, -s7)),
          ("diagonal", "upper", "lower")),
+        # zero coupling entry: S and T share a fixed point (inf, resp. 0)
+        ("elementary_upper", _sigma(rng, zero="c"),
+         _triangular(rng, qmat.upper_triangular), ("upper",)),
+        ("elementary_lower", _sigma(rng, zero="b"),
+         _triangular(rng, qmat.lower_triangular), ("lower",)),
     ]
 
 
