@@ -18,10 +18,11 @@ matches no test shape or iterate mode, and an unwritable ``--output``),
 3 singular matrix (``invariants`` and ``classify``, and any command whose
 evaluation must invert or act by a singular matrix, such as ``test
 --select jh``), 141 stdout closed early by its reader (e.g. piped into
-``head``; 128 + SIGPIPE). A JSON result that overflows to a non-finite
-value is an error (exit 2), never ``NaN`` or ``Infinity`` in the output.
-:func:`main` is the one place that maps failures to exit codes;
-``--batch`` prefixes the message with the input line.
+``head``; 128 + SIGPIPE). A result that overflows (a determinant too) is
+an error (exit 2), never ``NaN``/``Infinity`` in JSON or ``inf``/``nan``
+in CSV. An elementary pair (zero coupling entry) is a report with failed
+preconditions, not an error. :func:`main` is the one place that maps
+failures to exit codes; ``--batch`` prefixes the message with the line.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -101,12 +103,24 @@ def _parse_pair(obj) -> tuple[MatH2, MatH2]:
     return _parse_matrix(obj["S"]), _parse_matrix(obj["T"])
 
 
+_NOT_FINITE = "result is not finite (a computation overflowed)"
+
+
 def _dumps(payload, **kwargs) -> str:
     """Strict JSON text: a NaN or infinite value is an error, never output."""
     try:
         return json.dumps(payload, allow_nan=False, **kwargs)
     except ValueError as exc:
-        raise ValueError("result is not finite (a computation overflowed)") from exc
+        raise ValueError(_NOT_FINITE) from exc
+
+
+def _check_csv_finite(trace: dynamics.IterationTrace, full: bool) -> None:
+    """The finiteness rule of :func:`_dumps` for the CSV trace, applied to
+    every row before the first one is written."""
+    for step in trace.steps:
+        if not all(math.isfinite(value) for value in dynamics.csv_row(step, full)
+                   if isinstance(value, float)):
+            raise ValueError(_NOT_FINITE)
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -119,19 +133,17 @@ def _emit(payload: dict, fmt: str) -> None:
 def _run_selected(name: str, s: MatH2, t: MatH2, tol: float) -> ineq.TestReport:
     if name == "auto":
         name = ineq.auto_select(t, tol)
-    test = ineq.TESTS[name]
-    if test is ineq.hyperbolic_commutator_test:
-        # the strictly hyperbolic generator is T, the free one S
-        return test(t, s, tol=tol)
-    return test(s, t, tol=tol)
+    return ineq.TESTS[name](s, t, tol=tol)
 
 
 def _load_nonsingular(source: str) -> tuple[MatH2, float]:
-    """The matrix and its determinant; a singular matrix is an error."""
+    """The matrix and its determinant; a singular or overflowing one is an error."""
     m = _parse_matrix(_load_json(source))
     d = qmat.det(m)
     if d <= qmat.NONZERO_TOL:
         raise qmat.SingularMatrixError("singular matrix")
+    if not math.isfinite(d):
+        raise ValueError("matrix entries overflow: determinant is not finite")
     return m, d
 
 
@@ -201,6 +213,8 @@ def cmd_iterate(args) -> int:
     if mode == "auto":
         mode = dynamics.AUTO_MODE[ineq.auto_select(t, args.tol)]
     trace = dynamics.iterate(s, t, args.steps, mode, tol=args.tol)
+    if args.format == "csv":
+        _check_csv_finite(trace, args.full)
     with (_open_output(args.output) if args.output
           else contextlib.nullcontext(sys.stdout)) as out:
         if args.format == "json":

@@ -121,13 +121,11 @@ def _shape_matches(t: MatH2, mode: str, tol: float) -> bool:
 def _step_record(n: int, s: MatH2, t: MatH2, mode: str, k: float) -> IterationStep:
     bc_norm = s.b.norm() * s.c.norm()
     step = IterationStep(n=n, s=s, bc_norm=bc_norm, det=qmat.det(s))
-    coupling = s.b if mode == "lower" else s.c
+    coupling, tau0_t0 = ((s.b, ineq.tau0_t0_lower) if mode == "lower"
+                         else (s.c, ineq.tau0_t0_upper))
     cn = coupling.norm()
     if cn > qmat.NONZERO_TOL:
-        if mode == "lower":
-            tau, tt = ineq.tau0_t0_lower(s, t)
-        else:
-            tau, tt = ineq.tau0_t0_upper(s, t)
+        tau, tt = tau0_t0(s, t)
         step.tau, step.t = tau, tt
         step.tau_c = tau.norm() * cn
         step.t_c = tt.norm() * cn

@@ -152,8 +152,7 @@ def tau0_t0_upper(s: MatH2, t: MatH2,
     """
     c = s.c
     if c.norm() <= tol:
-        raise ValueError(
-            "S and T share the fixed point at infinity; pair is elementary-suspect")
+        raise ValueError("S and T share a fixed point; pair is elementary-suspect")
     lam, eta, mu = t.a, t.b, t.d
     cinv_d = c.inverse() * s.d
     a_cinv = s.a * c.inverse()
@@ -168,17 +167,20 @@ def tau0_t0_lower(s: MatH2, t: MatH2,
 
     tau0 = mu (-b^-1 a) + eta + (b^-1 a) lam
     t0   = mu (d b^-1)  + eta - (d b^-1) lam
+
+    This is :func:`tau0_t0_upper` of the J-flipped pair: J M J = [[d, c],
+    [b, a]] with J = [[0, 1], [1, 0]], which has determinant 1 and swaps
+    the fixed points 0 and infinity. Same products, same order.
     """
-    b = s.b
-    if b.norm() <= tol:
-        raise ValueError(
-            "S and T share the fixed point 0; pair is elementary-suspect")
-    lam, eta, mu = t.a, t.c, t.d
-    binv_a = b.inverse() * s.a
-    d_binv = s.d * b.inverse()
-    tau0 = mu * (-binv_a) + eta + binv_a * lam
-    t0 = mu * d_binv + eta - d_binv * lam
-    return (tau0, t0)
+    return tau0_t0_upper(MatH2(s.d, s.c, s.b, s.a), MatH2(t.d, t.c, t.b, t.a), tol)
+
+
+def _side(s: MatH2, t: MatH2, side: str):
+    """(entry of T that must vanish, eta, coupling entry of S, tau0/t0);
+    the J-flip swaps b and c, so the lower side mirrors the upper one."""
+    if side == "upper":
+        return t.c, t.b, s.c, tau0_t0_upper
+    return t.b, t.c, s.b, tau0_t0_lower
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +289,41 @@ def hyperbolic_commutator_test(a: MatH2, b: MatH2, tol: float = DEFAULT_TOL,
 # triangular-generator tests
 
 
-def _triangular_diag(s: MatH2, t: MatH2, lam: Quaternion, mu: Quaternion,
-                     tol: float) -> dict[str, float]:
-    return {
+def _displacement_test(name: str, s: MatH2, t: MatH2, side: str, re_gate: bool,
+                       eps: float, tol: float, extremal_tol: float,
+                       extra: dict[str, float] | None = None) -> TestReport:
+    """|coupling| sqrt(|tau0| |t0|) >= (1 + sqrt(1 - S/eps)) / 2 on one triangle.
+
+    The skeleton of :func:`jg_test`, :func:`rez_test` and :func:`jlt_test`,
+    which pass their own Re-gate and eps. A zero coupling entry means S and
+    T share a fixed point: a failed gate with lhs 0 and the ``c_zero``
+    (lower triangle: ``b_zero``) flag. ``extra`` goes into diagnostics
+    ahead of the displacement norms, whose key order is part of the output.
+    """
+    off, eta, coupling, tau0_t0 = _side(s, t, side)
+    lam, mu = t.a, t.d
+    diag = {
         "det_S": qmat.det(s),
         "det_T": qmat.det(t),
         "S_value": s_value(lam, mu),
         "swapped": 1.0 if lam.norm() > 1.0 + tol else 0.0,
+        "eta_norm": eta.norm(),
+        **(extra or {}),
     }
+    coupling_ok = coupling.norm() > tol
+    ok = (off.norm() <= tol
+          and abs(diag["det_S"] - 1.0) <= tol and abs(diag["det_T"] - 1.0) <= tol
+          and re_gate and diag["S_value"] <= eps + tol and coupling_ok)
+    if coupling_ok:
+        tau0, t0 = tau0_t0(s, t)
+        diag["tau0_norm"] = tau0.norm()
+        diag["t0_norm"] = t0.norm()
+        lhs = coupling.norm() * math.sqrt(tau0.norm() * t0.norm())
+    else:
+        diag["c_zero" if side == "upper" else "b_zero"] = 1.0
+        lhs = 0.0
+    threshold = displacement_threshold(diag["S_value"], eps)
+    return _inequality_report(name, lhs, threshold, ok, diag, extremal_tol)
 
 
 def jg_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,
@@ -308,25 +337,10 @@ def jg_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,
     exchanges the triangle corners; a needed flip is recorded in
     diagnostics["swapped"] and leaves all evaluated quantities unchanged.
     """
-    lam, eta, mu = t.a, t.b, t.d
-    diag = _triangular_diag(s, t, lam, mu, tol)
-    diag["eta_norm"] = eta.norm()
-    sval = diag["S_value"]
-    c_ok = s.c.norm() > tol
-    ok = (t.c.norm() <= tol
-          and abs(diag["det_S"] - 1.0) <= tol and abs(diag["det_T"] - 1.0) <= tol
-          and abs(lam.re - mu.re) <= tol and abs(lam.re) > tol
-          and sval <= EPS_GENERIC + tol and c_ok)
-    if c_ok:
-        tau0, t0 = tau0_t0_upper(s, t)
-        diag["tau0_norm"] = tau0.norm()
-        diag["t0_norm"] = t0.norm()
-        lhs = s.c.norm() * math.sqrt(tau0.norm() * t0.norm())
-    else:
-        diag["c_zero"] = 1.0
-        lhs = 0.0
-    threshold = displacement_threshold(sval, EPS_GENERIC)
-    return _inequality_report("jg", lhs, threshold, ok, diag, extremal_tol)
+    lam, mu = t.a, t.d
+    re_gate = abs(lam.re - mu.re) <= tol and abs(lam.re) > tol
+    return _displacement_test("jg", s, t, "upper", re_gate, EPS_GENERIC,
+                              tol, extremal_tol)
 
 
 def rez_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,
@@ -338,27 +352,12 @@ def rez_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,
     lam = mu (zero imaginary parts, S = 0) is accepted as the continuous
     degenerate limit; the unipotent translation pair lands here.
     """
-    lam, eta, mu = t.a, t.b, t.d
-    diag = _triangular_diag(s, t, lam, mu, tol)
-    diag["eta_norm"] = eta.norm()
-    sval = diag["S_value"]
+    lam, mu = t.a, t.d
     re_gate = ((abs(lam.re) <= tol and abs(mu.re) <= tol)
                or (lam.im_norm() <= tol and mu.im_norm() <= tol
                    and abs(lam.re - mu.re) <= tol))
-    c_ok = s.c.norm() > tol
-    ok = (t.c.norm() <= tol
-          and abs(diag["det_S"] - 1.0) <= tol and abs(diag["det_T"] - 1.0) <= tol
-          and re_gate and sval <= EPS_PURE_IMAGINARY + tol and c_ok)
-    if c_ok:
-        tau0, t0 = tau0_t0_upper(s, t)
-        diag["tau0_norm"] = tau0.norm()
-        diag["t0_norm"] = t0.norm()
-        lhs = s.c.norm() * math.sqrt(tau0.norm() * t0.norm())
-    else:
-        diag["c_zero"] = 1.0
-        lhs = 0.0
-    threshold = displacement_threshold(sval, EPS_PURE_IMAGINARY)
-    return _inequality_report("rez", lhs, threshold, ok, diag, extremal_tol)
+    return _displacement_test("rez", s, t, "upper", re_gate, EPS_PURE_IMAGINARY,
+                              tol, extremal_tol)
 
 
 def eta_normalized_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,
@@ -369,22 +368,20 @@ def eta_normalized_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,
     |c| sqrt(|tau0'| |t0'|) against
     (1 + sqrt(1 - 4 sqrt(2) |eta|^2 S')) / (2 |eta|) with S' = S / |eta|^2.
     The lhs/threshold ratio is identical to the plain test; at |eta| = 1
-    the two coincide outright.
+    the two coincide outright. Gates and diagnostics are those of
+    :func:`jg_test`; this route is kept as its oracle.
     """
-    lam, eta, mu = t.a, t.b, t.d
+    eta = t.b
     if eta.norm() <= tol:
         raise ValueError("eta-normalized test requires eta != 0")
-    diag = _triangular_diag(s, t, lam, mu, tol)
-    eta_norm = eta.norm()
-    sval = diag["S_value"]
-    s_prime = sval / (eta_norm * eta_norm)
-    diag.update({"eta_norm": eta_norm, "S_prime": s_prime})
-    c_ok = s.c.norm() > tol
-    ok = (t.c.norm() <= tol
-          and abs(diag["det_S"] - 1.0) <= tol and abs(diag["det_T"] - 1.0) <= tol
-          and abs(lam.re - mu.re) <= tol and abs(lam.re) > tol
-          and sval <= EPS_GENERIC + tol and c_ok)
-    if c_ok:
+    base = jg_test(s, t, tol=tol, extremal_tol=extremal_tol)
+    diag = base.diagnostics
+    eta_norm = diag["eta_norm"]
+    s_prime = diag["S_value"] / (eta_norm * eta_norm)
+    diag["S_prime"] = s_prime
+    if "c_zero" in diag:
+        lhs = 0.0
+    else:
         tau0, t0 = tau0_t0_upper(s, t)
         eta_inv = eta.inverse()
         tau0p = tau0 * eta_inv
@@ -392,13 +389,10 @@ def eta_normalized_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,
         diag["tau0_prime_norm"] = tau0p.norm()
         diag["t0_prime_norm"] = t0p.norm()
         lhs = s.c.norm() * math.sqrt(tau0p.norm() * t0p.norm())
-    else:
-        diag["c_zero"] = 1.0
-        lhs = 0.0
     disc = 1.0 - 4.0 * _SQRT2 * eta_norm * eta_norm * s_prime
     threshold = (1.0 + math.sqrt(disc if disc > 0.0 else 0.0)) / (2.0 * eta_norm)
-    return _inequality_report("eta_normalized", lhs, threshold, ok, diag,
-                              extremal_tol)
+    return _inequality_report("eta_normalized", lhs, threshold,
+                              base.preconditions_met, diag, extremal_tol)
 
 
 def waterman_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,
@@ -457,38 +451,27 @@ def jlt_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,
     Uses the b-based displacement quantities of :func:`tau0_t0_lower`
     with Re(lam) = Re(mu) = kappa and budget S <= eps, where eps is
     1/(4 sqrt 2) for kappa != 0 and 1/4 for kappa = 0; the threshold is
-    (1 + sqrt(1 - S/eps)) / 2.
+    (1 + sqrt(1 - S/eps)) / 2. With ``b_variant=True`` this is
+    :func:`jg_test` (kappa != 0) or :func:`rez_test` (kappa = 0) of the
+    J-flipped pair; b = 0 is their zero-coupling case (flag ``b_zero``).
 
     As printed, the left-hand side multiplies by |c| of S although the
     proof machinery is b-based; ``b_variant=True`` makes the |b| form
-    drive the verdict. Both values are always in diagnostics.
+    drive the verdict. Both values are in diagnostics when b != 0.
     """
-    lam, eta, mu = t.a, t.c, t.d
-    if s.b.norm() <= tol:
-        raise ValueError(
-            "S and T share the fixed point 0; pair is elementary-suspect")
-    diag = _triangular_diag(s, t, lam, mu, tol)
-    diag["eta_norm"] = eta.norm()
-    kappa = lam.re
+    kappa = t.a.re
     eps = EPS_GENERIC if abs(kappa) > tol else EPS_PURE_IMAGINARY
-    sval = diag["S_value"]
-    diag.update({"kappa": kappa, "eps": eps})
-    ok = (t.b.norm() <= tol
-          and abs(diag["det_S"] - 1.0) <= tol and abs(diag["det_T"] - 1.0) <= tol
-          and abs(lam.re - mu.re) <= tol and sval <= eps + tol)
-    tau0, t0 = tau0_t0_lower(s, t)
-    root = math.sqrt(tau0.norm() * t0.norm())
-    lhs_printed = s.c.norm() * root
-    lhs_b = s.b.norm() * root
-    diag.update({
-        "tau0_norm": tau0.norm(),
-        "t0_norm": t0.norm(),
-        "lhs_printed": lhs_printed,
-        "lhs_b_variant": lhs_b,
-    })
-    lhs = lhs_b if b_variant else lhs_printed
-    threshold = displacement_threshold(sval, eps)
-    return _inequality_report("jlt", lhs, threshold, ok, diag, extremal_tol)
+    report = _displacement_test("jlt", s, t, "lower", abs(kappa - t.d.re) <= tol,
+                                eps, tol, extremal_tol, {"kappa": kappa, "eps": eps})
+    diag = report.diagnostics
+    if "b_zero" in diag:
+        return report
+    lhs_printed = s.c.norm() * math.sqrt(diag["tau0_norm"] * diag["t0_norm"])
+    diag.update({"lhs_printed": lhs_printed, "lhs_b_variant": report.lhs})
+    if b_variant:
+        return report
+    return _inequality_report("jlt", lhs_printed, report.threshold,
+                              report.preconditions_met, diag, extremal_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -567,17 +550,11 @@ def non_extreme_tau_test(s: MatH2, t: MatH2, side: str = "upper",
         "det_T": qmat.det(t),
         "S_value": s_value(lam, mu),
     }
-    if side == "upper":
-        shape_ok = t.c.norm() <= tol
-        tau0, t0 = tau0_t0_upper(s, t)
-        e = s.c.conj()
-        rhs = (e * s.d + s.a * e).norm()
-    else:
-        shape_ok = t.b.norm() <= tol
-        tau0, t0 = tau0_t0_lower(s, t)
-        e = s.b.conj()
-        rhs = (e * s.d + s.a * e).norm()
-    ok = (shape_ok
+    off, _, coupling, tau0_t0 = _side(s, t, side)
+    tau0, t0 = tau0_t0(s, t)
+    e = coupling.conj()
+    rhs = (e * s.d + s.a * e).norm()
+    ok = (off.norm() <= tol
           and abs(diag["det_S"] - 1.0) <= tol and abs(diag["det_T"] - 1.0) <= tol
           and abs(lam.re - mu.re) <= tol)
     diag.update({"tau0_norm": tau0.norm(), "t0_norm": t0.norm(),
@@ -602,11 +579,18 @@ def non_extreme_tau_test(s: MatH2, t: MatH2, side: str = "upper",
 # dispatch
 
 
+def _jh_on_pair(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,
+               extremal_tol: float = EXTREMAL_TOL) -> TestReport:
+    """``jh`` on the pair (S, T): T is the strictly hyperbolic generator."""
+    return hyperbolic_commutator_test(t, s, tol=tol, extremal_tol=extremal_tol)
+
+
+# every entry takes the pair (S, T) in that order
 TESTS = {
     "jss": jss_test,
     "jss2": jss2_test,
     "jssc2": jssc2_test,
-    "jh": hyperbolic_commutator_test,
+    "jh": _jh_on_pair,
     "jg": jg_test,
     "rez": rez_test,
     "wat": waterman_test,

@@ -89,12 +89,13 @@ def alpha(m: MatH2) -> float:
     """|a|^2 |d|^2 + |b|^2 |c|^2 - 2 Re(a conj(c) d conj(b)), clamped at 0.
 
     Non-negative in exact arithmetic (it is the squared Dieudonne
-    determinant); tiny negative rounding residue is clamped away.
+    determinant); tiny negative rounding residue is clamped away, but not
+    an overflow (inf - inf = NaN), which must not read as a singular matrix.
     """
     a, b, c, d = m.entries()
     value = (a.norm2() * d.norm2() + b.norm2() * c.norm2()
              - 2.0 * (a * c.conj() * d * b.conj()).re)
-    return value if value > 0.0 else 0.0
+    return 0.0 if value < 0.0 else value
 
 
 def det(m: MatH2) -> float:

@@ -354,12 +354,17 @@ def test_readme_pair_extreme_over_sixty_steps(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("test",),
-    ("test", "--format", "text"),
-    ("iterate", "--mode", "diagonal", "--format", "json"),
-], ids=["test_json", "test_text", "iterate_json"])
+    ("test", json.dumps(OVERFLOW_PAIR)),
+    ("test", json.dumps(OVERFLOW_PAIR), "--format", "text"),
+    ("iterate", json.dumps(OVERFLOW_PAIR), "--mode", "diagonal", "--format", "json"),
+    ("iterate", json.dumps(OVERFLOW_PAIR), "--mode", "diagonal"),
+    # alpha = inf - inf: the determinant overflows, the matrix is not singular
+    ("invariants", json.dumps(OVERFLOW_PAIR["S"])),
+    ("classify", json.dumps(OVERFLOW_PAIR["S"])),
+], ids=["test_json", "test_text", "iterate_json", "iterate_csv", "invariants",
+        "classify"])
 def test_non_finite_result_is_usage_error(capsys, argv):
-    code, out, err = run(capsys, argv[0], json.dumps(OVERFLOW_PAIR), *argv[1:])
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert_one_error_line(err, "not finite")

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qmobius.quat import Quaternion, ZERO, ONE, I, J, isclose
 from qmobius import qmat, ineq
@@ -151,6 +152,17 @@ def test_tau0_t0_second_implementation_oracle():
         a_cinv = mul_oracle(s.a, cinv)
         tau_oracle = mul_oracle(t.a, -cinv_d) + t.b + mul_oracle(cinv_d, t.d)
         t_oracle = mul_oracle(t.a, a_cinv) + t.b - mul_oracle(a_cinv, t.d)
+        assert isclose(tau0, tau_oracle, 1e-12)
+        assert isclose(t0, t_oracle, 1e-12)
+        if s.b.norm() < 0.1:
+            continue
+        # the lower formulas, which the code reaches through the J-flip
+        tau0, t0 = tau0_t0_lower(s, lower_triangular(t.a, t.b, t.d))
+        binv = s.b.inverse()
+        binv_a = mul_oracle(binv, s.a)
+        d_binv = mul_oracle(s.d, binv)
+        tau_oracle = mul_oracle(t.d, -binv_a) + t.b + mul_oracle(binv_a, t.a)
+        t_oracle = mul_oracle(t.d, d_binv) + t.b - mul_oracle(d_binv, t.a)
         assert isclose(tau0, tau_oracle, 1e-12)
         assert isclose(t0, t_oracle, 1e-12)
 
@@ -462,9 +474,58 @@ def test_jlt_threshold_branches():
     assert jlt_test(s, t0).diagnostics["eps"] == pytest.approx(0.25)
 
 
-def test_jlt_b_zero_raises():
-    with pytest.raises(ValueError):
-        jlt_test(real_matrix(1, 0, 1, 1), lower_triangular(ONE, J, ONE))
+def test_jlt_b_zero_is_a_failed_gate():
+    # b = 0: S and T share the fixed point 0, the mirror of jg's c = 0
+    for b_variant in (False, True):
+        report = jlt_test(real_matrix(1, 0, 1, 1), lower_triangular(ONE, J, ONE),
+                          b_variant=b_variant)
+        check_report_invariants(report)
+        assert not report.preconditions_met
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert report.lhs == 0.0
+        assert report.diagnostics["b_zero"] == 1.0
+
+
+def _flip(m):
+    """J m J with J = [[0, 1], [1, 0]]."""
+    return MatH2(m.d, m.c, m.b, m.a)
+
+
+_unit_coord = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+_quaternions = st.builds(Quaternion, _unit_coord, _unit_coord, _unit_coord, _unit_coord)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(entries=st.tuples(_quaternions, _quaternions, _quaternions, _quaternions),
+       b_zero=st.booleans(),
+       # |kappa| near 1 with |tau| small keeps S(lam, mu) inside the jg budget
+       kappa=st.one_of(st.floats(0.995, 1.0), st.floats(-1.0, -0.995),
+                       _unit_coord, st.just(0.0)),
+       tau=st.one_of(st.floats(-0.005, 0.005), _unit_coord),
+       u=_quaternions, v=_quaternions, eta=_quaternions)
+def test_property_jlt_is_the_j_flip_of_jg_and_rez(entries, b_zero, kappa, tau,
+                                                   u, v, eta):
+    a, b, c, d = entries
+    m = MatH2(a, ZERO if b_zero else b, c, d)
+    assume(qmat.det(m) > 0.1)
+    s = qmat.normalize_to_sigma(m)
+    # lam = e^-tau (cos x + u sin x), mu = e^tau (cos y + v sin y): |lam| |mu| = 1
+    # and Re lam = Re mu = kappa exactly
+    assume(abs(kappa) * math.exp(abs(tau)) <= 1.0)
+    u, v = u.im(), v.im()
+    assume(u.norm() > 0.1 and v.norm() > 0.1)
+    sin_x = math.sqrt(1.0 - (kappa * math.exp(tau)) ** 2)
+    sin_y = math.sqrt(1.0 - (kappa * math.exp(-tau)) ** 2)
+    t = lower_triangular(Quaternion(kappa) + u * (math.exp(-tau) * sin_x / u.norm()),
+                         eta,
+                         Quaternion(kappa) + v * (math.exp(tau) * sin_y / v.norm()))
+    mirrored = jlt_test(s, t, b_variant=True)
+    upper_test = jg_test if abs(kappa) > ineq.DEFAULT_TOL else rez_test
+    reference = upper_test(_flip(s), _flip(t))
+    assert ((mirrored.lhs, mirrored.threshold, mirrored.verdict,
+             mirrored.preconditions_met)
+            == (reference.lhs, reference.threshold, reference.verdict,
+                reference.preconditions_met))
 
 
 # --- extremality criteria ---------------------------------------------------
@@ -624,10 +685,7 @@ def test_report_contract_fuzz():
             t = lower_triangular(lam, eta, mu)
         s = random_sigma(rng)
         name = auto_select(t)
-        try:
-            report = ineq.TESTS[name](s, t)
-        except ValueError:
-            continue    # elementary-suspect pair (zero coupling entry)
+        report = ineq.TESTS[name](s, t)
         check_report_invariants(report)
         for extra in (extremality_criteria(s, t) if t_kind == "diagonal" else None,):
             if extra is not None:
