@@ -23,6 +23,12 @@ an error (exit 2), never ``NaN``/``Infinity`` in JSON or ``inf``/``nan``
 in CSV. An elementary pair (zero coupling entry) is a report with failed
 preconditions, not an error. :func:`main` is the one place that maps
 failures to exit codes; ``--batch`` prefixes the message with the line.
+
+``--tol`` (default 1e-9) is the one tolerance a user sets: the structural
+one behind every shape, determinant and similarity gate. It must be finite
+and non-negative; ``inf``, ``nan`` or a negative value is a usage error
+(exit 2) on every subcommand, checked before any input is read. Every other
+threshold is a fixed module constant (see the README).
 """
 
 from __future__ import annotations
@@ -139,12 +145,7 @@ def _run_selected(name: str, s: MatH2, t: MatH2, tol: float) -> ineq.TestReport:
 def _load_nonsingular(source: str) -> tuple[MatH2, float]:
     """The matrix and its determinant; a singular or overflowing one is an error."""
     m = _parse_matrix(_load_json(source))
-    d = qmat.det(m)
-    if d <= qmat.NONZERO_TOL:
-        raise qmat.SingularMatrixError("singular matrix")
-    if not math.isfinite(d):
-        raise ValueError("matrix entries overflow: determinant is not finite")
-    return m, d
+    return m, math.sqrt(qmat.nonsingular_alpha(m))
 
 
 def cmd_invariants(args) -> int:
@@ -305,6 +306,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not (math.isfinite(args.tol) and args.tol >= 0.0):
+            raise InputError(f"--tol must be finite and non-negative, got {args.tol}")
         code = args.func(args)
         sys.stdout.flush()
         return code

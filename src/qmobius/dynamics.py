@@ -25,8 +25,12 @@ ELEMENTARY_CUTOFF = 1e-10
 # sustained geometric contraction: total decay from the peak required for
 # the elementary verdict when the absolute cutoff has not been reached yet
 ELEMENTARY_DECAY_FACTOR = 1e-4
+# closed recurrences against matrix products: a two-route rounding check
+RECURRENCE_TOL = 1e-7
 
 MODES = ("diagonal", "upper", "lower")
+# the triangle whose displacement quantities each mode records
+_SIDE = {"diagonal": "upper", "upper": "upper", "lower": "lower"}
 
 # the iterate mode that carries the extremal quantity of each test that
 # ineq.auto_select can pick
@@ -118,34 +122,36 @@ def _shape_matches(t: MatH2, mode: str, tol: float) -> bool:
     return t.b.norm() <= tol
 
 
-def _step_record(n: int, s: MatH2, t: MatH2, mode: str, k: float) -> IterationStep:
+def _step_record(n: int, s: MatH2, t: MatH2, mode: str,
+                 k: float) -> tuple[IterationStep, float]:
+    """The record of S_n, and the norm of its coupling entry (c_n, or b_n
+    in lower mode)."""
     bc_norm = s.b.norm() * s.c.norm()
     step = IterationStep(n=n, s=s, bc_norm=bc_norm, det=qmat.det(s))
-    coupling, tau0_t0 = ((s.b, ineq.tau0_t0_lower) if mode == "lower"
-                         else (s.c, ineq.tau0_t0_upper))
+    _, _, coupling, tau0_t0 = ineq.triangle_side(s, t, _SIDE[mode])
     cn = coupling.norm()
     if cn > qmat.NONZERO_TOL:
         tau, tt = tau0_t0(s, t)
+        tau_norm, t_norm = tau.norm(), tt.norm()
         step.tau, step.t = tau, tt
-        step.tau_c = tau.norm() * cn
-        step.t_c = tt.norm() * cn
+        step.tau_c = tau_norm * cn
+        step.t_c = t_norm * cn
+        if mode != "diagonal":
+            step.extremal_lhs = cn * math.sqrt(tau_norm * t_norm)
     if mode == "diagonal":
         step.extremal_lhs = k * (1.0 + bc_norm)
-    elif step.tau is not None:
-        step.extremal_lhs = cn * math.sqrt(step.tau.norm() * step.t.norm())
-    return step
+    return step, cn
 
 
 def iterate(s: MatH2, t: MatH2, n_steps: int, mode: str,
-            tol: float = DEFAULT_TOL,
-            divergence_cutoff: float = DIVERGENCE_CUTOFF) -> IterationTrace:
+            tol: float = DEFAULT_TOL) -> IterationTrace:
     """Run the sequence for n_steps, recording statistics at every index.
 
     The trace holds n_steps + 1 records (index 0 is S itself). In the
     triangular modes the coupling entry (c_n, or b_n in lower mode)
     reaching exact zero means S_n and T share a fixed point; the trace is
     truncated there with reason "common fixed point reached". Entry norms
-    beyond ``divergence_cutoff`` also truncate (reason "divergence cutoff
+    beyond ``DIVERGENCE_CUTOFF`` also truncate (reason "divergence cutoff
     exceeded") since further products only overflow.
     """
     if n_steps < 1:
@@ -158,13 +164,12 @@ def iterate(s: MatH2, t: MatH2, n_steps: int, mode: str,
     trace = IterationTrace(mode=mode)
     current = s
     for n in range(n_steps + 1):
-        step = _step_record(n, current, t, mode, k)
+        step, coupling_norm = _step_record(n, current, t, mode, k)
         trace.steps.append(step)
-        coupling = current.b if mode == "lower" else current.c
-        if mode != "diagonal" and coupling.norm() == 0.0:
+        if mode != "diagonal" and coupling_norm == 0.0:
             trace.truncated_reason = "common fixed point reached"
             break
-        if current.max_entry_norm() > divergence_cutoff:
+        if current.max_entry_norm() > DIVERGENCE_CUTOFF:
             trace.truncated_reason = "divergence cutoff exceeded"
             break
         if n < n_steps:
@@ -209,14 +214,13 @@ def recurrence_deviation(trace: IterationTrace, t: MatH2) -> float:
     return worst
 
 
-def verify_recurrence(trace: IterationTrace, t: MatH2, tol: float = 1e-7) -> bool:
-    """Whether the closed recurrences agree with the trace within tol."""
-    return recurrence_deviation(trace, t) <= tol
+def verify_recurrence(trace: IterationTrace, t: MatH2) -> bool:
+    """Whether the closed recurrences agree with the trace within RECURRENCE_TOL."""
+    return recurrence_deviation(trace, t) <= RECURRENCE_TOL
 
 
 def extremal_invariance_check(s: MatH2, t: MatH2, n_steps: int,
-                              tol: float = DEFAULT_TOL,
-                              extremal_tol: float = ineq.EXTREMAL_TOL) -> ineq.TestReport:
+                              tol: float = DEFAULT_TOL) -> ineq.TestReport:
     """Check that a pointwise-extremal pair keeps its extremal quantity.
 
     Dispatches the pointwise test from T's shape (jss / rez / jg / jlt).
@@ -229,7 +233,7 @@ def extremal_invariance_check(s: MatH2, t: MatH2, n_steps: int,
     name = ineq.auto_select(t, tol)
     # lower mode propagates the b-based quantity (see IterationStep)
     variant = {"b_variant": True} if name == "jlt" else {}
-    pointwise = ineq.TESTS[name](s, t, tol=tol, extremal_tol=extremal_tol, **variant)
+    pointwise = ineq.TESTS[name](s, t, tol=tol, **variant)
 
     diag = {
         "pointwise_lhs": pointwise.lhs,
@@ -282,20 +286,17 @@ class ConvergenceReport:
         return {"kind": self.kind.value, "rate": self.rate}
 
 
-def classify_convergence(trace: IterationTrace,
-                         stationary_tol: float = DEFAULT_TOL,
-                         elementary_cutoff: float = ELEMENTARY_CUTOFF,
-                         divergence_cutoff: float = DIVERGENCE_CUTOFF,
-                         decay_factor: float = ELEMENTARY_DECAY_FACTOR) -> ConvergenceReport:
+def classify_convergence(trace: IterationTrace) -> ConvergenceReport:
     """Classify the long-run behaviour visible in a finite trace.
 
-    DIVERGES when entries passed the cutoff. STATIONARY when the extremal
-    quantity is defined throughout and varies less than
-    stationary_tol * (1 + length). CONVERGES_TO_ELEMENTARY when the tail
-    ratios of |b_n c_n| contract (all < 1) and either the absolute cutoff
-    is reached or the total decay from the peak spans ``decay_factor``
-    (sustained geometric contraction certifies the limit even before the
-    absolute cutoff). Everything else is UNDETERMINED.
+    DIVERGES when entries passed DIVERGENCE_CUTOFF. STATIONARY when the
+    extremal quantity is defined throughout and varies less than
+    DEFAULT_TOL * (1 + length), whatever tolerance the trace was run with.
+    CONVERGES_TO_ELEMENTARY when the tail ratios of |b_n c_n| contract (all
+    < 1) and either ELEMENTARY_CUTOFF is reached or the total decay from
+    the peak spans ELEMENTARY_DECAY_FACTOR (sustained geometric contraction
+    certifies the limit even before the absolute cutoff). Everything else
+    is UNDETERMINED.
     """
     steps = trace.steps
     if len(steps) < 5:
@@ -307,17 +308,18 @@ def classify_convergence(trace: IterationTrace,
     rate = sum(tail) / len(tail) if tail else None
 
     if (trace.truncated_reason in ("divergence cutoff exceeded", "numerical blow-up")
-            or any(step.s.max_entry_norm() > divergence_cutoff for step in steps)):
+            or any(step.s.max_entry_norm() > DIVERGENCE_CUTOFF for step in steps)):
         return ConvergenceReport(ConvergenceKind.DIVERGES, rate)
 
     lhs = [step.extremal_lhs for step in steps]
     if all(v is not None for v in lhs):
         variation = max(lhs) - min(lhs)
-        if variation <= stationary_tol * (1.0 + len(steps)):
+        if variation <= DEFAULT_TOL * (1.0 + len(steps)):
             return ConvergenceReport(ConvergenceKind.STATIONARY, rate)
 
     if tail and max(tail) < 1.0:
-        collapsed = bc[-1] < elementary_cutoff or bc[-1] <= decay_factor * max(bc)
+        collapsed = (bc[-1] < ELEMENTARY_CUTOFF
+                     or bc[-1] <= ELEMENTARY_DECAY_FACTOR * max(bc))
         if collapsed:
             return ConvergenceReport(ConvergenceKind.CONVERGES_TO_ELEMENTARY, rate)
 

@@ -6,7 +6,7 @@ the evaluators therefore only ever assert the contrapositive:
 
 - OBSTRUCTION: the inequality fails, so the pair cannot generate a
   discrete non-elementary subgroup.
-- EXTREMAL: the inequality holds with equality (within ``extremal_tol``),
+- EXTREMAL: the inequality holds with equality (within ``EXTREMAL_TOL``),
   the signature of an extreme group. This never asserts discreteness.
 - NOT_EXTREME: a non-extremeness criterion fired (the pair may still be
   discrete, just not extreme).
@@ -32,7 +32,7 @@ from .quat import Quaternion, DEFAULT_TOL, arg, similar
 from . import qmat, moebius
 from .qmat import MatH2
 
-# An extremal verdict means an exact equality held; the default slack is
+# An extremal verdict means an exact equality held; the fixed slack is
 # wider than arithmetic rounding but far below any interesting margin.
 EXTREMAL_TOL = 1e-7
 
@@ -53,8 +53,8 @@ class TestReport:
     """Outcome of one inequality evaluation.
 
     ``margin`` is always ``lhs - threshold``; OBSTRUCTION requires
-    preconditions and margin < -extremal_tol, EXTREMAL requires
-    preconditions and |margin| <= extremal_tol. ``diagnostics`` maps
+    preconditions and margin < -EXTREMAL_TOL, EXTREMAL requires
+    preconditions and |margin| <= EXTREMAL_TOL. ``diagnostics`` maps
     names to floats (flags are encoded 0.0/1.0).
     """
 
@@ -79,14 +79,14 @@ class TestReport:
 
 
 def _inequality_report(name: str, lhs: float, threshold: float,
-                       preconditions_met: bool, diagnostics: dict[str, float],
-                       extremal_tol: float) -> TestReport:
+                       preconditions_met: bool,
+                       diagnostics: dict[str, float]) -> TestReport:
     margin = lhs - threshold
     if not preconditions_met:
         verdict = Verdict.INCONCLUSIVE
-    elif margin < -extremal_tol:
+    elif margin < -EXTREMAL_TOL:
         verdict = Verdict.OBSTRUCTION
-    elif abs(margin) <= extremal_tol:
+    elif abs(margin) <= EXTREMAL_TOL:
         verdict = Verdict.EXTREMAL
     else:
         verdict = Verdict.INCONCLUSIVE
@@ -141,8 +141,7 @@ def displacement_threshold(s: float, eps: float) -> float:
     return (1.0 + math.sqrt(disc if disc > 0.0 else 0.0)) / 2.0
 
 
-def tau0_t0_upper(s: MatH2, t: MatH2,
-                  tol: float = qmat.NONZERO_TOL) -> tuple[Quaternion, Quaternion]:
+def tau0_t0_upper(s: MatH2, t: MatH2) -> tuple[Quaternion, Quaternion]:
     """Displacement quantities for an upper-triangular T = [[lam, eta], [0, mu]].
 
     tau0 = lam (-c^-1 d) + eta + (c^-1 d) mu
@@ -151,18 +150,18 @@ def tau0_t0_upper(s: MatH2, t: MatH2,
     with a, c, d from S. Factor order matters and is exactly as written.
     """
     c = s.c
-    if c.norm() <= tol:
+    if c.norm() <= qmat.NONZERO_TOL:
         raise ValueError("S and T share a fixed point; pair is elementary-suspect")
     lam, eta, mu = t.a, t.b, t.d
-    cinv_d = c.inverse() * s.d
-    a_cinv = s.a * c.inverse()
+    cinv = c.inverse()
+    cinv_d = cinv * s.d
+    a_cinv = s.a * cinv
     tau0 = lam * (-cinv_d) + eta + cinv_d * mu
     t0 = lam * a_cinv + eta - a_cinv * mu
     return (tau0, t0)
 
 
-def tau0_t0_lower(s: MatH2, t: MatH2,
-                  tol: float = qmat.NONZERO_TOL) -> tuple[Quaternion, Quaternion]:
+def tau0_t0_lower(s: MatH2, t: MatH2) -> tuple[Quaternion, Quaternion]:
     """Displacement quantities for a lower-triangular T = [[lam, 0], [eta, mu]].
 
     tau0 = mu (-b^-1 a) + eta + (b^-1 a) lam
@@ -172,12 +171,14 @@ def tau0_t0_lower(s: MatH2, t: MatH2,
     [b, a]] with J = [[0, 1], [1, 0]], which has determinant 1 and swaps
     the fixed points 0 and infinity. Same products, same order.
     """
-    return tau0_t0_upper(MatH2(s.d, s.c, s.b, s.a), MatH2(t.d, t.c, t.b, t.a), tol)
+    return tau0_t0_upper(MatH2(s.d, s.c, s.b, s.a), MatH2(t.d, t.c, t.b, t.a))
 
 
-def _side(s: MatH2, t: MatH2, side: str):
-    """(entry of T that must vanish, eta, coupling entry of S, tau0/t0);
-    the J-flip swaps b and c, so the lower side mirrors the upper one."""
+def triangle_side(s: MatH2, t: MatH2, side: str):
+    """(entry of T that must vanish, eta, coupling entry of S, tau0/t0) of
+    the "upper" or "lower" triangle; the one place that pairs a side with
+    its entries. The J-flip swaps b and c, so the lower side mirrors the
+    upper one."""
     if side == "upper":
         return t.c, t.b, s.c, tau0_t0_upper
     return t.b, t.c, s.b, tau0_t0_lower
@@ -202,8 +203,7 @@ def _diagonal_gates(s: MatH2, t: MatH2, tol: float) -> tuple[bool, dict[str, flo
     return structural, diag
 
 
-def jss_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,
-             extremal_tol: float = EXTREMAL_TOL) -> TestReport:
+def jss_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestReport:
     """Diagonal (semisimple) generator test: K (1 + |bc|) >= 1.
 
     K is :func:`k_value` of the diagonal entries of T and |bc| the product
@@ -215,24 +215,22 @@ def jss_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,
     """
     ok, diag = _diagonal_gates(s, t, tol)
     lhs = diag["K"] * (1.0 + diag["bc_norm"])
-    return _inequality_report("jss", lhs, 1.0, ok, diag, extremal_tol)
+    return _inequality_report("jss", lhs, 1.0, ok, diag)
 
 
-def jssc2_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,
-               extremal_tol: float = EXTREMAL_TOL) -> TestReport:
+def jssc2_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestReport:
     """Similarity-sup variant beta(T) (1 + |bc|) >= 1.
 
     beta(T) coincides with K in closed form, so this is the report of
     :func:`jss_test` under its own name, with beta(T) in diagnostics.
     """
-    report = jss_test(s, t, tol=tol, extremal_tol=extremal_tol)
+    report = jss_test(s, t, tol=tol)
     report.test_name = "jssc2"
     report.diagnostics["beta_T"] = beta_t(t.a, t.d)
     return report
 
 
-def jss2_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,
-              extremal_tol: float = EXTREMAL_TOL) -> TestReport:
+def jss2_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestReport:
     """Weaker diagonal test beta(T) L^k >= 1, L = 1 + |mu|, k = [1 + |bc|] + 1.
 
     |mu| is the larger-norm diagonal entry and [.] the floor. Strictly
@@ -246,11 +244,11 @@ def jss2_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,
     ell = 1.0 + big
     diag.update({"beta_T": bt, "L": ell, "k": float(k_exp)})
     lhs = bt * ell ** k_exp
-    return _inequality_report("jss2", lhs, 1.0, ok, diag, extremal_tol)
+    return _inequality_report("jss2", lhs, 1.0, ok, diag)
 
 
-def hyperbolic_commutator_test(a: MatH2, b: MatH2, tol: float = DEFAULT_TOL,
-                               extremal_tol: float = EXTREMAL_TOL) -> TestReport:
+def hyperbolic_commutator_test(a: MatH2, b: MatH2,
+                               tol: float = DEFAULT_TOL) -> TestReport:
     """Strictly hyperbolic commutator test |delta_A^2 - 4| + |delta_[A,B] - 2| >= 1.
 
     Requires A in the normal form diag(k, 1/k) with k real, |k| != 1, and
@@ -263,8 +261,9 @@ def hyperbolic_commutator_test(a: MatH2, b: MatH2, tol: float = DEFAULT_TOL,
                  and a.a.im_norm() <= tol and a.d.im_norm() <= tol)
     normal_form = real_diag and abs(k * a.d.re - 1.0) <= tol
     nontrivial = abs(abs(k) - 1.0) > tol and abs(k) > tol
+    det_b = qmat.det(b)
     ok = (normal_form and nontrivial
-          and abs(qmat.det(b) - 1.0) <= tol and b.c.norm() > tol)
+          and abs(det_b - 1.0) <= tol and b.c.norm() > tol)
 
     delta_a = a.a.re + a.d.re
     comm = qmat.commutator(a, b)
@@ -280,9 +279,9 @@ def hyperbolic_commutator_test(a: MatH2, b: MatH2, tol: float = DEFAULT_TOL,
         "term_commutator": term_c,
         "re_b_sigma_c": (b.b * sigma_b.conj() * b.c).re,
         "commutator_hyperbolicity_unverified": 1.0,
-        "det_B": qmat.det(b),
+        "det_B": det_b,
     }
-    return _inequality_report("jh", term_a + term_c, 1.0, ok, diag, extremal_tol)
+    return _inequality_report("jh", term_a + term_c, 1.0, ok, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +289,7 @@ def hyperbolic_commutator_test(a: MatH2, b: MatH2, tol: float = DEFAULT_TOL,
 
 
 def _displacement_test(name: str, s: MatH2, t: MatH2, side: str, re_gate: bool,
-                       eps: float, tol: float, extremal_tol: float,
+                       eps: float, tol: float,
                        extra: dict[str, float] | None = None) -> TestReport:
     """|coupling| sqrt(|tau0| |t0|) >= (1 + sqrt(1 - S/eps)) / 2 on one triangle.
 
@@ -300,7 +299,7 @@ def _displacement_test(name: str, s: MatH2, t: MatH2, side: str, re_gate: bool,
     (lower triangle: ``b_zero``) flag. ``extra`` goes into diagnostics
     ahead of the displacement norms, whose key order is part of the output.
     """
-    off, eta, coupling, tau0_t0 = _side(s, t, side)
+    off, eta, coupling, tau0_t0 = triangle_side(s, t, side)
     lam, mu = t.a, t.d
     diag = {
         "det_S": qmat.det(s),
@@ -310,7 +309,8 @@ def _displacement_test(name: str, s: MatH2, t: MatH2, side: str, re_gate: bool,
         "eta_norm": eta.norm(),
         **(extra or {}),
     }
-    coupling_ok = coupling.norm() > tol
+    coupling_norm = coupling.norm()
+    coupling_ok = coupling_norm > tol
     ok = (off.norm() <= tol
           and abs(diag["det_S"] - 1.0) <= tol and abs(diag["det_T"] - 1.0) <= tol
           and re_gate and diag["S_value"] <= eps + tol and coupling_ok)
@@ -318,16 +318,15 @@ def _displacement_test(name: str, s: MatH2, t: MatH2, side: str, re_gate: bool,
         tau0, t0 = tau0_t0(s, t)
         diag["tau0_norm"] = tau0.norm()
         diag["t0_norm"] = t0.norm()
-        lhs = coupling.norm() * math.sqrt(tau0.norm() * t0.norm())
+        lhs = coupling_norm * math.sqrt(diag["tau0_norm"] * diag["t0_norm"])
     else:
         diag["c_zero" if side == "upper" else "b_zero"] = 1.0
         lhs = 0.0
     threshold = displacement_threshold(diag["S_value"], eps)
-    return _inequality_report(name, lhs, threshold, ok, diag, extremal_tol)
+    return _inequality_report(name, lhs, threshold, ok, diag)
 
 
-def jg_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,
-            extremal_tol: float = EXTREMAL_TOL) -> TestReport:
+def jg_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestReport:
     """Upper-triangular generator test |c| sqrt(|tau0| |t0|) >= threshold.
 
     T = [[lam, eta], [0, mu]] with Re(lam) = Re(mu) != 0 and displacement
@@ -339,12 +338,10 @@ def jg_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,
     """
     lam, mu = t.a, t.d
     re_gate = abs(lam.re - mu.re) <= tol and abs(lam.re) > tol
-    return _displacement_test("jg", s, t, "upper", re_gate, EPS_GENERIC,
-                              tol, extremal_tol)
+    return _displacement_test("jg", s, t, "upper", re_gate, EPS_GENERIC, tol)
 
 
-def rez_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,
-             extremal_tol: float = EXTREMAL_TOL) -> TestReport:
+def rez_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestReport:
     """Purely imaginary variant of :func:`jg_test`.
 
     For Re(lam) = Re(mu) = 0 the displacement budget tightens to
@@ -356,12 +353,10 @@ def rez_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,
     re_gate = ((abs(lam.re) <= tol and abs(mu.re) <= tol)
                or (lam.im_norm() <= tol and mu.im_norm() <= tol
                    and abs(lam.re - mu.re) <= tol))
-    return _displacement_test("rez", s, t, "upper", re_gate, EPS_PURE_IMAGINARY,
-                              tol, extremal_tol)
+    return _displacement_test("rez", s, t, "upper", re_gate, EPS_PURE_IMAGINARY, tol)
 
 
-def eta_normalized_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,
-                        extremal_tol: float = EXTREMAL_TOL) -> TestReport:
+def eta_normalized_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestReport:
     """Eta-normalized form of :func:`jg_test` for eta != 0.
 
     Writes tau0 = tau0' eta and t0 = t0' eta, tests
@@ -374,7 +369,7 @@ def eta_normalized_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,
     eta = t.b
     if eta.norm() <= tol:
         raise ValueError("eta-normalized test requires eta != 0")
-    base = jg_test(s, t, tol=tol, extremal_tol=extremal_tol)
+    base = jg_test(s, t, tol=tol)
     diag = base.diagnostics
     eta_norm = diag["eta_norm"]
     s_prime = diag["S_value"] / (eta_norm * eta_norm)
@@ -392,11 +387,10 @@ def eta_normalized_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,
     disc = 1.0 - 4.0 * _SQRT2 * eta_norm * eta_norm * s_prime
     threshold = (1.0 + math.sqrt(disc if disc > 0.0 else 0.0)) / (2.0 * eta_norm)
     return _inequality_report("eta_normalized", lhs, threshold,
-                              base.preconditions_met, diag, extremal_tol)
+                              base.preconditions_met, diag)
 
 
-def waterman_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,
-                  extremal_tol: float = EXTREMAL_TOL) -> TestReport:
+def waterman_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestReport:
     """Parabolic generator test for T = [[lam, 1], [0, lam]], |lam| = 1.
 
     Measures the Moebius displacements of the two points a c^-1 and
@@ -438,13 +432,11 @@ def waterman_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,
     else:
         diag["c_zero"] = 1.0
         lhs = 0.0
-    disc = 1.0 - 8.0 * im_lam
-    threshold = (1.0 + math.sqrt(disc if disc > 0.0 else 0.0)) / 2.0
-    return _inequality_report("wat", lhs, threshold, ok, diag, extremal_tol)
+    threshold = displacement_threshold(im_lam, 0.125)
+    return _inequality_report("wat", lhs, threshold, ok, diag)
 
 
 def jlt_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,
-             extremal_tol: float = EXTREMAL_TOL,
              b_variant: bool = False) -> TestReport:
     """Lower-triangular generator test, T = [[lam, 0], [eta, mu]].
 
@@ -462,7 +454,7 @@ def jlt_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,
     kappa = t.a.re
     eps = EPS_GENERIC if abs(kappa) > tol else EPS_PURE_IMAGINARY
     report = _displacement_test("jlt", s, t, "lower", abs(kappa - t.d.re) <= tol,
-                                eps, tol, extremal_tol, {"kappa": kappa, "eps": eps})
+                                eps, tol, {"kappa": kappa, "eps": eps})
     diag = report.diagnostics
     if "b_zero" in diag:
         return report
@@ -471,15 +463,14 @@ def jlt_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,
     if b_variant:
         return report
     return _inequality_report("jlt", lhs_printed, report.threshold,
-                              report.preconditions_met, diag, extremal_tol)
+                              report.preconditions_met, diag)
 
 
 # ---------------------------------------------------------------------------
 # extremality criteria
 
 
-def extremality_criteria(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,
-                         extremal_tol: float = EXTREMAL_TOL) -> TestReport:
+def extremality_criteria(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestReport:
     """Consequences of equality in the diagonal test, plus non-extremeness.
 
     When :func:`jss_test` certifies equality, an extreme group forces T to
@@ -491,7 +482,7 @@ def extremality_criteria(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,
     ||ad| - 1| > cot^2((angle sum)/2) - 3 certifies the group is not
     extreme (NOT_EXTREME).
     """
-    base = jss_test(s, t, tol=tol, extremal_tol=extremal_tol)
+    base = jss_test(s, t, tol=tol)
     lam, mu = t.a, t.d
     diag = dict(base.diagnostics)
     elliptic = (abs(lam.norm() - 1.0) <= tol and abs(mu.norm() - 1.0) <= tol)
@@ -511,7 +502,7 @@ def extremality_criteria(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,
         cot_criterion = cot2 - 3.0
         ad_dev = abs(s.a.norm() * s.d.norm() - 1.0)
         diag.update({"cot_criterion": cot_criterion, "ad_deviation": ad_dev})
-        not_extreme = ad_dev > cot_criterion + extremal_tol
+        not_extreme = ad_dev > cot_criterion + EXTREMAL_TOL
 
     verdict = Verdict.INCONCLUSIVE
     if base.preconditions_met:
@@ -533,8 +524,7 @@ def extremality_criteria(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,
 
 
 def non_extreme_tau_test(s: MatH2, t: MatH2, side: str = "upper",
-                         tol: float = DEFAULT_TOL,
-                         extremal_tol: float = EXTREMAL_TOL) -> TestReport:
+                         tol: float = DEFAULT_TOL) -> TestReport:
     """Non-extremeness via displacement asymmetry.
 
     If |tau0 - t0| / (|tau0| |t0|) exceeds |conj(c) d + a conj(c)| (upper
@@ -550,7 +540,7 @@ def non_extreme_tau_test(s: MatH2, t: MatH2, side: str = "upper",
         "det_T": qmat.det(t),
         "S_value": s_value(lam, mu),
     }
-    off, _, coupling, tau0_t0 = _side(s, t, side)
+    off, _, coupling, tau0_t0 = triangle_side(s, t, side)
     tau0, t0 = tau0_t0(s, t)
     e = coupling.conj()
     rhs = (e * s.d + s.a * e).norm()
@@ -570,7 +560,7 @@ def non_extreme_tau_test(s: MatH2, t: MatH2, side: str = "upper",
                           Verdict.INCONCLUSIVE, ok, diag)
     lhs = (tau0 - t0).norm() / (tau0.norm() * t0.norm())
     margin = lhs - rhs
-    verdict = (Verdict.NOT_EXTREME if ok and margin > extremal_tol
+    verdict = (Verdict.NOT_EXTREME if ok and margin > EXTREMAL_TOL
                else Verdict.INCONCLUSIVE)
     return TestReport(f"non_extreme_{side}", lhs, rhs, margin, verdict, ok, diag)
 
@@ -579,10 +569,9 @@ def non_extreme_tau_test(s: MatH2, t: MatH2, side: str = "upper",
 # dispatch
 
 
-def _jh_on_pair(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,
-               extremal_tol: float = EXTREMAL_TOL) -> TestReport:
+def _jh_on_pair(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestReport:
     """``jh`` on the pair (S, T): T is the strictly hyperbolic generator."""
-    return hyperbolic_commutator_test(t, s, tol=tol, extremal_tol=extremal_tol)
+    return hyperbolic_commutator_test(t, s, tol=tol)
 
 
 # every entry takes the pair (S, T) in that order

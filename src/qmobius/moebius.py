@@ -55,21 +55,21 @@ def is_infinity(z) -> bool:
     return z is INFINITY
 
 
-def apply(m: MatH2, z: ExtQuaternion, tol: float = NONZERO_TOL) -> ExtQuaternion:
+def apply(m: MatH2, z: ExtQuaternion) -> ExtQuaternion:
     """Evaluate the fractional linear map Z -> (aZ + b)(cZ + d)^-1.
 
     Finite Z with cZ + d ~ 0 maps to infinity (pole detection is scale
-    aware: |cZ + d| <= tol * (1 + |Z|)); infinity maps to a c^-1 when
-    c != 0 and stays fixed otherwise.
+    aware: |cZ + d| <= NONZERO_TOL * (1 + |Z|)); infinity maps to a c^-1
+    when c != 0 and stays fixed otherwise. A singular or overflowing m is
+    an error (:func:`qmat.nonsingular_alpha`).
     """
-    if qmat.det(m) <= tol:
-        raise qmat.SingularMatrixError("singular matrix")
+    qmat.nonsingular_alpha(m)
     if z is INFINITY:
         if m.c.norm() <= NONZERO_TOL:
             return INFINITY
         return m.a * m.c.inverse()
     denom = m.c * z + m.d
-    if denom.norm() <= tol * (1.0 + z.norm()):
+    if denom.norm() <= NONZERO_TOL * (1.0 + z.norm()):
         return INFINITY
     return (m.a * z + m.b) * denom.inverse()
 

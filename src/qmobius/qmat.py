@@ -107,17 +107,30 @@ def det(m: MatH2) -> float:
     return math.sqrt(alpha(m))
 
 
+def nonsingular_alpha(m: MatH2) -> float:
+    """alpha(m) of a matrix that a computation must invert or act by.
+
+    The one owner of the singular/overflow decision: det = sqrt(alpha) <=
+    NONZERO_TOL is a :class:`SingularMatrixError`; a non-finite alpha
+    (entries that overflow, inf - inf = NaN included) is a ``ValueError``,
+    never a NaN result.
+    """
+    value = alpha(m)
+    if math.sqrt(value) <= NONZERO_TOL:
+        raise SingularMatrixError("singular matrix")
+    if not math.isfinite(value):
+        raise ValueError("matrix entries overflow: determinant is not finite")
+    return value
+
+
 def in_sigma(m: MatH2, tol: float = DEFAULT_TOL) -> bool:
     """Membership in Sigma, the determinant-1 group."""
     return abs(det(m) - 1.0) <= tol
 
 
-def normalize_to_sigma(m: MatH2, tol: float = NONZERO_TOL) -> MatH2:
+def normalize_to_sigma(m: MatH2) -> MatH2:
     """Scale by the positive real 1/sqrt(det) so the result has determinant 1."""
-    d = det(m)
-    if d <= tol:
-        raise SingularMatrixError("singular matrix")
-    return m.scaled(1.0 / math.sqrt(d))
+    return m.scaled(1.0 / math.sqrt(math.sqrt(nonsingular_alpha(m))))
 
 
 def _similarity_or_fallback(outer: Quaternion, inner: Quaternion) -> Quaternion:
@@ -185,7 +198,7 @@ class TildeSet:
     d_s: Quaternion
 
 
-def tilde_set(m: MatH2, tol: float = NONZERO_TOL) -> TildeSet:
+def tilde_set(m: MatH2) -> TildeSet:
     """Compute all eight tilde quantities of an invertible matrix.
 
     Each left value is l^-1 times an entry, each right value an entry times
@@ -193,8 +206,7 @@ def tilde_set(m: MatH2, tol: float = NONZERO_TOL) -> TildeSet:
     formula, so when it vanishes the tilde value is exactly zero and no
     inverse is needed.
     """
-    if det(m) <= tol:
-        raise SingularMatrixError("singular matrix")
+    nonsingular_alpha(m)
     a, b, c, d = m.entries()
     l11, l12, l21, l22 = l_values(m)
     r11, r12, r21, r22 = r_values(m)
@@ -211,7 +223,7 @@ def tilde_set(m: MatH2, tol: float = NONZERO_TOL) -> TildeSet:
     )
 
 
-def inverse(m: MatH2, tol: float = NONZERO_TOL) -> MatH2:
+def inverse(m: MatH2) -> MatH2:
     """Matrix inverse in closed form (Cao, Parker & Wang 2004).
 
         A^-1 = (1/alpha) [[|d|^2 conj(a) - conj(c) d conj(b),  |b|^2 conj(c) - conj(a) b conj(d)],
@@ -223,12 +235,7 @@ def inverse(m: MatH2, tol: float = NONZERO_TOL) -> MatH2:
     (:func:`tilde_set`, :func:`inverse_r`) stay as the paper's quantities
     and as test oracles.
     """
-    value = alpha(m)
-    if math.sqrt(value) <= tol:
-        raise SingularMatrixError("singular matrix")
-    if not math.isfinite(value):
-        raise ValueError("matrix entries overflow: determinant is not finite")
-    s = 1.0 / value
+    s = 1.0 / nonsingular_alpha(m)
     a, b, c, d = m.entries()
     ac, bc, cc, dc = a.conj(), b.conj(), c.conj(), d.conj()
 
@@ -243,15 +250,15 @@ def inverse(m: MatH2, tol: float = NONZERO_TOL) -> MatH2:
     )
 
 
-def inverse_r(m: MatH2, tol: float = NONZERO_TOL) -> MatH2:
+def inverse_r(m: MatH2) -> MatH2:
     """Matrix inverse via the right Kellerhals factors (cross-check route)."""
-    t = tilde_set(m, tol=tol)
+    t = tilde_set(m)
     return MatH2(t.d_s, -t.b_s, -t.c_s, t.a_s)
 
 
-def commutator(a: MatH2, b: MatH2, tol: float = NONZERO_TOL) -> MatH2:
+def commutator(a: MatH2, b: MatH2) -> MatH2:
     """A B A^-1 B^-1."""
-    return a @ b @ inverse(a, tol=tol) @ inverse(b, tol=tol)
+    return a @ b @ inverse(a) @ inverse(b)
 
 
 def foreman_invariants(m: MatH2) -> tuple[float, float, float]:

@@ -56,9 +56,6 @@ class Quaternion:
     def __abs__(self) -> float:
         return self.norm()
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.norm() <= tol
-
     def __add__(self, other) -> "Quaternion":
         if isinstance(other, Quaternion):
             return _q(self.w + other.w, self.x + other.x,

@@ -397,3 +397,24 @@ def test_closed_stdout_exits_141_without_traceback(argv):
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == b""
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+@pytest.mark.parametrize("command", ["test", "batch", "iterate", "extreme",
+                                     "invariants"])
+def test_tol_must_be_finite_and_non_negative(capsys, tmp_path, command, tol):
+    # a full T: --tol=inf used to make its shape gate pass (jss obstruction)
+    pair = json.dumps({"v": 1, "S": matrix_obj(quat_list(5), quat_list(3),
+                                                 quat_list(2), quat_list(1)),
+                       "T": FULL_PAIR["T"]})
+    argv = {
+        "test": ("test", pair, "--select", "jss"),
+        "batch": ("test", write_batch(tmp_path, pair), "--batch"),
+        "iterate": ("iterate", pair, "--mode", "diagonal"),
+        "extreme": ("extreme", pair),
+        "invariants": ("invariants", json.dumps(FULL_PAIR["T"])),
+    }[command]
+    code, out, err = run(capsys, *argv, f"--tol={tol}")
+    assert code == 2
+    assert out == ""
+    assert_one_error_line(err, "--tol")

@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 
@@ -691,3 +692,12 @@ def test_report_contract_fuzz():
             if extra is not None:
                 check_report_invariants(extra)
         shapes += 1
+
+
+def test_every_selector_takes_the_pair_and_the_structural_tol():
+    # cli._run_selected calls every entry as (s, t, tol=...); the only
+    # other keyword is jlt's b_variant, which dynamics sets
+    for name, fn in ineq.TESTS.items():
+        params = list(inspect.signature(fn).parameters)
+        expected = ["s", "t", "tol"] + (["b_variant"] if name == "jlt" else [])
+        assert params == expected, name

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qmobius.quat import Quaternion, ZERO, ONE, I, J, isclose
-from qmobius import qmat
+from qmobius import moebius, qmat
 from qmobius.qmat import MatH2, diagonal, identity
 from conftest import random_invertible, random_sigma, random_quaternion
 
@@ -172,9 +172,16 @@ def test_inverse_uses_no_kellerhals_route(monkeypatch):
 
 def test_inverse_rejects_non_finite_determinant():
     huge = diagonal(Quaternion(1e170), Quaternion(1e170))
-    with pytest.raises(ValueError, match="not finite") as info:
-        qmat.inverse(huge)
-    assert not isinstance(info.value, qmat.SingularMatrixError)
+    # alpha = inf - inf: the overflow must not read as a singular matrix
+    overflow = real_matrix(1e200, 1e200, 1e200, 1)
+    calls = [(qmat.inverse, huge)] + [
+        (fn, overflow) for fn in (qmat.inverse, qmat.tilde_set, qmat.inverse_r,
+                                  qmat.normalize_to_sigma,
+                                  lambda m: moebius.apply(m, Quaternion(0.5)))]
+    for fn, m in calls:
+        with pytest.raises(ValueError, match="not finite") as info:
+            fn(m)
+        assert not isinstance(info.value, qmat.SingularMatrixError)
 
 
 _coord = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
