@@ -26,9 +26,10 @@ failures to exit codes; ``--batch`` prefixes the message with the line.
 
 ``--tol`` (default 1e-9) is the one tolerance a user sets: the structural
 one behind every shape, determinant and similarity gate. It must be finite
-and non-negative; ``inf``, ``nan`` or a negative value is a usage error
-(exit 2) on every subcommand, checked before any input is read. Every other
-threshold is a fixed module constant (see the README).
+and in [0, ``MAX_TOL``]; ``inf``, ``nan``, a negative value or one above
+``MAX_TOL`` is a usage error (exit 2) on every subcommand, checked before
+any input is read. Every other threshold is a fixed module constant (see
+the README).
 """
 
 from __future__ import annotations
@@ -49,6 +50,11 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_SINGULAR = 3
 EXIT_BROKEN_PIPE = 141      # 128 + SIGPIPE, as a shell reports it
+
+# Largest accepted --tol: three decades above the default, below any margin
+# the inequalities care about. The gates compare absolute deviations with
+# tol, so a larger one would let a full or singular T pass as a triangle.
+MAX_TOL = 1e-6
 
 VERDICT_EXIT = {
     ineq.Verdict.INCONCLUSIVE: 0,
@@ -256,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, fmt_choices=("json", "text")):
         p.add_argument("--tol", type=float, default=1e-9,
-                       help="structural tolerance (default 1e-9)")
+                       help="structural tolerance (default 1e-9, at most "
+                       f"MAX_TOL = {MAX_TOL:g})")
         p.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
 
     p_inv = sub.add_parser("invariants", help="conjugacy invariants of a matrix")
@@ -306,8 +313,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not (math.isfinite(args.tol) and args.tol >= 0.0):
-            raise InputError(f"--tol must be finite and non-negative, got {args.tol}")
+        if not 0.0 <= args.tol <= MAX_TOL:
+            raise InputError(f"--tol must be finite, non-negative and at most "
+                             f"MAX_TOL = {MAX_TOL:g}, got {args.tol}")
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -37,7 +37,7 @@ _SIDE = {"diagonal": "upper", "upper": "upper", "lower": "lower"}
 AUTO_MODE = {"jss": "diagonal", "jg": "upper", "rez": "upper", "jlt": "lower"}
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationStep:
     """Per-step statistics of the sequence.
 
@@ -47,13 +47,16 @@ class IterationStep:
     b_n in lower mode). ``extremal_lhs`` is the mode's extremal quantity:
     K (1 + |b_n c_n|) in diagonal mode, coupling * sqrt(|tau_n| |t_n|) in
     the triangular modes (b-based in lower mode, which is the quantity the
-    invariance theorem propagates there).
+    invariance theorem propagates there). ``entry_norms`` are |a_n|, |b_n|,
+    |c_n|, |d_n|, computed once per step for the divergence check and the
+    CSV row; the JSON record carries S itself instead.
     """
 
     n: int
     s: MatH2
     bc_norm: float
     det: float
+    entry_norms: tuple[float, float, float, float]
     tau: Quaternion | None = None
     t: Quaternion | None = None
     tau_c: float | None = None
@@ -101,7 +104,7 @@ def csv_header(full: bool = False) -> tuple[str, ...]:
 def csv_row(step: IterationStep, full: bool = False) -> list:
     row = [
         step.n,
-        step.s.a.norm(), step.s.b.norm(), step.s.c.norm(), step.s.d.norm(),
+        *step.entry_norms,
         step.bc_norm,
         "" if step.tau_c is None else step.tau_c,
         "" if step.t_c is None else step.t_c,
@@ -126,8 +129,10 @@ def _step_record(n: int, s: MatH2, t: MatH2, mode: str,
                  k: float) -> tuple[IterationStep, float]:
     """The record of S_n, and the norm of its coupling entry (c_n, or b_n
     in lower mode)."""
-    bc_norm = s.b.norm() * s.c.norm()
-    step = IterationStep(n=n, s=s, bc_norm=bc_norm, det=qmat.det(s))
+    norms = (s.a.norm(), s.b.norm(), s.c.norm(), s.d.norm())
+    bc_norm = norms[1] * norms[2]
+    step = IterationStep(n=n, s=s, bc_norm=bc_norm, det=qmat.det(s),
+                         entry_norms=norms)
     _, _, coupling, tau0_t0 = ineq.triangle_side(s, t, _SIDE[mode])
     cn = coupling.norm()
     if cn > qmat.NONZERO_TOL:
@@ -169,7 +174,7 @@ def iterate(s: MatH2, t: MatH2, n_steps: int, mode: str,
         if mode != "diagonal" and coupling_norm == 0.0:
             trace.truncated_reason = "common fixed point reached"
             break
-        if current.max_entry_norm() > DIVERGENCE_CUTOFF:
+        if max(step.entry_norms) > DIVERGENCE_CUTOFF:
             trace.truncated_reason = "divergence cutoff exceeded"
             break
         if n < n_steps:
@@ -308,7 +313,7 @@ def classify_convergence(trace: IterationTrace) -> ConvergenceReport:
     rate = sum(tail) / len(tail) if tail else None
 
     if (trace.truncated_reason in ("divergence cutoff exceeded", "numerical blow-up")
-            or any(step.s.max_entry_norm() > DIVERGENCE_CUTOFF for step in steps)):
+            or any(max(step.entry_norms) > DIVERGENCE_CUTOFF for step in steps)):
         return ConvergenceReport(ConvergenceKind.DIVERGES, rate)
 
     lhs = [step.extremal_lhs for step in steps]

@@ -171,7 +171,12 @@ def tau0_t0_lower(s: MatH2, t: MatH2) -> tuple[Quaternion, Quaternion]:
     [b, a]] with J = [[0, 1], [1, 0]], which has determinant 1 and swaps
     the fixed points 0 and infinity. Same products, same order.
     """
-    return tau0_t0_upper(MatH2(s.d, s.c, s.b, s.a), MatH2(t.d, t.c, t.b, t.a))
+    return tau0_t0_upper(_j_flip(s), _j_flip(t))
+
+
+def _j_flip(m: MatH2) -> MatH2:
+    """J m J with J = [[0, 1], [1, 0]]: the lower triangle's upper mirror."""
+    return MatH2(m.d, m.c, m.b, m.a)
 
 
 def triangle_side(s: MatH2, t: MatH2, side: str):
@@ -527,12 +532,16 @@ def non_extreme_tau_test(s: MatH2, t: MatH2, side: str = "upper",
                          tol: float = DEFAULT_TOL) -> TestReport:
     """Non-extremeness via displacement asymmetry.
 
-    If |tau0 - t0| / (|tau0| |t0|) exceeds |conj(c) d + a conj(c)| (upper
-    side; the lower side uses b in place of c) the pair cannot be extreme.
-    Degenerate displacements (tau0 or t0 ~ 0) are reported as inconclusive
-    with a diagnostics flag: the quotient is then meaningless.
+    If |tau0 - t0| / (|tau0| |t0|) exceeds |conj(c) d + a conj(c)| the pair
+    cannot be extreme. The lower side is the upper test on the J-flipped
+    pair (J S J, J T J), as for :func:`jlt_test`, so its right-hand side is
+    |conj(b) a + d conj(b)|. Degenerate displacements (tau0 or t0 ~ 0) are
+    reported as inconclusive with a diagnostics flag: the quotient is then
+    meaningless.
     """
-    if side not in ("upper", "lower"):
+    if side == "lower":
+        s, t = _j_flip(s), _j_flip(t)
+    elif side != "upper":
         raise ValueError("side must be 'upper' or 'lower'")
     lam, mu = t.a, t.d
     diag = {
@@ -540,11 +549,10 @@ def non_extreme_tau_test(s: MatH2, t: MatH2, side: str = "upper",
         "det_T": qmat.det(t),
         "S_value": s_value(lam, mu),
     }
-    off, _, coupling, tau0_t0 = triangle_side(s, t, side)
-    tau0, t0 = tau0_t0(s, t)
-    e = coupling.conj()
+    tau0, t0 = tau0_t0_upper(s, t)
+    e = s.c.conj()
     rhs = (e * s.d + s.a * e).norm()
-    ok = (off.norm() <= tol
+    ok = (t.c.norm() <= tol
           and abs(diag["det_S"] - 1.0) <= tol and abs(diag["det_T"] - 1.0) <= tol
           and abs(lam.re - mu.re) <= tol)
     diag.update({"tau0_norm": tau0.norm(), "t0_norm": t0.norm(),

@@ -6,6 +6,14 @@ test oracles), Foreman's conjugacy invariants (beta, gamma, delta) and the
 Parker-Short quantities (sigma, tau). The group of determinant-1 matrices
 (called Sigma throughout) acts by isometries on hyperbolic 5-space; its
 boundary action lives in :mod:`qmobius.moebius`.
+
+``MatH2 @``, :func:`alpha` (hence :func:`det` and
+:func:`nonsingular_alpha`) and :func:`inverse` are the hot path of the
+conjugation step. They compute on entry coordinates and build only their
+result quaternions, but each result coordinate is the float expression of
+the ``Quaternion`` formula in its docstring, evaluated in the same order:
+the results are bitwise equal to that formula's, zero-entry rule and
+error types included.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .quat import Quaternion, ZERO, ONE, DEFAULT_TOL
+from .quat import Quaternion, ZERO, ONE, DEFAULT_TOL, _q
 
 # Norm threshold under which an entry is treated as zero when dispatching
 # between algebraic case formulas. Dispatch must be deterministic under
@@ -36,12 +44,10 @@ class MatH2:
 
     def __matmul__(self, other: "MatH2") -> "MatH2":
         # entrywise sums of ordered products; factor order matters
-        return MatH2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        a, b, c, d = _coords(self)
+        e, f, g, h = _coords(other)
+        return MatH2(_prod_sum(a, e, b, g), _prod_sum(a, f, b, h),
+                     _prod_sum(c, e, d, g), _prod_sum(c, f, d, h))
 
     def entries(self) -> tuple[Quaternion, Quaternion, Quaternion, Quaternion]:
         return (self.a, self.b, self.c, self.d)
@@ -69,6 +75,43 @@ class MatH2:
             raise ValueError(f"matrix encoding missing entry {exc}") from exc
 
 
+# Kernel helpers on (w, x, y, z) coordinate tuples. A conjugate enters with
+# its coordinates negated, as ``q.conj()`` stores them, so every expression
+# is the one Quaternion arithmetic evaluates.
+
+def _coords(m: MatH2) -> tuple[tuple[float, float, float, float], ...]:
+    a, b, c, d = m.a, m.b, m.c, m.d
+    return ((a.w, a.x, a.y, a.z), (b.w, b.x, b.y, b.z),
+            (c.w, c.x, c.y, c.z), (d.w, d.x, d.y, d.z))
+
+
+def _mul(p, q) -> tuple[float, float, float, float]:
+    """Coordinates of the Hamilton product p q (``Quaternion.__mul__``)."""
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    return (pw * qw - px * qx - py * qy - pz * qz,
+            pw * qx + px * qw + py * qz - pz * qy,
+            pw * qy - px * qz + py * qw + pz * qx,
+            pw * qz + px * qy - py * qx + pz * qw)
+
+
+def _prod_sum(p, q, r, s) -> Quaternion:
+    """p q + r s."""
+    pw, px, py, pz = _mul(p, q)
+    rw, rx, ry, rz = _mul(r, s)
+    return _q(pw + rw, px + rx, py + ry, pz + rz)
+
+
+def _norm2(p) -> float:
+    w, x, y, z = p
+    return w * w + x * x + y * y + z * z
+
+
+def _conj(p) -> tuple[float, float, float, float]:
+    w, x, y, z = p
+    return (w, -x, -y, -z)
+
+
 def identity() -> MatH2:
     return MatH2(ONE, ZERO, ZERO, ONE)
 
@@ -92,9 +135,12 @@ def alpha(m: MatH2) -> float:
     determinant); tiny negative rounding residue is clamped away, but not
     an overflow (inf - inf = NaN), which must not read as a singular matrix.
     """
-    a, b, c, d = m.entries()
-    value = (a.norm2() * d.norm2() + b.norm2() * c.norm2()
-             - 2.0 * (a * c.conj() * d * b.conj()).re)
+    a, b, c, d = _coords(m)
+    pw, px, py, pz = _mul(_mul(a, _conj(c)), d)
+    bw, bx, by, bz = b
+    # Re(p conj(b)): the w coordinate of _mul(p, _conj(b))
+    value = (_norm2(a) * _norm2(d) + _norm2(b) * _norm2(c)
+             - 2.0 * (pw * bw - px * -bx - py * -by - pz * -bz))
     return 0.0 if value < 0.0 else value
 
 
@@ -236,18 +282,21 @@ def inverse(m: MatH2) -> MatH2:
     and as test oracles.
     """
     s = 1.0 / nonsingular_alpha(m)
-    a, b, c, d = m.entries()
-    ac, bc, cc, dc = a.conj(), b.conj(), c.conj(), d.conj()
+    a, b, c, d = _coords(m)
+    return MatH2(_inverse_entry(a, d, c, b, s), _inverse_entry(c, b, a, d, s),
+                 _inverse_entry(b, c, d, a, s), _inverse_entry(d, a, b, c, s))
 
-    def entry(source: Quaternion, numerator: Quaternion) -> Quaternion:
-        return ZERO if source.norm() <= NONZERO_TOL else numerator * s
 
-    return MatH2(
-        entry(d, ac * d.norm2() - cc * d * bc),
-        entry(b, cc * b.norm2() - ac * b * dc),
-        entry(c, bc * c.norm2() - dc * c * ac),
-        entry(a, dc * a.norm2() - bc * a * cc),
-    )
+def _inverse_entry(p, source, u, v, s) -> Quaternion:
+    """(conj(p) |source|^2 - conj(u) source conj(v)) s, or ZERO when
+    |source| <= NONZERO_TOL: one entry of :func:`inverse`."""
+    n = _norm2(source)
+    if math.sqrt(n) <= NONZERO_TOL:
+        return ZERO
+    pw, px, py, pz = p
+    qw, qx, qy, qz = _mul(_mul(_conj(u), source), _conj(v))
+    return _q((pw * n - qw) * s, (-px * n - qx) * s,
+              (-py * n - qy) * s, (-pz * n - qz) * s)
 
 
 def inverse_r(m: MatH2) -> MatH2:

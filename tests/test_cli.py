@@ -399,16 +399,18 @@ def test_closed_stdout_exits_141_without_traceback(argv):
     assert proc.stderr == b""
 
 
-@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
-@pytest.mark.parametrize("command", ["test", "batch", "iterate", "extreme",
-                                     "invariants"])
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "1", "10", "1e300"])
+@pytest.mark.parametrize("command", ["test", "auto", "batch", "iterate",
+                                     "extreme", "invariants"])
 def test_tol_must_be_finite_and_non_negative(capsys, tmp_path, command, tol):
-    # a full T: --tol=inf used to make its shape gate pass (jss obstruction)
+    # a full, singular T: --tol=inf, and any finite tol >= 1, used to make
+    # its shape gate pass (jss obstruction with preconditions met)
     pair = json.dumps({"v": 1, "S": matrix_obj(quat_list(5), quat_list(3),
                                                  quat_list(2), quat_list(1)),
-                       "T": FULL_PAIR["T"]})
+                       "T": matrix_obj(*[quat_list(1)] * 4)})
     argv = {
         "test": ("test", pair, "--select", "jss"),
+        "auto": ("test", pair),
         "batch": ("test", write_batch(tmp_path, pair), "--batch"),
         "iterate": ("iterate", pair, "--mode", "diagonal"),
         "extreme": ("extreme", pair),

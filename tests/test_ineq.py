@@ -14,9 +14,9 @@ from qmobius.ineq import (Verdict, auto_select, beta_t, displacement_threshold,
                           kellerhals_form, non_extreme_tau_test, rez_test,
                           s_value, tau0_t0_lower, tau0_t0_upper, waterman_test)
 from qmobius.qmat import MatH2, diagonal, lower_triangular, upper_triangular
-from conftest import (check_report_invariants, mul_oracle, random_sigma,
-                      random_unit_quaternion, random_unit_imaginary,
-                      random_elliptic_entry)
+from conftest import (check_report_invariants, mul_oracle, random_quaternion,
+                      random_sigma, random_unit_quaternion,
+                      random_unit_imaginary, random_elliptic_entry)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -654,6 +654,29 @@ def test_non_extreme_degenerate_displacement():
     report = non_extreme_tau_test(s, t, "upper")
     assert report.diagnostics["degenerate_displacement"] == 1.0
     assert report.verdict is Verdict.INCONCLUSIVE
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_property_non_extreme_tau_is_invariant_under_diagonal_conjugation(seed):
+    # D = diag(u, v) with unit u, v fixes 0 and infinity and keeps T's shape,
+    # so a criterion about the group generated by S and T cannot move
+    rng = random.Random(seed)
+    s = random_sigma(rng)
+    angle = rng.uniform(0.1, 1.4)
+    lam, mu = random_elliptic_entry(rng, angle), random_elliptic_entry(rng, angle)
+    eta = random_quaternion(rng)
+    u, v = random_unit_quaternion(rng), random_unit_quaternion(rng)
+    dmat, dinv = diagonal(u, v), diagonal(u.conj(), v.conj())
+    for side, t in (("upper", upper_triangular(lam, eta, mu)),
+                    ("lower", lower_triangular(lam, eta, mu))):
+        if (s.c if side == "upper" else s.b).norm() < 0.1:
+            continue
+        before = non_extreme_tau_test(s, t, side)
+        after = non_extreme_tau_test(dmat @ s @ dinv, dmat @ t @ dinv, side)
+        assert after.verdict is before.verdict
+        for x, y in ((after.lhs, before.lhs), (after.threshold, before.threshold)):
+            assert abs(x - y) <= 1e-9 * (1.0 + abs(y))
 
 
 # --- dispatch ---------------------------------------------------------------

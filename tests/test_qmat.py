@@ -1,7 +1,9 @@
+import math
 import random
+import struct
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qmobius.quat import Quaternion, ZERO, ONE, I, J, isclose
 from qmobius import moebius, qmat
@@ -200,8 +202,13 @@ def test_property_inverse_is_two_sided(m):
     inv = qmat.inverse(m)
     # rounding in each product entry scales with |m| |m^-1|
     scale = m.max_entry_norm() * inv.max_entry_norm()
-    assert _identity_deviation(inv @ m) <= 1e-13 * (1.0 + scale)
-    assert _identity_deviation(m @ inv) <= 1e-13 * (1.0 + scale)
+    # the zero-entry rule puts an exact zero where a source entry v has
+    # 0 < |v| <= NONZERO_TOL; the value it drops is at most 2 |v| |m|^2 / alpha,
+    # and a product entry meets it times an entry of m
+    tiny = sum(e.norm() for e in m.entries() if e.norm() <= qmat.NONZERO_TOL)
+    bound = 1e-13 * (1.0 + scale) + 2.0 * tiny * m.max_entry_norm() ** 3 / qmat.alpha(m)
+    assert _identity_deviation(inv @ m) <= bound
+    assert _identity_deviation(m @ inv) <= bound
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -213,6 +220,82 @@ def test_property_det_is_multiplicative(m1, m2):
     # rounding by 2 det
     scale = (m1.max_entry_norm() * m2.max_entry_norm()) ** 4 / (d1 * d2)
     assert abs(qmat.det(m1 @ m2) - d1 * d2) <= 1e-13 * scale
+
+
+# --- coordinate kernels against the Quaternion formulas --------------------
+#
+# MatH2 @, alpha and inverse compute on coordinates. These references are
+# the same formulas composed from Quaternion arithmetic; the kernels must
+# agree with them bit for bit, error types included.
+
+def _reference_matmul(m: MatH2, n: MatH2) -> MatH2:
+    return MatH2(m.a * n.a + m.b * n.c, m.a * n.b + m.b * n.d,
+                 m.c * n.a + m.d * n.c, m.c * n.b + m.d * n.d)
+
+
+def _reference_alpha(m: MatH2) -> float:
+    a, b, c, d = m.entries()
+    value = (a.norm2() * d.norm2() + b.norm2() * c.norm2()
+             - 2.0 * (a * c.conj() * d * b.conj()).re)
+    return 0.0 if value < 0.0 else value
+
+
+def _reference_inverse(m: MatH2) -> MatH2:
+    value = _reference_alpha(m)
+    if math.sqrt(value) <= qmat.NONZERO_TOL:
+        raise qmat.SingularMatrixError("singular matrix")
+    if not math.isfinite(value):
+        raise ValueError("determinant is not finite")
+    s = 1.0 / value
+    a, b, c, d = m.entries()
+    ac, bc, cc, dc = a.conj(), b.conj(), c.conj(), d.conj()
+
+    def entry(source, numerator):
+        return ZERO if source.norm() <= qmat.NONZERO_TOL else numerator * s
+
+    return MatH2(
+        entry(d, ac * d.norm2() - cc * d * bc),
+        entry(b, cc * b.norm2() - ac * b * dc),
+        entry(c, bc * c.norm2() - dc * c * ac),
+        entry(a, dc * a.norm2() - bc * a * cc),
+    )
+
+
+def _outcome(fn, *args):
+    """The result's IEEE bit patterns, or the type of the ValueError raised."""
+    try:
+        result = fn(*args)
+    except ValueError as exc:
+        return type(exc)
+    if isinstance(result, float):
+        return struct.pack("d", result)
+    return b"".join(struct.pack("4d", *e.as_list()) for e in result.entries())
+
+
+_magnitude = st.floats(1e-14, 1e6)
+_kernel_coord = st.one_of(_magnitude, _magnitude.map(lambda x: -x),
+                          st.sampled_from([0.0, -0.0]))
+# norm below NONZERO_TOL: the zero-entry rule of inverse applies
+_tiny_coord = st.floats(-4e-13, 4e-13)
+_kernel_entry = st.one_of(st.builds(Quaternion, *[_kernel_coord] * 4),
+                          st.builds(Quaternion, *[_tiny_coord] * 4),
+                          st.just(ZERO))
+_kernel_matrix = st.builds(MatH2, *[_kernel_entry] * 4)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_kernel_matrix)
+@example(real_matrix(1, 1, 1, 1))                              # singular
+@example(diagonal(Quaternion(1e170), Quaternion(1e170)))       # alpha = inf
+@example(real_matrix(1e200, 1e200, 1e200, 1))                  # inf - inf
+def test_property_kernels_are_bitwise_the_quaternion_formulas(m):
+    # the second factor reuses m's draws with its entries in other places
+    n = MatH2(m.d, m.c, m.b, m.a)
+    for kernel, reference, args in ((MatH2.__matmul__, _reference_matmul, (m, n)),
+                                    (MatH2.__matmul__, _reference_matmul, (n, m)),
+                                    (qmat.alpha, _reference_alpha, (m,)),
+                                    (qmat.inverse, _reference_inverse, (m,))):
+        assert _outcome(kernel, *args) == _outcome(reference, *args)
 
 
 # --- invariants ------------------------------------------------------------
