@@ -48,13 +48,13 @@ class IterationStep:
     K (1 + |b_n c_n|) in diagonal mode, coupling * sqrt(|tau_n| |t_n|) in
     the triangular modes (b-based in lower mode, which is the quantity the
     invariance theorem propagates there). ``entry_norms`` are |a_n|, |b_n|,
-    |c_n|, |d_n|, computed once per step for the divergence check and the
-    CSV row; the JSON record carries S itself instead.
+    |c_n|, |d_n|, computed once per step for the coupling, ``bc_norm``, the
+    divergence check and the CSV row; the JSON record carries S itself
+    instead.
     """
 
     n: int
     s: MatH2
-    bc_norm: float
     det: float
     entry_norms: tuple[float, float, float, float]
     tau: Quaternion | None = None
@@ -62,6 +62,10 @@ class IterationStep:
     tau_c: float | None = None
     t_c: float | None = None
     extremal_lhs: float | None = None
+
+    @property
+    def bc_norm(self) -> float:
+        return self.entry_norms[1] * self.entry_norms[2]
 
     def to_dict(self) -> dict:
         return {
@@ -130,11 +134,10 @@ def _step_record(n: int, s: MatH2, t: MatH2, mode: str,
     """The record of S_n, and the norm of its coupling entry (c_n, or b_n
     in lower mode)."""
     norms = (s.a.norm(), s.b.norm(), s.c.norm(), s.d.norm())
-    bc_norm = norms[1] * norms[2]
-    step = IterationStep(n=n, s=s, bc_norm=bc_norm, det=qmat.det(s),
-                         entry_norms=norms)
+    step = IterationStep(n=n, s=s, det=qmat.det(s), entry_norms=norms)
     _, _, coupling, tau0_t0 = ineq.triangle_side(s, t, _SIDE[mode])
-    cn = coupling.norm()
+    # the coupling is s.b or s.c; when both are one object the norms agree
+    cn = norms[1] if coupling is s.b else norms[2]
     if cn > qmat.NONZERO_TOL:
         tau, tt = tau0_t0(s, t)
         tau_norm, t_norm = tau.norm(), tt.norm()
@@ -144,7 +147,7 @@ def _step_record(n: int, s: MatH2, t: MatH2, mode: str,
         if mode != "diagonal":
             step.extremal_lhs = cn * math.sqrt(tau_norm * t_norm)
     if mode == "diagonal":
-        step.extremal_lhs = k * (1.0 + bc_norm)
+        step.extremal_lhs = k * (1.0 + step.bc_norm)
     return step, cn
 
 

@@ -195,20 +195,29 @@ def _identity_deviation(m: MatH2) -> float:
     return max((m.a - ONE).norm(), m.b.norm(), m.c.norm(), (m.d - ONE).norm())
 
 
+def _entrywise(op, m: MatH2, n: MatH2) -> MatH2:
+    return MatH2(*(op(x, y) for x, y in zip(m.entries(), n.entries())))
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(_matrices)
+@example(MatH2(ZERO, Quaternion(0, 0, 0, 1), Quaternion(0, 0, 0, 1),
+               Quaternion(0, 0, 0, 1e-12)))     # |d| = NONZERO_TOL: off by 1e-12
 def test_property_inverse_is_two_sided(m):
     assume(qmat.det(m) > 0.1)
     inv = qmat.inverse(m)
+    # The zero-entry rule drops the closed-form entries whose source entry
+    # has norm <= NONZERO_TOL, so each product misses exactly the terms of
+    # the dropped part (an all-zero matrix when no entry is that small).
+    dropped = _entrywise(Quaternion.__sub__, MatH2(*_closed_form_entries(m)), inv)
+    for source, part in zip((m.d, m.b, m.c, m.a), dropped.entries()):
+        assert source.norm() <= qmat.NONZERO_TOL or part.norm() == 0.0
     # rounding in each product entry scales with |m| |m^-1|
     scale = m.max_entry_norm() * inv.max_entry_norm()
-    # the zero-entry rule puts an exact zero where a source entry v has
-    # 0 < |v| <= NONZERO_TOL; the value it drops is at most 2 |v| |m|^2 / alpha,
-    # and a product entry meets it times an entry of m
-    tiny = sum(e.norm() for e in m.entries() if e.norm() <= qmat.NONZERO_TOL)
-    bound = 1e-13 * (1.0 + scale) + 2.0 * tiny * m.max_entry_norm() ** 3 / qmat.alpha(m)
-    assert _identity_deviation(inv @ m) <= bound
-    assert _identity_deviation(m @ inv) <= bound
+    assert (_identity_deviation(_entrywise(Quaternion.__add__, inv @ m, dropped @ m))
+            <= 1e-13 * (1.0 + scale))
+    assert (_identity_deviation(_entrywise(Quaternion.__add__, m @ inv, m @ dropped))
+            <= 1e-13 * (1.0 + scale))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -240,7 +249,9 @@ def _reference_alpha(m: MatH2) -> float:
     return 0.0 if value < 0.0 else value
 
 
-def _reference_inverse(m: MatH2) -> MatH2:
+def _closed_form_entries(m: MatH2) -> tuple:
+    """The four entries of the closed-form inverse, without the zero-entry
+    rule."""
     value = _reference_alpha(m)
     if math.sqrt(value) <= qmat.NONZERO_TOL:
         raise qmat.SingularMatrixError("singular matrix")
@@ -249,16 +260,14 @@ def _reference_inverse(m: MatH2) -> MatH2:
     s = 1.0 / value
     a, b, c, d = m.entries()
     ac, bc, cc, dc = a.conj(), b.conj(), c.conj(), d.conj()
+    return ((ac * d.norm2() - cc * d * bc) * s, (cc * b.norm2() - ac * b * dc) * s,
+            (bc * c.norm2() - dc * c * ac) * s, (dc * a.norm2() - bc * a * cc) * s)
 
-    def entry(source, numerator):
-        return ZERO if source.norm() <= qmat.NONZERO_TOL else numerator * s
 
-    return MatH2(
-        entry(d, ac * d.norm2() - cc * d * bc),
-        entry(b, cc * b.norm2() - ac * b * dc),
-        entry(c, bc * c.norm2() - dc * c * ac),
-        entry(a, dc * a.norm2() - bc * a * cc),
-    )
+def _reference_inverse(m: MatH2) -> MatH2:
+    sources = (m.d, m.b, m.c, m.a)
+    return MatH2(*(ZERO if source.norm() <= qmat.NONZERO_TOL else entry
+                   for source, entry in zip(sources, _closed_form_entries(m))))
 
 
 def _outcome(fn, *args):
