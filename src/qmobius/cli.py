@@ -24,12 +24,12 @@ in CSV. An elementary pair (zero coupling entry) is a report with failed
 preconditions, not an error. :func:`main` is the one place that maps
 failures to exit codes; ``--batch`` prefixes the message with the line.
 
-``--tol`` (default 1e-9) is the one tolerance a user sets: the structural
-one behind every shape, determinant and similarity gate. It must be finite
-and in [0, ``MAX_TOL``]; ``inf``, ``nan``, a negative value or one above
-``MAX_TOL`` is a usage error (exit 2) on every subcommand, checked before
-any input is read. Every other threshold is a fixed module constant (see
-the README).
+``--tol`` (default ``quat.DEFAULT_TOL``) is the one tolerance a user sets:
+the structural one behind every shape, determinant and similarity gate. It
+must be finite and in [0, ``MAX_TOL``]; ``inf``, ``nan``, a negative value
+or one above ``MAX_TOL`` is a usage error (exit 2) on every subcommand,
+checked before any input is read. Every other threshold is a fixed module
+constant (see the README).
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from pathlib import Path
 
 from . import dynamics, ineq, moebius, qmat
 from .qmat import MatH2
+from .quat import DEFAULT_TOL
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -177,7 +178,7 @@ def cmd_classify(args) -> int:
     m, d = _load_nonsingular(args.matrix)
     kind = moebius.classify_normal_form(m, args.tol)
     payload = {"class": kind.value, "det": d}
-    if m.c.norm() <= args.tol:
+    if qmat.shape(m, args.tol) in ("upper", "diagonal"):
         fixed = moebius.fixed_points_normal_form(m, args.tol)
         if fixed is moebius.ALL_POINTS:
             payload["fixed_points"] = "all"
@@ -218,7 +219,8 @@ def cmd_iterate(args) -> int:
         raise InputError("--steps must be >= 1")
     mode = args.mode
     if mode == "auto":
-        mode = dynamics.AUTO_MODE[ineq.auto_select(t, args.tol)]
+        ineq.auto_select(t, args.tol)      # a full T is an error here too
+        mode = qmat.shape(t, args.tol)
     trace = dynamics.iterate(s, t, args.steps, mode, tol=args.tol)
     if args.format == "csv":
         _check_csv_finite(trace, args.full)
@@ -245,7 +247,7 @@ def cmd_iterate(args) -> int:
 def cmd_extreme(args) -> int:
     s, t = _parse_pair(_load_json(args.pair))
     payload = {}
-    if t.b.norm() <= args.tol and t.c.norm() <= args.tol:
+    if qmat.shape(t, args.tol) == "diagonal":
         payload["pointwise"] = ineq.extremality_criteria(s, t, tol=args.tol).to_dict()
     invariance = dynamics.extremal_invariance_check(s, t, args.steps, tol=args.tol)
     payload["invariance"] = invariance.to_dict()
@@ -261,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, fmt_choices=("json", "text")):
-        p.add_argument("--tol", type=float, default=1e-9,
-                       help="structural tolerance (default 1e-9, at most "
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                       help="structural tolerance (default %(default)g, at most "
                        f"MAX_TOL = {MAX_TOL:g})")
         p.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
 

@@ -28,13 +28,8 @@ ELEMENTARY_DECAY_FACTOR = 1e-4
 # closed recurrences against matrix products: a two-route rounding check
 RECURRENCE_TOL = 1e-7
 
+# the shapes of T (qmat.shape) that iterate runs in; a diagonal T fits all
 MODES = ("diagonal", "upper", "lower")
-# the triangle whose displacement quantities each mode records
-_SIDE = {"diagonal": "upper", "upper": "upper", "lower": "lower"}
-
-# the iterate mode that carries the extremal quantity of each test that
-# ineq.auto_select can pick
-AUTO_MODE = {"jss": "diagonal", "jg": "upper", "rez": "upper", "jlt": "lower"}
 
 
 @dataclass(slots=True)
@@ -121,23 +116,15 @@ def csv_row(step: IterationStep, full: bool = False) -> list:
     return row
 
 
-def _shape_matches(t: MatH2, mode: str, tol: float) -> bool:
-    if mode == "diagonal":
-        return t.b.norm() <= tol and t.c.norm() <= tol
-    if mode == "upper":
-        return t.c.norm() <= tol
-    return t.b.norm() <= tol
-
-
 def _step_record(n: int, s: MatH2, t: MatH2, mode: str,
                  k: float) -> tuple[IterationStep, float]:
     """The record of S_n, and the norm of its coupling entry (c_n, or b_n
     in lower mode)."""
     norms = (s.a.norm(), s.b.norm(), s.c.norm(), s.d.norm())
     step = IterationStep(n=n, s=s, det=qmat.det(s), entry_norms=norms)
-    _, _, coupling, tau0_t0 = ineq.triangle_side(s, t, _SIDE[mode])
-    # the coupling is s.b or s.c; when both are one object the norms agree
-    cn = norms[1] if coupling is s.b else norms[2]
+    side = "lower" if mode == "lower" else "upper"
+    _, _, tau0_t0 = ineq.triangle_side(s, t, side)
+    cn = norms[1] if side == "lower" else norms[2]
     if cn > qmat.NONZERO_TOL:
         tau, tt = tau0_t0(s, t)
         tau_norm, t_norm = tau.norm(), tt.norm()
@@ -166,7 +153,7 @@ def iterate(s: MatH2, t: MatH2, n_steps: int, mode: str,
         raise ValueError("n_steps must be >= 1")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    if not _shape_matches(t, mode, tol):
+    if qmat.shape(t, tol) not in (mode, "diagonal"):
         raise ValueError(f"T does not match mode {mode!r}")
     k = ineq.k_value(t.a, t.d)
     trace = IterationTrace(mode=mode)
@@ -255,7 +242,7 @@ def extremal_invariance_check(s: MatH2, t: MatH2, n_steps: int,
                                ineq.Verdict.INCONCLUSIVE, False, diag)
     diag["pointwise_extremal"] = 1.0
 
-    trace = iterate(s, t, n_steps, AUTO_MODE[name], tol=tol)
+    trace = iterate(s, t, n_steps, qmat.shape(t, tol), tol=tol)
     target = pointwise.lhs
     max_dev = 0.0
     within = True

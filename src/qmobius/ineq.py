@@ -180,13 +180,22 @@ def _j_flip(m: MatH2) -> MatH2:
 
 
 def triangle_side(s: MatH2, t: MatH2, side: str):
-    """(entry of T that must vanish, eta, coupling entry of S, tau0/t0) of
-    the "upper" or "lower" triangle; the one place that pairs a side with
-    its entries. The J-flip swaps b and c, so the lower side mirrors the
-    upper one."""
+    """(eta, coupling entry of S, tau0/t0) of the "upper" or "lower"
+    triangle; the one place that pairs a side with its entries. The J-flip
+    swaps b and c, so the lower side mirrors the upper one."""
     if side == "upper":
-        return t.c, t.b, s.c, tau0_t0_upper
-    return t.b, t.c, s.b, tau0_t0_lower
+        return t.b, s.c, tau0_t0_upper
+    return t.c, s.b, tau0_t0_lower
+
+
+def _pair_gates(s: MatH2, t: MatH2, tol: float,
+                shapes: tuple[str, ...]) -> tuple[bool, dict[str, float]]:
+    """Whether T has one of ``shapes`` (:func:`qmat.shape`) and S and T both
+    have determinant 1 within tol; diagnostics start with det_S and det_T."""
+    diag = {"det_S": qmat.det(s), "det_T": qmat.det(t)}
+    ok = (qmat.shape(t, tol) in shapes
+          and abs(diag["det_S"] - 1.0) <= tol and abs(diag["det_T"] - 1.0) <= tol)
+    return ok, diag
 
 
 # ---------------------------------------------------------------------------
@@ -195,17 +204,13 @@ def triangle_side(s: MatH2, t: MatH2, side: str):
 
 def _diagonal_gates(s: MatH2, t: MatH2, tol: float) -> tuple[bool, dict[str, float]]:
     lam, mu = t.a, t.d
-    diag = {
-        "det_S": qmat.det(s),
-        "det_T": qmat.det(t),
+    ok, diag = _pair_gates(s, t, tol, ("diagonal",))
+    diag.update({
         "bc_norm": s.b.norm() * s.c.norm(),
         "K": k_value(lam, mu),
         "lambda_similar_mu": 1.0 if similar(lam, mu, tol) else 0.0,
-    }
-    structural = (t.b.norm() <= tol and t.c.norm() <= tol
-                  and abs(diag["det_S"] - 1.0) <= tol
-                  and abs(diag["det_T"] - 1.0) <= tol)
-    return structural, diag
+    })
+    return ok, diag
 
 
 def jss_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestReport:
@@ -262,7 +267,7 @@ def hyperbolic_commutator_test(a: MatH2, b: MatH2,
     the report carries ``commutator_hyperbolicity_unverified`` = 1 always.
     """
     k = a.a.re
-    real_diag = (a.b.norm() <= tol and a.c.norm() <= tol
+    real_diag = (qmat.shape(a, tol) == "diagonal"
                  and a.a.im_norm() <= tol and a.d.im_norm() <= tol)
     normal_form = real_diag and abs(k * a.d.re - 1.0) <= tol
     nontrivial = abs(abs(k) - 1.0) > tol and abs(k) > tol
@@ -299,26 +304,24 @@ def _displacement_test(name: str, s: MatH2, t: MatH2, side: str, re_gate: bool,
     """|coupling| sqrt(|tau0| |t0|) >= (1 + sqrt(1 - S/eps)) / 2 on one triangle.
 
     The skeleton of :func:`jg_test`, :func:`rez_test` and :func:`jlt_test`,
-    which pass their own Re-gate and eps. A zero coupling entry means S and
-    T share a fixed point: a failed gate with lhs 0 and the ``c_zero``
-    (lower triangle: ``b_zero``) flag. ``extra`` goes into diagnostics
-    ahead of the displacement norms, whose key order is part of the output.
+    which pass their own Re-gate and eps. A zero coupling entry (norm <= tol,
+    or <= ``NONZERO_TOL``, below which tau0/t0 are undefined) means S and T
+    share a fixed point: a failed gate with lhs 0 and the ``c_zero`` (lower
+    triangle: ``b_zero``) flag. ``extra`` goes into diagnostics ahead of
+    the displacement norms, whose key order is part of the output.
     """
-    off, eta, coupling, tau0_t0 = triangle_side(s, t, side)
+    eta, coupling, tau0_t0 = triangle_side(s, t, side)
     lam, mu = t.a, t.d
-    diag = {
-        "det_S": qmat.det(s),
-        "det_T": qmat.det(t),
+    ok, diag = _pair_gates(s, t, tol, (side, "diagonal"))
+    diag.update({
         "S_value": s_value(lam, mu),
         "swapped": 1.0 if lam.norm() > 1.0 + tol else 0.0,
         "eta_norm": eta.norm(),
         **(extra or {}),
-    }
+    })
     coupling_norm = coupling.norm()
-    coupling_ok = coupling_norm > tol
-    ok = (off.norm() <= tol
-          and abs(diag["det_S"] - 1.0) <= tol and abs(diag["det_T"] - 1.0) <= tol
-          and re_gate and diag["S_value"] <= eps + tol and coupling_ok)
+    coupling_ok = coupling_norm > max(tol, qmat.NONZERO_TOL)
+    ok = ok and re_gate and diag["S_value"] <= eps + tol and coupling_ok
     if coupling_ok:
         tau0, t0 = tau0_t0(s, t)
         diag["tau0_norm"] = tau0.norm()
@@ -417,7 +420,7 @@ def waterman_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestReport:
         "eta_norm": eta.norm(),
     }
     c_ok = s.c.norm() > tol
-    ok = (t.c.norm() <= tol
+    ok = (qmat.shape(t, tol) in ("upper", "diagonal")
           and abs(diag["det_S"] - 1.0) <= tol
           and (eta - Quaternion(1.0)).norm() <= tol
           and (lam - mu).norm() <= tol
@@ -544,17 +547,12 @@ def non_extreme_tau_test(s: MatH2, t: MatH2, side: str = "upper",
     elif side != "upper":
         raise ValueError("side must be 'upper' or 'lower'")
     lam, mu = t.a, t.d
-    diag = {
-        "det_S": qmat.det(s),
-        "det_T": qmat.det(t),
-        "S_value": s_value(lam, mu),
-    }
+    ok, diag = _pair_gates(s, t, tol, ("upper", "diagonal"))
+    diag["S_value"] = s_value(lam, mu)
     tau0, t0 = tau0_t0_upper(s, t)
     e = s.c.conj()
     rhs = (e * s.d + s.a * e).norm()
-    ok = (t.c.norm() <= tol
-          and abs(diag["det_S"] - 1.0) <= tol and abs(diag["det_T"] - 1.0) <= tol
-          and abs(lam.re - mu.re) <= tol)
+    ok = ok and abs(lam.re - mu.re) <= tol
     diag.update({"tau0_norm": tau0.norm(), "t0_norm": t0.norm(),
                  "tau0_minus_t0_norm": (tau0 - t0).norm()})
     # the extremal displacement value |c| sqrt(|tau0 t0|) would equal this
@@ -599,15 +597,14 @@ TESTS = {
 def auto_select(t: MatH2, tol: float = DEFAULT_TOL) -> str:
     """Pick the test matching T's shape: diagonal -> jss, upper -> jg/rez
     (by the real parts), lower -> jlt. A full matrix matches no gate."""
-    b_zero = t.b.norm() <= tol
-    c_zero = t.c.norm() <= tol
-    if b_zero and c_zero:
+    kind = qmat.shape(t, tol)
+    if kind == "diagonal":
         return "jss"
-    if c_zero:
+    if kind == "upper":
         lam, mu = t.a, t.d
         pure = ((abs(lam.re) <= tol and abs(mu.re) <= tol)
                 or (lam.im_norm() <= tol and mu.im_norm() <= tol))
         return "rez" if pure else "jg"
-    if b_zero:
+    if kind == "lower":
         return "jlt"
     raise ValueError("T matches no test shape (neither triangle is zero)")

@@ -17,38 +17,28 @@ from . import qmat
 from .qmat import MatH2, NONZERO_TOL
 
 
-class _Infinity:
-    """The single point at infinity of the extended quaternionic plane."""
+class _Sentinel:
+    """A named singleton, bound to the module global of that name; copies
+    and pickles resolve to that global, so ``is`` tests stay valid."""
 
-    _instance = None
+    __slots__ = ("name",)
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "INFINITY"
-
-
-class _AllPoints:
-    """Sentinel fixed-point set of the identity (every boundary point)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __init__(self, name: str):
+        self.name = name
 
     def __repr__(self) -> str:
-        return "ALL_POINTS"
+        return self.name
+
+    def __reduce__(self) -> str:
+        return self.name
 
 
-INFINITY = _Infinity()
-ALL_POINTS = _AllPoints()
+# the single point at infinity of the extended quaternionic plane
+INFINITY = _Sentinel("INFINITY")
+# the fixed-point set of the identity (every boundary point)
+ALL_POINTS = _Sentinel("ALL_POINTS")
 
-ExtQuaternion = Quaternion | _Infinity
+ExtQuaternion = Quaternion | _Sentinel
 
 
 def is_infinity(z) -> bool:
@@ -83,14 +73,6 @@ class IsometryClass(enum.Enum):
     UNCLASSIFIED = "unclassified"
 
 
-def _is_plus_minus_identity(m: MatH2, tol: float) -> bool:
-    for sign in (1.0, -1.0):
-        if ((m.a - sign).norm() <= tol and (m.d - sign).norm() <= tol
-                and m.b.norm() <= tol and m.c.norm() <= tol):
-            return True
-    return False
-
-
 def classify_normal_form(m: MatH2, tol: float = DEFAULT_TOL) -> IsometryClass:
     """Classify an upper-triangular determinant-1 matrix by its normal form.
 
@@ -100,13 +82,16 @@ def classify_normal_form(m: MatH2, tol: float = DEFAULT_TOL) -> IsometryClass:
     else (non-triangular input, non-Sigma input, or a triangular matrix
     that is not one of the normal forms) -> UNCLASSIFIED.
     """
-    if m.c.norm() > tol or not qmat.in_sigma(m, tol):
+    kind = qmat.shape(m, tol)
+    if kind not in ("upper", "diagonal") or not qmat.in_sigma(m, tol):
         return IsometryClass.UNCLASSIFIED
-    if _is_plus_minus_identity(m, tol):
-        return IsometryClass.IDENTITY
     lam, mu = m.a, m.d
+    if kind == "diagonal" and any(
+            (lam - sign).norm() <= tol and (mu - sign).norm() <= tol
+            for sign in (1.0, -1.0)):
+        return IsometryClass.IDENTITY
     unit = abs(lam.norm() - 1.0) <= tol and abs(mu.norm() - 1.0) <= tol
-    if m.b.norm() <= tol:
+    if kind == "diagonal":
         if unit:
             return IsometryClass.ELLIPTIC
         if abs(lam.im_norm()) <= tol and abs(mu.im_norm()) <= tol:
@@ -128,12 +113,12 @@ def fixed_points_normal_form(m: MatH2, tol: float = DEFAULT_TOL):
     that point is reported (a second finite fixed point may exist but is
     not computed). Non-triangular input is a domain error.
     """
-    if m.c.norm() > tol:
+    kind = qmat.shape(m, tol)
+    if kind not in ("upper", "diagonal"):
         raise ValueError("matrix is not upper-triangular")
-    kind = classify_normal_form(m, tol)
-    if kind is IsometryClass.IDENTITY:
+    if classify_normal_form(m, tol) is IsometryClass.IDENTITY:
         return ALL_POINTS
-    if m.b.norm() <= tol:
+    if kind == "diagonal":
         return [Quaternion(), INFINITY]
     return [INFINITY]
 

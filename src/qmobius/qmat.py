@@ -128,6 +128,15 @@ def lower_triangular(lam: Quaternion, eta: Quaternion, mu: Quaternion) -> MatH2:
     return MatH2(lam, ZERO, eta, mu)
 
 
+def shape(m: MatH2, tol: float) -> str:
+    """The triangle of m: "diagonal", "upper", "lower" or "full" by which
+    off-diagonal entries have norm <= tol. Every shape gate asks this."""
+    b_zero = m.b.norm() <= tol
+    if m.c.norm() <= tol:
+        return "diagonal" if b_zero else "upper"
+    return "lower" if b_zero else "full"
+
+
 def alpha(m: MatH2) -> float:
     """|a|^2 |d|^2 + |b|^2 |c|^2 - 2 Re(a conj(c) d conj(b)), clamped at 0.
 

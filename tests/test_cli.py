@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from qmobius import cli
+from qmobius import cli, dynamics, ineq, qmat
 from qmobius.qmat import MatH2
+from qmobius.quat import DEFAULT_TOL, Quaternion
 
 
 def quat_list(w=0.0, x=0.0, y=0.0, z=0.0):
@@ -251,6 +252,99 @@ def test_wat_gate_fails_on_nonunit_eta(capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "inconclusive"
     assert payload["preconditions_met"] is False
+
+
+# a coupling entry (S.c, or S.b for the J-flipped lower pair) of norm 1e-13
+# passes --tol 0 but is below NONZERO_TOL, where tau0/t0 are undefined
+TINY_COUPLING_PAIRS = {
+    "c_zero": {"v": 1,
+               "S": matrix_obj(quat_list(1), quat_list(), quat_list(1e-13),
+                               quat_list(1)),
+               "T": matrix_obj(quat_list(1), quat_list(0, 0, 1), quat_list(),
+                               quat_list(1))},
+    "b_zero": {"v": 1,
+               "S": matrix_obj(quat_list(1), quat_list(1e-13), quat_list(),
+                               quat_list(1)),
+               "T": matrix_obj(quat_list(1), quat_list(), quat_list(0, 0, 1),
+                               quat_list(1))},
+}
+
+
+@pytest.mark.parametrize("flag", sorted(TINY_COUPLING_PAIRS))
+@pytest.mark.parametrize("command", ["test", "extreme"])
+def test_coupling_below_nonzero_tol_is_a_failed_gate(capsys, command, flag):
+    code, out, err = run(capsys, command, json.dumps(TINY_COUPLING_PAIRS[flag]),
+                         "--tol", "0")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    if command == "extreme":
+        assert payload["invariance"]["verdict"] == "inconclusive"
+        assert payload["invariance"]["diagnostics"]["pointwise_lhs"] == 0.0
+        return
+    assert payload["preconditions_met"] is False
+    assert payload["lhs"] == 0.0
+    assert payload["diagnostics"][flag] == 1.0
+
+
+# the shapes of T each evaluator's preconditions accept; the rest: diagonal
+TRIANGLE_TESTS = {"jg": ("upper", "diagonal"), "rez": ("upper", "diagonal"),
+                  "wat": ("upper", "diagonal"), "jlt": ("lower", "diagonal")}
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, cli.MAX_TOL])
+def test_shape_sites_agree_at_the_tol_boundary(capsys, tol):
+    # each off-diagonal entry of T has norm exactly tol (zero to every gate),
+    # one ulp above it, or 1; k-directed entries keep det T = 1. S and the
+    # diagonal of T meet every other gate of the tests they are run with.
+    above = math.nextafter(tol, math.inf)
+
+    def entry(x):
+        return Quaternion(1.0) if x == 1.0 else Quaternion(0, 0, 0, x)
+
+    assert entry(tol).norm() == tol and entry(above).norm() == above
+    offs = ([(x, y) for x in (tol, above) for y in (tol, above)]
+            + [(1.0, x) for x in (tol, above)] + [(x, 1.0) for x in (tol, above)])
+    groups = (
+        (2.0, 0.5, MatH2(*map(Quaternion, (1, 1, 1, 2))),
+         [name for name in ineq.TESTS if name not in TRIANGLE_TESTS]),
+        (1.0, 1.0, MatH2(*map(Quaternion, (2, 1, 1, 1))), list(TRIANGLE_TESTS)),
+    )
+    seen = set()
+    for lam, mu, s, names in groups:
+        for b, c in offs:
+            t = MatH2(Quaternion(lam), entry(b), entry(c), Quaternion(mu))
+            kind = qmat.shape(t, tol)
+            seen.add(kind)
+            if kind == "full":
+                with pytest.raises(ValueError, match="no test shape"):
+                    ineq.auto_select(t, tol)
+            else:
+                assert ineq.auto_select(t, tol) in {
+                    "diagonal": ("jss",), "upper": ("jg", "rez"),
+                    "lower": ("jlt",)}[kind]
+            for name in names:
+                if name == "wat" and b != 1.0:
+                    continue          # wat also needs eta = 1
+                report = ineq.TESTS[name](s, t, tol=tol)
+                accepted = TRIANGLE_TESTS.get(name, ("diagonal",))
+                assert report.preconditions_met == (kind in accepted), (name, b, c)
+            pair = json.dumps({"v": 1, "S": s.to_dict(), "T": t.to_dict()})
+            common = ("--tol", repr(tol))
+            for mode in ("auto", *dynamics.MODES):
+                code, _, err = run(capsys, "iterate", pair, "--mode", mode,
+                                   "--steps", "1", *common)
+                fits = kind != "full" if mode == "auto" else kind in (mode, "diagonal")
+                assert code == (0 if fits else 2), (mode, b, c, err)
+                if mode == "auto" and fits:
+                    assert json.loads(err)["mode"] == kind
+            code, out, _ = run(capsys, "extreme", pair, "--steps", "1", *common)
+            assert (code == 2) == (kind == "full")
+            assert ("pointwise" in json.loads(out or "{}")) == (kind == "diagonal")
+            code, out, _ = run(capsys, "classify", json.dumps(t.to_dict()), *common)
+            assert code == 0
+            fixed = "fixed_points" in json.loads(out)
+            assert fixed == (kind in ("upper", "diagonal"))
+    assert seen == {"diagonal", "upper", "lower", "full"}
 
 
 def test_missing_pair_entries(capsys):

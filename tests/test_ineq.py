@@ -529,6 +529,40 @@ def test_property_jlt_is_the_j_flip_of_jg_and_rez(entries, b_zero, kappa, tau,
                 reference.preconditions_met))
 
 
+def test_every_test_is_invariant_under_diagonal_conjugation():
+    # D = diag(u, v) with unit u, v fixes 0 and infinity, keeps T's shape and
+    # both determinants, and carries each displacement by an isometry. wat's
+    # normal form [[lam, 1], [0, lam]] is kept only when u = v.
+    rng = random.Random(417)
+    met = dict.fromkeys(ineq.TESTS, 0)
+    for _ in range(30):
+        s = random_sigma(rng)
+        lam, mu = random_diagonal_sigma_entries(rng)
+        k = rng.uniform(1.2, 3.0)
+        eta = random_quaternion(rng)
+        one = Quaternion(rng.choice((1.0, -1.0)))
+        elliptic = random_elliptic_entry(rng, rng.uniform(0.0, math.asin(0.125)))
+        ts = [diagonal(lam, mu), diagonal(Quaternion(k), Quaternion(1.0 / k)),
+              jg_regime_T(eta), upper_triangular(one, eta, one),
+              upper_triangular(elliptic, ONE, elliptic)]
+        ts += [_flip(t) for t in ts[2:4]]
+        u, v = random_unit_quaternion(rng), random_unit_quaternion(rng)
+        for name, evaluate in ineq.TESTS.items():
+            w = u if name == "wat" else v
+            dmat, dinv = diagonal(u, w), diagonal(u.conj(), w.conj())
+            for t in ts:
+                before = evaluate(s, t)
+                after = evaluate(dmat @ s @ dinv, dmat @ t @ dinv)
+                assert after.verdict is before.verdict, name
+                assert after.preconditions_met == before.preconditions_met, name
+                # 1e-12 relative; an lhs whose terms cancel to exactly 0
+                # comes back as rounding residue (up to about 7e-16 here)
+                drift = abs(after.lhs - before.lhs)
+                assert drift <= 1e-12 * abs(before.lhs) + 1e-14, name
+                met[name] += before.preconditions_met
+    assert min(met.values()) > 0, met
+
+
 # --- extremality criteria ---------------------------------------------------
 
 def test_extremality_criteria_extreme_elliptic():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -140,3 +142,11 @@ def test_point_json_encoding():
     assert encode_point(Quaternion(1, 2, 3, 4)) == [1.0, 2.0, 3.0, 4.0]
     assert decode_point("inf") is INFINITY
     assert decode_point([1, 2, 3, 4]) == Quaternion(1, 2, 3, 4)
+
+
+def test_sentinels_keep_name_and_identity():
+    assert repr(INFINITY) == "INFINITY" and repr(ALL_POINTS) == "ALL_POINTS"
+    assert INFINITY is not ALL_POINTS
+    for sentinel in (INFINITY, ALL_POINTS):
+        assert copy.copy(sentinel) is sentinel
+        assert pickle.loads(pickle.dumps(sentinel)) is sentinel
