@@ -198,6 +198,12 @@ def _pair_gates(s: MatH2, t: MatH2, tol: float,
     return ok, diag
 
 
+def _coupling_ok(norm: float, tol: float) -> bool:
+    """A coupling entry is nonzero above tol and above ``NONZERO_TOL`` (where
+    tau0/t0 become undefined); a zero one means S and T share a fixed point."""
+    return norm > max(tol, qmat.NONZERO_TOL)
+
+
 # ---------------------------------------------------------------------------
 # diagonal-generator tests
 
@@ -267,17 +273,15 @@ def hyperbolic_commutator_test(a: MatH2, b: MatH2,
     the report carries ``commutator_hyperbolicity_unverified`` = 1 always.
     """
     k = a.a.re
-    real_diag = (qmat.shape(a, tol) == "diagonal"
-                 and a.a.im_norm() <= tol and a.d.im_norm() <= tol)
-    normal_form = real_diag and abs(k * a.d.re - 1.0) <= tol
+    ok, dets = _pair_gates(b, a, tol, ("diagonal",))
+    normal_form = (a.a.im_norm() <= tol and a.d.im_norm() <= tol
+                   and abs(k * a.d.re - 1.0) <= tol)
     nontrivial = abs(abs(k) - 1.0) > tol and abs(k) > tol
-    det_b = qmat.det(b)
-    ok = (normal_form and nontrivial
-          and abs(det_b - 1.0) <= tol and b.c.norm() > tol)
+    ok = ok and normal_form and nontrivial and _coupling_ok(b.c.norm(), tol)
 
     delta_a = a.a.re + a.d.re
     comm = qmat.commutator(a, b)
-    _, _, delta_comm = qmat.foreman_invariants(comm)
+    delta_comm = comm.a.re + comm.d.re
     sigma_b, _ = qmat.parker_short(b)
     term_a = abs(delta_a * delta_a - 4.0)
     term_c = abs(delta_comm - 2.0)
@@ -289,7 +293,7 @@ def hyperbolic_commutator_test(a: MatH2, b: MatH2,
         "term_commutator": term_c,
         "re_b_sigma_c": (b.b * sigma_b.conj() * b.c).re,
         "commutator_hyperbolicity_unverified": 1.0,
-        "det_B": det_b,
+        "det_B": dets["det_S"],
     }
     return _inequality_report("jh", term_a + term_c, 1.0, ok, diag)
 
@@ -304,11 +308,10 @@ def _displacement_test(name: str, s: MatH2, t: MatH2, side: str, re_gate: bool,
     """|coupling| sqrt(|tau0| |t0|) >= (1 + sqrt(1 - S/eps)) / 2 on one triangle.
 
     The skeleton of :func:`jg_test`, :func:`rez_test` and :func:`jlt_test`,
-    which pass their own Re-gate and eps. A zero coupling entry (norm <= tol,
-    or <= ``NONZERO_TOL``, below which tau0/t0 are undefined) means S and T
-    share a fixed point: a failed gate with lhs 0 and the ``c_zero`` (lower
-    triangle: ``b_zero``) flag. ``extra`` goes into diagnostics ahead of
-    the displacement norms, whose key order is part of the output.
+    which pass their own Re-gate and eps. A zero coupling entry
+    (:func:`_coupling_ok`) is a failed gate with lhs 0 and the ``c_zero``
+    (lower triangle: ``b_zero``) flag. ``extra`` goes into diagnostics ahead
+    of the displacement norms, whose key order is part of the output.
     """
     eta, coupling, tau0_t0 = triangle_side(s, t, side)
     lam, mu = t.a, t.d
@@ -320,7 +323,7 @@ def _displacement_test(name: str, s: MatH2, t: MatH2, side: str, re_gate: bool,
         **(extra or {}),
     })
     coupling_norm = coupling.norm()
-    coupling_ok = coupling_norm > max(tol, qmat.NONZERO_TOL)
+    coupling_ok = _coupling_ok(coupling_norm, tol)
     ok = ok and re_gate and diag["S_value"] <= eps + tol and coupling_ok
     if coupling_ok:
         tau0, t0 = tau0_t0(s, t)
@@ -413,30 +416,23 @@ def waterman_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestReport:
     """
     lam, eta, mu = t.a, t.b, t.d
     im_lam = lam.im_norm()
-    diag = {
-        "det_S": qmat.det(s),
-        "det_T": qmat.det(t),
-        "im_lambda": im_lam,
-        "eta_norm": eta.norm(),
-    }
-    c_ok = s.c.norm() > tol
-    ok = (qmat.shape(t, tol) in ("upper", "diagonal")
-          and abs(diag["det_S"] - 1.0) <= tol
-          and (eta - Quaternion(1.0)).norm() <= tol
+    ok, diag = _pair_gates(s, t, tol, ("upper", "diagonal"))
+    diag.update({"im_lambda": im_lam, "eta_norm": eta.norm()})
+    c_norm = s.c.norm()
+    c_ok = _coupling_ok(c_norm, tol)
+    ok = (ok and (eta - Quaternion(1.0)).norm() <= tol
           and (lam - mu).norm() <= tol
           and abs(lam.norm() - 1.0) <= tol
           and im_lam <= 0.125 + tol and c_ok)
     if c_ok:
         cinv = s.c.inverse()
-        p1 = s.a * cinv
-        p2 = -(cinv * s.d)
-        q1 = moebius.apply(t, p1)
-        q2 = moebius.apply(t, p2)
-        disp1 = (q1 - p1).norm()
-        disp2 = (q2 - p2).norm()
-        diag["displacement_1"] = disp1
-        diag["displacement_2"] = disp2
-        lhs = s.c.norm() * math.sqrt(disp1) * math.sqrt(disp2)
+        points = {"displacement_1": s.a * cinv, "displacement_2": -(cinv * s.d)}
+        for key, p in points.items():
+            q = moebius.apply(t, p)
+            # a point that T sends to infinity is displaced infinitely far
+            diag[key] = math.inf if q is moebius.INFINITY else (q - p).norm()
+        lhs = (c_norm * math.sqrt(diag["displacement_1"])
+               * math.sqrt(diag["displacement_2"]))
     else:
         diag["c_zero"] = 1.0
         lhs = 0.0
@@ -539,8 +535,8 @@ def non_extreme_tau_test(s: MatH2, t: MatH2, side: str = "upper",
     cannot be extreme. The lower side is the upper test on the J-flipped
     pair (J S J, J T J), as for :func:`jlt_test`, so its right-hand side is
     |conj(b) a + d conj(b)|. Degenerate displacements (tau0 or t0 ~ 0) are
-    reported as inconclusive with a diagnostics flag: the quotient is then
-    meaningless.
+    reported as inconclusive with a diagnostics flag, and so is a zero
+    coupling (:func:`_coupling_ok`, flag ``c_zero``/``b_zero``, failed gate).
     """
     if side == "lower":
         s, t = _j_flip(s), _j_flip(t)
@@ -549,9 +545,13 @@ def non_extreme_tau_test(s: MatH2, t: MatH2, side: str = "upper",
     lam, mu = t.a, t.d
     ok, diag = _pair_gates(s, t, tol, ("upper", "diagonal"))
     diag["S_value"] = s_value(lam, mu)
-    tau0, t0 = tau0_t0_upper(s, t)
     e = s.c.conj()
     rhs = (e * s.d + s.a * e).norm()
+    if not _coupling_ok(s.c.norm(), tol):
+        diag["c_zero" if side == "upper" else "b_zero"] = 1.0
+        return TestReport(f"non_extreme_{side}", 0.0, rhs, -rhs,
+                          Verdict.INCONCLUSIVE, False, diag)
+    tau0, t0 = tau0_t0_upper(s, t)
     ok = ok and abs(lam.re - mu.re) <= tol
     diag.update({"tau0_norm": tau0.norm(), "t0_norm": t0.norm(),
                  "tau0_minus_t0_norm": (tau0 - t0).norm()})

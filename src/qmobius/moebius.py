@@ -48,18 +48,18 @@ def is_infinity(z) -> bool:
 def apply(m: MatH2, z: ExtQuaternion) -> ExtQuaternion:
     """Evaluate the fractional linear map Z -> (aZ + b)(cZ + d)^-1.
 
-    Finite Z with cZ + d ~ 0 maps to infinity (pole detection is scale
-    aware: |cZ + d| <= NONZERO_TOL * (1 + |Z|)); infinity maps to a c^-1
-    when c != 0 and stays fixed otherwise. A singular or overflowing m is
-    an error (:func:`qmat.nonsingular_alpha`).
+    Finite Z with cZ + d ~ 0 maps to infinity: |cZ + d| <= NONZERO_TOL *
+    (1 + |Z|), or = 0 if |c| <= NONZERO_TOL (such an m fixes infinity and
+    has no finite pole). Infinity maps to a c^-1 otherwise. A singular or
+    overflowing m is an error (:func:`qmat.nonsingular_alpha`).
     """
     qmat.nonsingular_alpha(m)
+    fixes_infinity = m.c.norm() <= NONZERO_TOL
     if z is INFINITY:
-        if m.c.norm() <= NONZERO_TOL:
-            return INFINITY
-        return m.a * m.c.inverse()
+        return INFINITY if fixes_infinity else m.a * m.c.inverse()
     denom = m.c * z + m.d
-    if denom.norm() <= NONZERO_TOL * (1.0 + z.norm()):
+    pole_tol = 0.0 if fixes_infinity else NONZERO_TOL * (1.0 + z.norm())
+    if denom.norm() <= pole_tol:
         return INFINITY
     return (m.a * z + m.b) * denom.inverse()
 

@@ -57,6 +57,14 @@ OVERFLOW_PAIR = {
     "T": matrix_obj(quat_list(2), quat_list(), quat_list(), quat_list(0.5)),
 }
 
+# |T.c| = 1e-10 is zero to the shape gate but a genuine pole: T sends S's
+# displacement point a c^-1 = -1e10 to infinity
+WAT_POLE_PAIR = {
+    "v": 1,
+    "S": matrix_obj(quat_list(-1000), quat_list(), quat_list(1e-7), quat_list(-1e-3)),
+    "T": matrix_obj(quat_list(1), quat_list(1), quat_list(1e-10), quat_list(1)),
+}
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -270,11 +278,28 @@ TINY_COUPLING_PAIRS = {
 }
 
 
-@pytest.mark.parametrize("flag", sorted(TINY_COUPLING_PAIRS))
-@pytest.mark.parametrize("command", ["test", "extreme"])
-def test_coupling_below_nonzero_tol_is_a_failed_gate(capsys, command, flag):
-    code, out, err = run(capsys, command, json.dumps(TINY_COUPLING_PAIRS[flag]),
-                         "--tol", "0")
+def _tiny_c_pair(t):
+    return {"v": 1, "S": TINY_COUPLING_PAIRS["c_zero"]["S"], "T": t}
+
+
+# id: (command, pair, further arguments, zero-coupling flag); the T of each
+# --select case meets every other gate of its test
+TINY_COUPLING_CASES = {
+    **{f"{command}-{flag}": (command, pair, (), flag)
+       for command in ("test", "extreme") for flag, pair in TINY_COUPLING_PAIRS.items()},
+    "wat-c_zero": ("test", _tiny_c_pair(matrix_obj(quat_list(1), quat_list(1),
+                                                   quat_list(), quat_list(1))),
+                   ("--select", "wat"), "c_zero"),
+    "jh": ("test", _tiny_c_pair(matrix_obj(quat_list(2), quat_list(), quat_list(),
+                                           quat_list(0.5))),
+           ("--select", "jh"), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TINY_COUPLING_CASES))
+def test_coupling_below_nonzero_tol_is_a_failed_gate(capsys, case):
+    command, pair, extra, flag = TINY_COUPLING_CASES[case]
+    code, out, err = run(capsys, command, json.dumps(pair), *extra, "--tol", "0")
     assert (code, err) == (0, "")
     payload = json.loads(out)
     if command == "extreme":
@@ -282,8 +307,37 @@ def test_coupling_below_nonzero_tol_is_a_failed_gate(capsys, command, flag):
         assert payload["invariance"]["diagnostics"]["pointwise_lhs"] == 0.0
         return
     assert payload["preconditions_met"] is False
-    assert payload["lhs"] == 0.0
-    assert payload["diagnostics"][flag] == 1.0
+    if flag is not None:
+        assert payload["lhs"] == 0.0
+        assert payload["diagnostics"][flag] == 1.0
+
+
+# T = [[1, 1], [0, 1]] fixes only infinity; S's displacement points a c^-1 =
+# 1e13 and -c^-1 d = -1e3 lie far out but are each moved by exactly 1
+FAR_POINTS_PAIR = {
+    "v": 1,
+    "S": matrix_obj(quat_list(1e5), quat_list(), quat_list(1e-8), quat_list(1e-5)),
+    "T": matrix_obj(quat_list(1), quat_list(1), quat_list(), quat_list(1)),
+}
+
+
+def test_wat_far_displacement_points_agree_with_rez(capsys):
+    payloads = {}
+    for name in ("wat", "rez"):
+        code, out, err = run(capsys, "test", json.dumps(FAR_POINTS_PAIR),
+                             "--select", name)
+        assert (code, err) == (10, "")
+        payloads[name] = json.loads(out)
+    assert payloads["wat"]["lhs"] == pytest.approx(1e-8, rel=1e-12)
+    assert payloads["wat"]["verdict"] == payloads["rez"]["verdict"] == "obstruction"
+
+
+def test_wat_singular_t_exit_code(capsys):
+    pair = {"v": 1, "S": EXTREME_PAIR["S"],
+            "T": matrix_obj(quat_list(1), quat_list(1), quat_list(), quat_list())}
+    code, out, err = run(capsys, "test", json.dumps(pair), "--select", "wat")
+    assert (code, out) == (3, "")
+    assert_one_error_line(err, "singular matrix")
 
 
 # the shapes of T each evaluator's preconditions accept; the rest: diagonal
@@ -455,8 +509,9 @@ def test_readme_pair_extreme_over_sixty_steps(capsys):
     # alpha = inf - inf: the determinant overflows, the matrix is not singular
     ("invariants", json.dumps(OVERFLOW_PAIR["S"])),
     ("classify", json.dumps(OVERFLOW_PAIR["S"])),
+    ("test", json.dumps(WAT_POLE_PAIR), "--select", "wat"),
 ], ids=["test_json", "test_text", "iterate_json", "iterate_csv", "invariants",
-        "classify"])
+        "classify", "wat_pole"])
 def test_non_finite_result_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2

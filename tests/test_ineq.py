@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qmobius.quat import Quaternion, ZERO, ONE, I, J, isclose
+from qmobius.quat import DEFAULT_TOL, Quaternion, ZERO, ONE, I, J, isclose
 from qmobius import qmat, ineq
 from qmobius.ineq import (Verdict, auto_select, beta_t, displacement_threshold,
                           eta_normalized_test, extremality_criteria,
@@ -563,6 +563,37 @@ def test_every_test_is_invariant_under_diagonal_conjugation():
     assert min(met.values()) > 0, met
 
 
+def test_every_test_gates_both_determinants():
+    # S or T scaled to det 1 + 3 tol fails the determinant-1 gate alone: at
+    # det 1 + tol/2 every gate holds. wat's |lam| = 1 and jh's A = diag(k, 1/k)
+    # already bound det T within about 2 tol, so only S is scaled there
+    tol = DEFAULT_TOL
+    s = real_matrix(1, 1, 1, 2)
+    upper, lower = upper_triangular(ONE, ONE, ONE), lower_triangular(ONE, ONE, ONE)
+    ts = {"jg": upper, "rez": upper, "wat": upper, "jlt": lower}
+
+    def scaled(m, r):
+        return MatH2(*(entry * r for entry in m.entries()))
+
+    for name, evaluate in ineq.TESTS.items():
+        t = ts.get(name, diagonal(Quaternion(2), Quaternion(0.5)))
+        for drift, met in ((0.5 * tol, True), (3.0 * tol, False)):
+            r = math.sqrt(1.0 + drift)
+            assert evaluate(scaled(s, r), t, tol=tol).preconditions_met is met, name
+            if name not in ("wat", "jh"):
+                assert evaluate(s, scaled(t, r), tol=tol).preconditions_met is met, name
+
+
+def test_waterman_gates_det_t():
+    # lam, mu and |lam| each within tol of 1, but det T = 1 + 2.7 tol
+    t = upper_triangular(Quaternion(1.0000000009), ONE, Quaternion(1.0000000018))
+    report = waterman_test(real_matrix(1, 0, 0.1, 1), t)
+    check_report_invariants(report)
+    assert report.diagnostics["det_T"] == pytest.approx(1.0000000027, abs=1e-15)
+    assert not report.preconditions_met
+    assert report.verdict is Verdict.INCONCLUSIVE
+
+
 # --- extremality criteria ---------------------------------------------------
 
 def test_extremality_criteria_extreme_elliptic():
@@ -688,6 +719,17 @@ def test_non_extreme_degenerate_displacement():
     report = non_extreme_tau_test(s, t, "upper")
     assert report.diagnostics["degenerate_displacement"] == 1.0
     assert report.verdict is Verdict.INCONCLUSIVE
+
+
+def test_non_extreme_tau_zero_coupling_is_a_failed_gate():
+    # S = I shares every fixed point with T: there is no displacement quotient
+    for side, t, flag in (("upper", upper_triangular(ONE, J, ONE), "c_zero"),
+                          ("lower", lower_triangular(ONE, J, ONE), "b_zero")):
+        report = non_extreme_tau_test(qmat.identity(), t, side)
+        check_report_invariants(report)
+        assert not report.preconditions_met
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert report.diagnostics[flag] == 1.0
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)

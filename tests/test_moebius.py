@@ -130,6 +130,15 @@ def test_fixed_points():
         fixed_points_normal_form(MatH2(ZERO, ONE, ONE, ZERO))
 
 
+def test_map_fixing_infinity_has_no_finite_pole():
+    # c = 0: however far out Z is, only infinity goes to infinity
+    t = upper_triangular(ONE, ONE, ONE)
+    for z in (Quaternion(1e13), Quaternion(0, 0, -1e13)):
+        assert apply(t, z) == z + ONE
+    # |c| = 1e-13 <= NONZERO_TOL with d = 0 (det 1): cZ + d = 0 exactly at Z = 0
+    assert apply(MatH2(ZERO, Quaternion(1e13), Quaternion(1e-13), ZERO), ZERO) is INFINITY
+
+
 def test_diagonal_fixes_zero_and_infinity():
     t = diagonal(Quaternion(2), Quaternion(0.5))
     assert apply(t, ZERO) == ZERO
