@@ -9,20 +9,23 @@ Subcommands:
 - ``extreme``     pointwise extremality plus invariance over n steps
 
 Input is either inline JSON or a path to a JSON file. A quaternion is
-``[w, x, y, z]``; a matrix is ``{"a": [...], "b": [...], "c": [...],
-"d": [...]}``; a pair is ``{"v": 1, "S": {...}, "T": {...}}``.
+``[w, x, y, z]``, an array of four numbers (strings and booleans are
+rejected); a matrix is ``{"a": [...], "b": [...], "c": [...], "d": [...]}``;
+a pair is ``{"v": 1, "S": {...}, "T": {...}}``.
 
 Exit codes: 0 inconclusive, 10 obstruction, 11 extremal, 12 not extreme,
-2 usage or malformed input (including a non-finite coordinate, a T that
-matches no test shape or iterate mode, and an unwritable ``--output``),
-3 singular matrix (``invariants`` and ``classify``, and any command whose
-evaluation must invert or act by a singular matrix, such as ``test
---select jh``), 141 stdout closed early by its reader (e.g. piped into
-``head``; 128 + SIGPIPE). A result that overflows (a determinant too) is
-an error (exit 2), never ``NaN``/``Infinity`` in JSON or ``inf``/``nan``
-in CSV. An elementary pair (zero coupling entry) is a report with failed
-preconditions, not an error. :func:`main` is the one place that maps
-failures to exit codes; ``--batch`` prefixes the message with the line.
+2 usage or malformed input (including malformed or too deeply nested JSON,
+a non-finite coordinate or an integer too large for a float, a T that
+matches no test shape or iterate mode, ``--steps`` < 1, and a failed write
+to stdout or ``--output``), 3 singular matrix (``invariants``,
+``classify``, and any command whose evaluation must invert or act by a
+singular matrix, such as ``test --select jh``), 141 stdout closed early by
+its reader (e.g. piped into ``head``; 128 + SIGPIPE). A result that
+overflows (a determinant too) is an error (exit 2), never
+``NaN``/``Infinity`` in JSON or ``inf``/``nan`` in CSV. An elementary pair
+(zero coupling entry) is a report with failed preconditions, not an error.
+:func:`main` is the one place that maps failures to exit codes; ``--batch``
+prefixes the message with the line.
 
 ``--tol`` (default ``quat.DEFAULT_TOL``) is the one tolerance a user sets:
 the structural one behind every shape, determinant and similarity gate. It
@@ -67,53 +70,35 @@ VERDICT_EXIT = {
 SELECTORS = ("auto", *ineq.TESTS)
 
 
-class InputError(Exception):
-    pass
-
-
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
-def _open_output(path: str):
+def _decode(text: str):
+    """The one JSON decoder: undecodable or too deeply nested text is malformed."""
     try:
-        return open(path, "w", newline="")
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"malformed JSON: {exc}") from exc
 
 
 def _load_json(source: str):
     """Accept inline JSON (leading '{' or '[') or a file path."""
-    text = source
-    if not source.lstrip().startswith(("{", "[")):
-        text = _read(source)
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON: {exc}") from exc
-
-
-def _parse_matrix(obj) -> MatH2:
-    if not isinstance(obj, dict):
-        raise InputError("matrix must be an object with entries a, b, c, d")
-    try:
-        return MatH2.from_dict(obj)
-    except (ValueError, TypeError) as exc:
-        raise InputError(str(exc)) from exc
+    return _decode(source if source.lstrip().startswith(("{", "[")) else _read(source))
 
 
 def _parse_pair(obj) -> tuple[MatH2, MatH2]:
     if not isinstance(obj, dict):
-        raise InputError('pair must be an object {"v": 1, "S": ..., "T": ...}')
+        raise ValueError('pair must be an object {"v": 1, "S": ..., "T": ...}')
     version = obj.get("v", 1)
     if version != 1:
-        raise InputError(f"unsupported input schema version {version!r}")
+        raise ValueError(f"unsupported input schema version {version!r}")
     if "S" not in obj or "T" not in obj:
-        raise InputError("pair must contain S and T")
-    return _parse_matrix(obj["S"]), _parse_matrix(obj["T"])
+        raise ValueError("pair must contain S and T")
+    return MatH2.from_dict(obj["S"]), MatH2.from_dict(obj["T"])
 
 
 _NOT_FINITE = "result is not finite (a computation overflowed)"
@@ -151,7 +136,7 @@ def _run_selected(name: str, s: MatH2, t: MatH2, tol: float) -> ineq.TestReport:
 
 def _load_nonsingular(source: str) -> tuple[MatH2, float]:
     """The matrix and its determinant; a singular or overflowing one is an error."""
-    m = _parse_matrix(_load_json(source))
+    m = MatH2.from_dict(_load_json(source))
     return m, math.sqrt(qmat.nonsingular_alpha(m))
 
 
@@ -180,10 +165,9 @@ def cmd_classify(args) -> int:
     payload = {"class": kind.value, "det": d}
     if qmat.shape(m, args.tol) in ("upper", "diagonal"):
         fixed = moebius.fixed_points_normal_form(m, args.tol)
-        if fixed is moebius.ALL_POINTS:
-            payload["fixed_points"] = "all"
-        else:
-            payload["fixed_points"] = [moebius.encode_point(p) for p in fixed]
+        payload["fixed_points"] = (moebius.encode_point(fixed)
+                                   if fixed is moebius.ALL_POINTS
+                                   else [moebius.encode_point(p) for p in fixed])
     _emit(payload, args.format)
     return EXIT_OK
 
@@ -202,37 +186,42 @@ def _run_batch(args) -> int:
         if not line.strip():
             continue
         try:
-            s, t = _parse_pair(json.loads(line))
+            s, t = _parse_pair(_decode(line))
             report = _run_selected(args.select, s, t, args.tol)
             text = _dumps({"line": idx + 1, **report.to_dict()})
         except qmat.SingularMatrixError as exc:
             raise qmat.SingularMatrixError(f"line {idx + 1}: {exc}") from exc
-        except (InputError, ValueError) as exc:
-            raise InputError(f"line {idx + 1}: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"line {idx + 1}: {exc}") from exc
         print(text)
     return EXIT_OK
 
 
 def cmd_iterate(args) -> int:
     s, t = _parse_pair(_load_json(args.pair))
-    if args.steps < 1:
-        raise InputError("--steps must be >= 1")
     mode = args.mode
     if mode == "auto":
         ineq.auto_select(t, args.tol)      # a full T is an error here too
         mode = qmat.shape(t, args.tol)
     trace = dynamics.iterate(s, t, args.steps, mode, tol=args.tol)
-    if args.format == "csv":
+    if args.format == "json":       # whole and finite before --output is opened
+        text = _dumps(trace.to_dict(), indent=2) + "\n"
+    else:
         _check_csv_finite(trace, args.full)
-    with (_open_output(args.output) if args.output
-          else contextlib.nullcontext(sys.stdout)) as out:
-        if args.format == "json":
-            out.write(_dumps(trace.to_dict(), indent=2) + "\n")
-        else:
-            writer = csv.writer(out)
-            writer.writerow(dynamics.csv_header(args.full))
-            for step in trace.steps:
-                writer.writerow(dynamics.csv_row(step, args.full))
+    try:
+        with (open(args.output, "w", newline="") if args.output
+              else contextlib.nullcontext(sys.stdout)) as out:
+            if args.format == "json":
+                out.write(text)
+            else:
+                writer = csv.writer(out)
+                writer.writerow(dynamics.csv_header(args.full))
+                for step in trace.steps:
+                    writer.writerow(dynamics.csv_row(step, args.full))
+    except OSError as exc:
+        if not args.output:
+            raise                   # stdout: main's rule
+        raise ValueError(f"cannot write {args.output}: {exc}") from exc
     verdict = dynamics.classify_convergence(trace) if len(trace.steps) >= 5 else None
     summary = {
         "mode": mode,
@@ -316,21 +305,25 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if not 0.0 <= args.tol <= MAX_TOL:
-            raise InputError(f"--tol must be finite, non-negative and at most "
+            raise ValueError(f"--tol must be finite, non-negative and at most "
                              f"MAX_TOL = {MAX_TOL:g}, got {args.tol}")
+        if getattr(args, "steps", 1) < 1:
+            raise ValueError(f"--steps must be >= 1, got {args.steps}")
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # the reader closed stdout early (e.g. `| head`); what is still
-        # buffered goes to devnull so the flush at exit cannot fail again
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SINGULAR if isinstance(exc, qmat.SingularMatrixError) else EXIT_USAGE
+    except OSError as exc:
+        # stdout failed (or its reader left early); its buffer goes to devnull
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return EXIT_BROKEN_PIPE
-    except (InputError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR if isinstance(exc, qmat.SingularMatrixError) else EXIT_USAGE
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_BROKEN_PIPE
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

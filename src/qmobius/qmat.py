@@ -68,11 +68,11 @@ class MatH2:
         }
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "MatH2":
-        try:
-            return cls(*(Quaternion.from_list(obj[key]) for key in "abcd"))
-        except KeyError as exc:
-            raise ValueError(f"matrix encoding missing entry {exc}") from exc
+    def from_dict(cls, obj) -> "MatH2":
+        """Decode {"a": [...], ..., "d": [...]}, the one check of an input matrix."""
+        if not isinstance(obj, dict) or not obj.keys() >= {"a", "b", "c", "d"}:
+            raise ValueError("matrix must be an object with entries a, b, c, d")
+        return cls(*map(Quaternion.from_list, (obj["a"], obj["b"], obj["c"], obj["d"])))
 
 
 # Kernel helpers on (w, x, y, z) coordinate tuples. A conjugate enters with

@@ -9,6 +9,7 @@ as the library-wide default for unit-scale data.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 DEFAULT_TOL = 1e-9
@@ -120,13 +121,18 @@ class Quaternion:
 
     @classmethod
     def from_list(cls, coords) -> "Quaternion":
-        """Decode [w, x, y, z]; the input boundary, so non-finite values fail."""
-        if len(coords) != 4:
-            raise ValueError("quaternion encoding must have 4 coordinates")
-        values = [float(c) for c in coords]
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"quaternion coordinates must be finite, got {values}")
-        return cls(*values)
+        """Decode [w, x, y, z], the one check of coordinates read from input:
+        a list or tuple of four finite int or float values (not bool or str)."""
+        if not isinstance(coords, (list, tuple)) or len(coords) != 4:
+            raise ValueError("quaternion encoding must be a list of 4 coordinates")
+        try:
+            values = [float(c) for c in coords if type(c) in (int, float)]
+        except OverflowError:           # an int beyond float range
+            values = []
+        if len(values) != 4 or not all(map(math.isfinite, values)):
+            raise ValueError("quaternion coordinates must be finite numbers, "
+                             f"got {reprlib.repr(coords)}")
+        return _q(*values)
 
     def __repr__(self) -> str:
         return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"

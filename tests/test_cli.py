@@ -123,6 +123,14 @@ def test_malformed_json_is_usage_error(capsys):
     assert "malformed JSON" in err
 
 
+def test_classify_identity_fixes_all_points(capsys):
+    matrix = json.dumps(matrix_obj(quat_list(1), quat_list(), quat_list(),
+                                   quat_list(1)))
+    code, out, _ = run(capsys, "classify", matrix)
+    assert code == 0
+    assert json.loads(out)["fixed_points"] == "all"
+
+
 def test_classify_parabolic(capsys):
     matrix = json.dumps(matrix_obj(quat_list(0, 1), quat_list(1),
                                    quat_list(), quat_list(0, 1)))
@@ -527,6 +535,17 @@ def test_batch_non_finite_result_names_its_line(capsys, tmp_path):
     assert_one_error_line(err, "line 2:", "not finite")
 
 
+def run_process(argv, stdout):
+    """The command line in a fresh interpreter: (exit code, stdout, stderr),
+    stdout empty unless it is subprocess.PIPE."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "qmobius.cli", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, env=env,
+                          timeout=60)
+    return proc.returncode, (proc.stdout or b"").decode(), proc.stderr.decode()
+
+
 @pytest.mark.parametrize("argv", [
     ("test", json.dumps(EXTREME_PAIR)),
     ("iterate", json.dumps(EXTREME_PAIR), "--steps", "20", "--full"),
@@ -536,16 +555,94 @@ def test_closed_stdout_exits_141_without_traceback(argv):
     # head has exited, so the first write fails whatever the timing
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     try:
-        proc = subprocess.run([sys.executable, "-m", "qmobius.cli", *argv],
-                              stdout=write_end, stderr=subprocess.PIPE,
-                              env=env, timeout=60)
+        code, _, err = run_process(argv, write_end)
     finally:
         os.close(write_end)
-    assert proc.returncode == 141
-    assert proc.stderr == b""
+    assert code == 141
+    assert err == ""
+
+
+def _bad_s(**entries):
+    """A diagonal-T pair whose S entries are replaced by raw JSON values."""
+    s = {**matrix_obj(quat_list(1), quat_list(), quat_list(), quat_list(1)),
+         **entries}
+    return {"v": 1, "S": s,
+            "T": matrix_obj(quat_list(2), quat_list(), quat_list(), quat_list(0.5))}
+
+
+# values the JSON decoder accepts but no coordinate check may: a string entry
+# (once read as 1+0i+0j+0k), a string or boolean coordinate, and an integer
+# beyond float range; None is a document nested 100 000 deep
+BAD_INPUTS = {
+    "string_entry": _bad_s(a="1000"),
+    "string_coordinate": _bad_s(a=["1", 0, 0, 0]),
+    "bool_coordinate": _bad_s(d=[True, 0, 0, 0]),
+    "huge_integer": _bad_s(a=[10 ** 400, 0, 0, 0]),
+    "deep_nesting": None,
+}
+
+NON_EXTREME_PAIR = {
+    "v": 1,
+    "S": matrix_obj(quat_list(1), quat_list(), quat_list(3), quat_list(1)),
+    "T": EXTREME_PAIR["T"],
+}
+
+REJECTED_RUNS = [
+    *[(case, form) for case in BAD_INPUTS
+      for form in ("single", "batch", "invariants")],
+    ("extreme_steps_negative", None),
+    ("extreme_steps_zero", None),
+    ("iterate_overflow_keeps_output", None),
+    ("stdout_full", None),
+    ("output_full", None),
+]
+
+
+def _rejected_argv(tmp_path, case, form):
+    if case in BAD_INPUTS:
+        if BAD_INPUTS[case] is None:
+            deep = tmp_path / "deep.json"
+            deep.write_text("[" * 100_000)
+            pair = matrix = line = str(deep)
+        else:
+            pair = json.dumps(BAD_INPUTS[case])
+            matrix = json.dumps(BAD_INPUTS[case]["S"])
+            line = write_batch(tmp_path, pair)
+        return {"single": ("test", pair, "--select", "jss"),
+                "batch": ("test", line, "--batch", "--select", "jss"),
+                "invariants": ("invariants", matrix)}[form]
+    return {
+        "extreme_steps_negative": ("extreme", json.dumps(NON_EXTREME_PAIR),
+                                   "--steps", "-3"),
+        "extreme_steps_zero": ("extreme", json.dumps(EXTREME_PAIR), "--steps", "0"),
+        "iterate_overflow_keeps_output": (
+            "iterate", json.dumps(OVERFLOW_PAIR), "--mode", "diagonal",
+            "--format", "json", "--output", str(tmp_path / "trace.json")),
+        "stdout_full": ("test", json.dumps(EXTREME_PAIR)),
+        "output_full": ("iterate", json.dumps(EXTREME_PAIR), "--output", "/dev/full"),
+    }[case]
+
+
+@pytest.mark.parametrize("case, form", REJECTED_RUNS,
+                         ids=["-".join(filter(None, run)) for run in REJECTED_RUNS])
+def test_rejected_run_is_one_error_line(capsys, tmp_path, case, form):
+    argv = _rejected_argv(tmp_path, case, form)
+    kept = tmp_path / "trace.json"
+    kept.write_bytes(b"an earlier trace\n")
+    if case.endswith("_full"):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "w") as full:
+            code, out, err = run_process(argv, full if case == "stdout_full"
+                                         else subprocess.PIPE)
+    else:
+        code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert_one_error_line(err, *(["line 1:"] if form == "batch" else []))
+    assert kept.read_bytes() == b"an earlier trace\n"
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "1", "10", "1e300"])

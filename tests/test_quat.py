@@ -148,9 +148,10 @@ def test_complex_representative_examples():
 def test_json_round_trip():
     q = Quaternion(1.0, -0.12345678901234567, 3e-300, 2**-40)
     assert Quaternion.from_list(q.as_list()) == q
+    assert Quaternion.from_list(tuple(q.as_list())) == q
     with pytest.raises(ValueError):
         Quaternion.from_list([1, 2, 3])
-    for bad in (math.nan, math.inf, -math.inf, "nan"):
+    for bad in (math.nan, math.inf, -math.inf, "nan", True):
         with pytest.raises(ValueError, match="finite"):
             Quaternion.from_list([1, bad, 0, 0])
 
