@@ -94,7 +94,7 @@ def _parse_pair(obj) -> tuple[MatH2, MatH2]:
     if not isinstance(obj, dict):
         raise ValueError('pair must be an object {"v": 1, "S": ..., "T": ...}')
     version = obj.get("v", 1)
-    if version != 1:
+    if type(version) is not int or version != 1:      # true and 1.0 equal 1
         raise ValueError(f"unsupported input schema version {version!r}")
     if "S" not in obj or "T" not in obj:
         raise ValueError("pair must contain S and T")

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 
-from .quat import Quaternion, DEFAULT_TOL
+from .quat import Quaternion, DEFAULT_TOL, _Value
 from . import qmat, ineq
 from .qmat import MatH2
 
@@ -32,8 +31,7 @@ RECURRENCE_TOL = 1e-7
 MODES = ("diagonal", "upper", "lower")
 
 
-@dataclass(slots=True)
-class IterationStep:
+class IterationStep(_Value):
     """Per-step statistics of the sequence.
 
     ``tau``/``t`` are the displacement quantities of S_n against T (upper
@@ -48,15 +46,23 @@ class IterationStep:
     instead.
     """
 
-    n: int
-    s: MatH2
-    det: float
-    entry_norms: tuple[float, float, float, float]
-    tau: Quaternion | None = None
-    t: Quaternion | None = None
-    tau_c: float | None = None
-    t_c: float | None = None
-    extremal_lhs: float | None = None
+    __slots__ = _fields = ("n", "s", "det", "entry_norms", "tau", "t", "tau_c",
+                           "t_c", "extremal_lhs")
+
+    def __init__(self, n: int, s: MatH2, det: float,
+                 entry_norms: tuple[float, float, float, float],
+                 tau: Quaternion | None = None, t: Quaternion | None = None,
+                 tau_c: float | None = None, t_c: float | None = None,
+                 extremal_lhs: float | None = None):
+        self.n = n
+        self.s = s
+        self.det = det
+        self.entry_norms = entry_norms
+        self.tau = tau
+        self.t = t
+        self.tau_c = tau_c
+        self.t_c = t_c
+        self.extremal_lhs = extremal_lhs
 
     @property
     def bc_norm(self) -> float:
@@ -76,11 +82,14 @@ class IterationStep:
         }
 
 
-@dataclass
-class IterationTrace:
-    mode: str
-    steps: list[IterationStep] = field(default_factory=list)
-    truncated_reason: str | None = None
+class IterationTrace(_Value):
+    _fields = ("mode", "steps", "truncated_reason")
+
+    def __init__(self, mode: str, steps: list[IterationStep] | None = None,
+                 truncated_reason: str | None = None):
+        self.mode = mode
+        self.steps = [] if steps is None else steps
+        self.truncated_reason = truncated_reason
 
     def to_dict(self) -> dict:
         return {
@@ -272,10 +281,12 @@ class ConvergenceKind(enum.Enum):
     UNDETERMINED = "undetermined"
 
 
-@dataclass
-class ConvergenceReport:
-    kind: ConvergenceKind
-    rate: float | None
+class ConvergenceReport(_Value):
+    _fields = ("kind", "rate")
+
+    def __init__(self, kind: ConvergenceKind, rate: float | None):
+        self.kind = kind
+        self.rate = rate
 
     def to_dict(self) -> dict:
         return {"kind": self.kind.value, "rate": self.rate}

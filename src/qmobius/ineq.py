@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 
-from .quat import Quaternion, DEFAULT_TOL, arg, similar
+from .quat import Quaternion, DEFAULT_TOL, _Value, arg, similar
 from . import qmat, moebius
 from .qmat import MatH2
 
@@ -48,8 +47,7 @@ class Verdict(enum.Enum):
     NOT_EXTREME = "not_extreme"
 
 
-@dataclass
-class TestReport:
+class TestReport(_Value):
     """Outcome of one inequality evaluation.
 
     ``margin`` is always ``lhs - threshold``; OBSTRUCTION requires
@@ -58,13 +56,19 @@ class TestReport:
     names to floats (flags are encoded 0.0/1.0).
     """
 
-    test_name: str
-    lhs: float
-    threshold: float
-    margin: float
-    verdict: Verdict
-    preconditions_met: bool
-    diagnostics: dict[str, float] = field(default_factory=dict)
+    _fields = ("test_name", "lhs", "threshold", "margin", "verdict",
+               "preconditions_met", "diagnostics")
+
+    def __init__(self, test_name: str, lhs: float, threshold: float,
+                 margin: float, verdict: Verdict, preconditions_met: bool,
+                 diagnostics: dict[str, float] | None = None):
+        self.test_name = test_name
+        self.lhs = lhs
+        self.threshold = threshold
+        self.margin = margin
+        self.verdict = verdict
+        self.preconditions_met = preconditions_met
+        self.diagnostics = {} if diagnostics is None else diagnostics
 
     def to_dict(self) -> dict:
         return {

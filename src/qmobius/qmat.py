@@ -19,9 +19,8 @@ error types included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .quat import Quaternion, ZERO, ONE, DEFAULT_TOL, _q
+from .quat import Quaternion, ZERO, ONE, DEFAULT_TOL, _Frozen, _q
 
 # Norm threshold under which an entry is treated as zero when dispatching
 # between algebraic case formulas. Dispatch must be deterministic under
@@ -33,14 +32,17 @@ class SingularMatrixError(ValueError):
     """A computation needed an invertible matrix and got a singular one."""
 
 
-@dataclass(frozen=True, slots=True)
-class MatH2:
+class MatH2(_Frozen):
     """Row-major 2x2 matrix [[a, b], [c, d]] over the quaternions."""
 
-    a: Quaternion
-    b: Quaternion
-    c: Quaternion
-    d: Quaternion
+    __slots__ = _fields = ("a", "b", "c", "d")
+
+    def __init__(self, a: Quaternion, b: Quaternion, c: Quaternion, d: Quaternion):
+        # a conjugation step builds three matrices: write the slots directly
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
+        _set_d(self, d)
 
     def __matmul__(self, other: "MatH2") -> "MatH2":
         # entrywise sums of ordered products; factor order matters
@@ -73,6 +75,12 @@ class MatH2:
         if not isinstance(obj, dict) or not obj.keys() >= {"a", "b", "c", "d"}:
             raise ValueError("matrix must be an object with entries a, b, c, d")
         return cls(*map(Quaternion.from_list, (obj["a"], obj["b"], obj["c"], obj["d"])))
+
+
+_set_a = MatH2.a.__set__
+_set_b = MatH2.b.__set__
+_set_c = MatH2.c.__set__
+_set_d = MatH2.d.__set__
 
 
 # Kernel helpers on (w, x, y, z) coordinate tuples. A conjugate enters with
@@ -233,8 +241,7 @@ def r_values(m: MatH2) -> tuple[Quaternion, Quaternion, Quaternion, Quaternion]:
     return (r11, r12, r21, r22)
 
 
-@dataclass(frozen=True, slots=True)
-class TildeSet:
+class TildeSet(_Frozen):
     """The eight normalized cofactor quantities of an invertible matrix.
 
     The left family (suffix ``_t``) divides out an l-factor, the right
@@ -243,14 +250,12 @@ class TildeSet:
     two computation routes are kept separate for cross-checking.
     """
 
-    a_t: Quaternion
-    b_t: Quaternion
-    c_t: Quaternion
-    d_t: Quaternion
-    a_s: Quaternion
-    b_s: Quaternion
-    c_s: Quaternion
-    d_s: Quaternion
+    __slots__ = _fields = ("a_t", "b_t", "c_t", "d_t", "a_s", "b_s", "c_s", "d_s")
+
+    def __init__(self, a_t: Quaternion, b_t: Quaternion, c_t: Quaternion,
+                 d_t: Quaternion, a_s: Quaternion, b_s: Quaternion,
+                 c_s: Quaternion, d_s: Quaternion):
+        self._set_fields(a_t, b_t, c_t, d_t, a_s, b_s, c_s, d_s)
 
 
 def tilde_set(m: MatH2) -> TildeSet:
@@ -358,16 +363,14 @@ def parker_short(m: MatH2) -> tuple[Quaternion, Quaternion]:
     return (a * a.conj(), a + a.conj())
 
 
-@dataclass(frozen=True, slots=True)
-class InvariantSet:
+class InvariantSet(_Frozen):
     """All scalar and quaternionic conjugacy invariants of one matrix."""
 
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float
-    sigma: Quaternion
-    tau: Quaternion
+    __slots__ = _fields = ("alpha", "beta", "gamma", "delta", "sigma", "tau")
+
+    def __init__(self, alpha: float, beta: float, gamma: float, delta: float,
+                 sigma: Quaternion, tau: Quaternion):
+        self._set_fields(alpha, beta, gamma, delta, sigma, tau)
 
     def to_dict(self) -> dict:
         return {

@@ -10,13 +10,66 @@ from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import dataclass
+from operator import attrgetter
 
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
-class Quaternion:
+class _Value:
+    """Equality and repr by field tuple, the base of the package's value types.
+
+    ``_fields`` names the constructor parameters in order and ``_astuple``
+    reads them as a tuple. Two values are equal when they have the same
+    class and equal field tuples; the mutable value types are unhashable.
+    Written out by hand so that importing the package generates no code:
+    every CLI process is short, and start-up is a large share of it.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    __hash__ = None
+
+    def __init_subclass__(cls):
+        if cls._fields:
+            cls._astuple = property(attrgetter(*cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple == other._astuple
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+
+class _Frozen(_Value):
+    """An immutable value type: hashable, and rebuilt through its constructor
+    by copy and pickle, since the frozen ``__setattr__`` blocks the default
+    restore of slot state. Subclasses fill their slots past ``__setattr__``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple)
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (type(self), self._astuple)
+
+    def _set_fields(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+
+class Quaternion(_Frozen):
     """A quaternion w + x*i + y*j + z*k.
 
     The basis satisfies i*i = j*j = k*k = -1 and i*j = -j*i = k,
@@ -24,16 +77,14 @@ class Quaternion:
     and commute with everything; nonreal quaternions do not.
     """
 
-    w: float = 0.0
-    x: float = 0.0
-    y: float = 0.0
-    z: float = 0.0
+    __slots__ = _fields = ("w", "x", "y", "z")
 
-    def __post_init__(self):
-        object.__setattr__(self, "w", float(self.w))
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "z", float(self.z))
+    def __init__(self, w: float = 0.0, x: float = 0.0, y: float = 0.0,
+                 z: float = 0.0):
+        _set_w(self, float(w))
+        _set_x(self, float(x))
+        _set_y(self, float(y))
+        _set_z(self, float(z))
 
     @property
     def re(self) -> float:
@@ -149,8 +200,9 @@ def _q(w: float, x: float, y: float, z: float) -> Quaternion:
     """Build a Quaternion from coordinates that are already floats.
 
     Arithmetic results are floats by construction, so the public
-    constructor's coercion (``__post_init__``) is skipped; the slot
-    descriptors write past the frozen ``__setattr__``. Equality, hashing
+    constructor (``__init__`` and its ``float()`` coercion) is skipped; the
+    slot descriptors write past the frozen ``__setattr__``, as ``__init__``
+    does. Equality, hashing
     and immutability are those of any other instance.
     """
     q = _new(Quaternion)

@@ -486,6 +486,21 @@ def test_non_finite_coordinate_is_usage_error(capsys, tmp_path, token, form):
     assert out == ""
 
 
+@pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+@pytest.mark.parametrize("form", ["single", "batch"])
+def test_schema_version_is_the_integer_one(capsys, tmp_path, version, form):
+    # in Python both compare equal to 1, but neither is schema version 1
+    text = json.dumps(dict(EXTREME_PAIR, v=version))
+    if form == "single":
+        code, out, err = run(capsys, "test", text)
+        assert_one_error_line(err, "unsupported input schema version")
+    else:
+        code, out, err = run(capsys, "test", write_batch(tmp_path, text), "--batch")
+        assert_one_error_line(err, "line 1:", "unsupported input schema version")
+    assert code == 2
+    assert out == ""
+
+
 def test_readme_pair_iterate_keeps_extremal_quantity_exactly(capsys):
     # the sequence has integer entries; the closed-form inverse keeps them
     # exact, so det and the extremal quantity stay 1 over 1000 steps

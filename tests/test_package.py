@@ -1,6 +1,10 @@
 import copy
 import dataclasses
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 from types import ModuleType
 
 import pytest
@@ -19,6 +23,20 @@ def test_public_names():
     assert "__version__" in qmobius.__all__
     for name in qmobius.__all__:
         assert not isinstance(getattr(qmobius, name), ModuleType), name
+
+
+def test_cli_import_loads_no_dataclasses():
+    # every CLI run is a fresh process, so what importing the CLI loads is
+    # start-up time; -S keeps site's .pth hooks, which import what they like,
+    # out of the result
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, qmobius.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 M = MatH2(Quaternion(2, 0.5, -1, 0.25), Quaternion(0.5, 1), Quaternion(0, 0, 0.3),
