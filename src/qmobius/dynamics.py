@@ -2,9 +2,11 @@
 
 The sequence drives both the obstruction proofs (contraction of |b_n c_n|
 for diagonal T) and the extremality theorems (invariance of the extremal
-quantity). Iteration always uses full matrix products; the closed entry
-recurrences are recomputed only to cross-check the products, which is
-itself a meaningful test of the algebra.
+quantity). Each step is the full product :func:`qmat.conjugate` (bitwise
+``S_n @ T @ inverse(S_n)``, on coordinates) and the coordinate
+displacement quantities :func:`ineq.tau0_t0_upper` (J-flipped in lower
+mode). The closed entry recurrences are recomputed only to cross-check the
+products, which is itself a meaningful test of the algebra.
 
 A finite trace can never certify discreteness; the strongest positive
 statement made here is "extremal quantity constant over the horizon".
@@ -178,7 +180,7 @@ def iterate(s: MatH2, t: MatH2, n_steps: int, mode: str,
             break
         if n < n_steps:
             try:
-                current = current @ t @ qmat.inverse(current)
+                current = qmat.conjugate(current, t)
             except ValueError:
                 # entry growth destroys the determinant (error scales with
                 # the fourth power of the entry norms) well before any

@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .quat import Quaternion, DEFAULT_TOL, _Value, arg, similar
+from .quat import Quaternion, DEFAULT_TOL, _Value, _q, arg, similar
 from . import qmat, moebius
 from .qmat import MatH2
 
@@ -139,6 +139,15 @@ def s_value(lam: Quaternion, mu: Quaternion) -> float:
     return max(lam.norm(), mu.norm()) * (lam.im_norm() + mu.im_norm())
 
 
+def _power(base: float, exponent) -> float:
+    """base ** exponent, or inf where that overflows. A report holding it is
+    not finite, which the CLI rejects as an overflowed result (exit 2)."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
+
+
 def displacement_threshold(s: float, eps: float) -> float:
     """(1 + sqrt(1 - s/eps)) / 2, clamped when s overshoots eps."""
     disc = 1.0 - s / eps
@@ -152,16 +161,26 @@ def tau0_t0_upper(s: MatH2, t: MatH2) -> tuple[Quaternion, Quaternion]:
     t0   = lam (a c^-1)  + eta - (a c^-1) mu
 
     with a, c, d from S. Factor order matters and is exactly as written.
+    Computed on coordinates, with |c|^2 once, but bitwise equal to the
+    ``Quaternion`` expressions above (``c.inverse()`` for c^-1).
     """
-    c = s.c
-    if c.norm() <= qmat.NONZERO_TOL:
+    mul = qmat._mul
+    a, _, c, d = qmat._coords(s)
+    n = qmat._norm2(c)
+    if math.sqrt(n) <= qmat.NONZERO_TOL:
         raise ValueError("S and T share a fixed point; pair is elementary-suspect")
-    lam, eta, mu = t.a, t.b, t.d
-    cinv = c.inverse()
-    cinv_d = cinv * s.d
-    a_cinv = s.a * cinv
-    tau0 = lam * (-cinv_d) + eta + cinv_d * mu
-    t0 = lam * a_cinv + eta - a_cinv * mu
+    lam, (ew, ex, ey, ez), _, mu = qmat._coords(t)
+    cw, cx, cy, cz = c
+    cinv = (cw / n, -cx / n, -cy / n, -cz / n)
+    cinv_d = mul(cinv, d)
+    a_cinv = mul(a, cinv)
+    vw, vx, vy, vz = cinv_d
+    pw, px, py, pz = mul(lam, (-vw, -vx, -vy, -vz))
+    qw, qx, qy, qz = mul(cinv_d, mu)
+    tau0 = _q(pw + ew + qw, px + ex + qx, py + ey + qy, pz + ez + qz)
+    pw, px, py, pz = mul(lam, a_cinv)
+    qw, qx, qy, qz = mul(a_cinv, mu)
+    t0 = _q(pw + ew - qw, px + ex - qx, py + ey - qy, pz + ez - qz)
     return (tau0, t0)
 
 
@@ -260,10 +279,12 @@ def jss2_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestReport:
     ok, diag = _diagonal_gates(s, t, tol)
     bt = beta_t(t.a, t.d)
     big = max(t.a.norm(), t.d.norm())
-    k_exp = math.floor(1.0 + diag["bc_norm"]) + 1
+    bc_norm = diag["bc_norm"]
+    # an overflowed |bc| has no floor; it stays the (non-finite) exponent
+    k_exp = math.floor(1.0 + bc_norm) + 1 if math.isfinite(bc_norm) else bc_norm
     ell = 1.0 + big
     diag.update({"beta_T": bt, "L": ell, "k": float(k_exp)})
-    lhs = bt * ell ** k_exp
+    lhs = bt * _power(ell, k_exp)
     return _inequality_report("jss2", lhs, 1.0, ok, diag)
 
 
@@ -501,12 +522,13 @@ def extremality_criteria(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestRe
         angle_sum = arg(lam) + arg(mu)
         diag["angle_sum"] = angle_sum
         if angle_sum > tol:
-            diag["order_bound"] = float(math.ceil(2.0 * math.pi / angle_sum))
+            bound = 2.0 * math.pi / angle_sum     # inf for a subnormal angle sum
+            diag["order_bound"] = float(math.ceil(bound)) if bound < math.inf else bound
 
     not_extreme = False
     if elliptic and angle_sum is not None and tol < angle_sum:
         half = angle_sum / 2.0
-        cot2 = (math.cos(half) / math.sin(half)) ** 2
+        cot2 = _power(math.cos(half) / math.sin(half), 2)
         cot_criterion = cot2 - 3.0
         ad_dev = abs(s.a.norm() * s.d.norm() - 1.0)
         diag.update({"cot_criterion": cot_criterion, "ad_deviation": ad_dev})

@@ -8,12 +8,14 @@ Parker-Short quantities (sigma, tau). The group of determinant-1 matrices
 boundary action lives in :mod:`qmobius.moebius`.
 
 ``MatH2 @``, :func:`alpha` (hence :func:`det` and
-:func:`nonsingular_alpha`) and :func:`inverse` are the hot path of the
-conjugation step. They compute on entry coordinates and build only their
-result quaternions, but each result coordinate is the float expression of
-the ``Quaternion`` formula in its docstring, evaluated in the same order:
-the results are bitwise equal to that formula's, zero-entry rule and
-error types included.
+:func:`nonsingular_alpha`), :func:`inverse` and :func:`conjugate` (the
+conjugation step m t m^-1, which :func:`commutator` uses too) are the hot
+path. They compute on entry coordinates and build only their result
+quaternions, but each result coordinate is the float expression of the
+``Quaternion`` formula in its docstring, evaluated in the same order: the
+results are bitwise equal to that formula's, zero-entry rule and error
+types included. One helper holds each formula (``_mul``, ``_prod_sum``,
+``_inverse_entry``), and the kernels share their coordinate tuples.
 """
 
 from __future__ import annotations
@@ -45,11 +47,7 @@ class MatH2(_Frozen):
         _set_d(self, d)
 
     def __matmul__(self, other: "MatH2") -> "MatH2":
-        # entrywise sums of ordered products; factor order matters
-        a, b, c, d = _coords(self)
-        e, f, g, h = _coords(other)
-        return MatH2(_prod_sum(a, e, b, g), _prod_sum(a, f, b, h),
-                     _prod_sum(c, e, d, g), _prod_sum(c, f, d, h))
+        return _from_coords(_product(_coords(self), _coords(other)))
 
     def entries(self) -> tuple[Quaternion, Quaternion, Quaternion, Quaternion]:
         return (self.a, self.b, self.c, self.d)
@@ -103,11 +101,26 @@ def _mul(p, q) -> tuple[float, float, float, float]:
             pw * qz + px * qy - py * qx + pz * qw)
 
 
-def _prod_sum(p, q, r, s) -> Quaternion:
-    """p q + r s."""
+def _prod_sum(p, q, r, s) -> tuple[float, float, float, float]:
+    """Coordinates of p q + r s: one entry of a matrix product."""
     pw, px, py, pz = _mul(p, q)
     rw, rx, ry, rz = _mul(r, s)
-    return _q(pw + rw, px + rx, py + ry, pz + rz)
+    return (pw + rw, px + rx, py + ry, pz + rz)
+
+
+def _product(m, n) -> tuple[tuple[float, float, float, float], ...]:
+    """Entry coordinates of the matrix product m n, from those of m and n:
+    entrywise sums of ordered products; factor order matters."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return (_prod_sum(a, e, b, g), _prod_sum(a, f, b, h),
+            _prod_sum(c, e, d, g), _prod_sum(c, f, d, h))
+
+
+def _from_coords(entries) -> MatH2:
+    """The matrix whose entries have these coordinates."""
+    a, b, c, d = entries
+    return MatH2(_q(*a), _q(*b), _q(*c), _q(*d))
 
 
 def _norm2(p) -> float:
@@ -295,22 +308,30 @@ def inverse(m: MatH2) -> MatH2:
     (:func:`tilde_set`, :func:`inverse_r`) stay as the paper's quantities
     and as test oracles.
     """
+    return _from_coords(_inverse_coords(m))
+
+
+def _inverse_coords(m: MatH2) -> tuple[tuple[float, float, float, float], ...]:
+    """Coordinates of the four entries of :func:`inverse`, with its checks."""
     s = 1.0 / nonsingular_alpha(m)
     a, b, c, d = _coords(m)
-    return MatH2(_inverse_entry(a, d, c, b, s), _inverse_entry(c, b, a, d, s),
-                 _inverse_entry(b, c, d, a, s), _inverse_entry(d, a, b, c, s))
+    return (_inverse_entry(a, d, c, b, s), _inverse_entry(c, b, a, d, s),
+            _inverse_entry(b, c, d, a, s), _inverse_entry(d, a, b, c, s))
 
 
-def _inverse_entry(p, source, u, v, s) -> Quaternion:
-    """(conj(p) |source|^2 - conj(u) source conj(v)) s, or ZERO when
-    |source| <= NONZERO_TOL: one entry of :func:`inverse`."""
+_ZERO_COORDS = (0.0, 0.0, 0.0, 0.0)
+
+
+def _inverse_entry(p, source, u, v, s) -> tuple[float, float, float, float]:
+    """Coordinates of (conj(p) |source|^2 - conj(u) source conj(v)) s, or of
+    ZERO when |source| <= NONZERO_TOL: one entry of :func:`inverse`."""
     n = _norm2(source)
     if math.sqrt(n) <= NONZERO_TOL:
-        return ZERO
+        return _ZERO_COORDS
     pw, px, py, pz = p
     qw, qx, qy, qz = _mul(_mul(_conj(u), source), _conj(v))
-    return _q((pw * n - qw) * s, (-px * n - qx) * s,
-              (-py * n - qy) * s, (-pz * n - qz) * s)
+    return ((pw * n - qw) * s, (-px * n - qx) * s,
+            (-py * n - qy) * s, (-pz * n - qz) * s)
 
 
 def inverse_r(m: MatH2) -> MatH2:
@@ -319,9 +340,20 @@ def inverse_r(m: MatH2) -> MatH2:
     return MatH2(t.d_s, -t.b_s, -t.c_s, t.a_s)
 
 
+def conjugate(m: MatH2, t: MatH2) -> MatH2:
+    """m t m^-1, the conjugation step S_{n+1} = S_n T S_n^-1.
+
+    Bitwise equal to ``m @ t @ inverse(m)``, errors included: the product
+    m t and the entries of m^-1 stay coordinate tuples, and only the four
+    result quaternions are built.
+    """
+    return _from_coords(_product(_product(_coords(m), _coords(t)),
+                                 _inverse_coords(m)))
+
+
 def commutator(a: MatH2, b: MatH2) -> MatH2:
     """A B A^-1 B^-1."""
-    return a @ b @ inverse(a) @ inverse(b)
+    return conjugate(a, b) @ inverse(b)
 
 
 def foreman_invariants(m: MatH2) -> tuple[float, float, float]:

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qmobius import cli, dynamics, ineq, qmat
 from qmobius.qmat import MatH2
@@ -55,6 +57,22 @@ OVERFLOW_PAIR = {
     "S": matrix_obj(quat_list(1e200), quat_list(1e200), quat_list(1e200),
                     quat_list(1)),
     "T": matrix_obj(quat_list(2), quat_list(), quat_list(), quat_list(0.5)),
+}
+
+# det S = 2001 - 50 * 40 = 1 exactly; jss2's L^k = 2^2002 overflows
+JSS2_POWER_PAIR = {
+    "v": 1,
+    "S": matrix_obj(quat_list(1), quat_list(50), quat_list(40), quat_list(2001)),
+    "T": matrix_obj(quat_list(0.8, 0.6), quat_list(), quat_list(),
+                    quat_list(0.8, -0.6)),
+}
+
+# elliptic T with angle sum 1e-154: cot^2 of half of it overflows at --tol 0
+TINY_ANGLE_PAIR = {
+    "v": 1,
+    "S": matrix_obj(quat_list(1), quat_list(), quat_list(1), quat_list(1)),
+    "T": matrix_obj(quat_list(1, 5e-155), quat_list(), quat_list(),
+                    quat_list(1, -5e-155)),
 }
 
 # |T.c| = 1e-10 is zero to the shape gate but a genuine pole: T sends S's
@@ -533,8 +551,14 @@ def test_readme_pair_extreme_over_sixty_steps(capsys):
     ("invariants", json.dumps(OVERFLOW_PAIR["S"])),
     ("classify", json.dumps(OVERFLOW_PAIR["S"])),
     ("test", json.dumps(WAT_POLE_PAIR), "--select", "wat"),
+    # |b||c| = inf has no floor; L^k overflows
+    ("test", json.dumps(OVERFLOW_PAIR), "--select", "jss2"),
+    ("test", json.dumps(JSS2_POWER_PAIR), "--select", "jss2"),
+    ("extreme", json.dumps(TINY_ANGLE_PAIR), "--tol", "0"),
+    ("test", json.dumps(TINY_ANGLE_PAIR), "--select", "extreme", "--tol", "0"),
 ], ids=["test_json", "test_text", "iterate_json", "iterate_csv", "invariants",
-        "classify", "wat_pole"])
+        "classify", "wat_pole", "jss2_bc_norm", "jss2_power", "extreme_cot",
+        "test_extreme_cot"])
 def test_non_finite_result_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -543,11 +567,14 @@ def test_non_finite_result_is_usage_error(capsys, argv):
 
 
 def test_batch_non_finite_result_names_its_line(capsys, tmp_path):
-    batch = write_batch(tmp_path, json.dumps(EXTREME_PAIR), json.dumps(OVERFLOW_PAIR))
-    code, out, err = run(capsys, "test", batch, "--batch")
-    assert code == 2
-    assert [json.loads(line)["line"] for line in out.splitlines()] == [1]
-    assert_one_error_line(err, "line 2:", "not finite")
+    # |b||c| = inf under auto and jss2, and jss2's L^k = 2^2002
+    for overflow, select in ((OVERFLOW_PAIR, "auto"), (OVERFLOW_PAIR, "jss2"),
+                             (JSS2_POWER_PAIR, "jss2")):
+        batch = write_batch(tmp_path, json.dumps(EXTREME_PAIR), json.dumps(overflow))
+        code, out, err = run(capsys, "test", batch, "--batch", "--select", select)
+        assert code == 2
+        assert [json.loads(line)["line"] for line in out.splitlines()] == [1]
+        assert_one_error_line(err, "line 2:", "not finite")
 
 
 def run_process(argv, stdout):
@@ -681,3 +708,42 @@ def test_tol_must_be_finite_and_non_negative(capsys, tmp_path, command, tol):
     assert code == 2
     assert out == ""
     assert_one_error_line(err, "--tol")
+
+
+# --- no input ends in a traceback ------------------------------------------
+
+_decade = st.integers(-300, 300).map(lambda e: 10.0 ** e)
+_wide_coord = st.one_of(st.just(0.0), _decade, _decade.map(lambda x: -x),
+                        st.floats(-2.0, 2.0))
+_wide_entry = st.lists(_wide_coord, min_size=4, max_size=4)
+_zero_or_wide = st.one_of(st.just(quat_list()), _wide_entry)
+# T is a triangle or diagonal as often as not, so evaluators pass its gate
+_wide_pair = st.builds(
+    lambda s, t: {"v": 1, "S": s, "T": t},
+    st.builds(matrix_obj, *[_wide_entry] * 4),
+    st.builds(matrix_obj, _wide_entry, _zero_or_wide, _zero_or_wide, _wide_entry))
+_EVERY_RUN = [("test", "--select", name) for name in cli.SELECTORS] + [
+    ("extreme", "--steps", "4"), ("iterate", "--steps", "4")]
+_TOLS = ("0", str(DEFAULT_TOL), str(cli.MAX_TOL))
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(_wide_pair, st.sampled_from(_TOLS))
+@example(JSS2_POWER_PAIR, "0")
+@example(TINY_ANGLE_PAIR, "0")
+@example(OVERFLOW_PAIR, str(cli.MAX_TOL))
+@example({"v": 1, "S": TINY_ANGLE_PAIR["S"],     # subnormal angle sum
+          "T": matrix_obj(quat_list(1e165, 1e-150), quat_list(), quat_list(),
+                          quat_list(1e-150))}, "0")
+def test_property_every_run_ends_in_an_exit_code_not_a_traceback(pair, tol):
+    text = json.dumps(pair)
+    for command, *extra in _EVERY_RUN:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, text, *extra, "--tol", tol])
+        errors = [line for line in err.getvalue().splitlines()
+                  if line.startswith("error:")]
+        if code in (cli.EXIT_USAGE, cli.EXIT_SINGULAR):
+            assert out.getvalue() == "" and len(errors) == 1
+        else:
+            assert code in cli.VERDICT_EXIT.values() and errors == []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from qmobius.quat import Quaternion, ZERO, ONE, I, J, isclose
-from qmobius import moebius, qmat
+from qmobius import ineq, moebius, qmat
 from qmobius.qmat import MatH2, diagonal, identity
 from conftest import random_invertible, random_sigma, random_quaternion
 
@@ -270,6 +270,34 @@ def _reference_inverse(m: MatH2) -> MatH2:
                    for source, entry in zip(sources, _closed_form_entries(m))))
 
 
+def _reference_conjugate(m: MatH2, t: MatH2) -> MatH2:
+    return _reference_matmul(_reference_matmul(m, t), _reference_inverse(m))
+
+
+def _reference_commutator(a: MatH2, b: MatH2) -> MatH2:
+    return _reference_matmul(_reference_conjugate(a, b), _reference_inverse(b))
+
+
+def _reference_tau0_t0_upper(s: MatH2, t: MatH2) -> tuple:
+    if s.c.norm() <= qmat.NONZERO_TOL:
+        raise ValueError("S and T share a fixed point")
+    lam, eta, mu = t.a, t.b, t.d
+    cinv = s.c.inverse()
+    cinv_d = cinv * s.d
+    a_cinv = s.a * cinv
+    return (lam * (-cinv_d) + eta + cinv_d * mu, lam * a_cinv + eta - a_cinv * mu)
+
+
+def _reference_tau0_t0_lower(s: MatH2, t: MatH2) -> tuple:
+    if s.b.norm() <= qmat.NONZERO_TOL:
+        raise ValueError("S and T share a fixed point")
+    lam, eta, mu = t.a, t.c, t.d
+    binv = s.b.inverse()
+    binv_a = binv * s.a
+    d_binv = s.d * binv
+    return (mu * (-binv_a) + eta + binv_a * lam, mu * d_binv + eta - d_binv * lam)
+
+
 def _outcome(fn, *args):
     """The result's IEEE bit patterns, or the type of the ValueError raised."""
     try:
@@ -278,7 +306,8 @@ def _outcome(fn, *args):
         return type(exc)
     if isinstance(result, float):
         return struct.pack("d", result)
-    return b"".join(struct.pack("4d", *e.as_list()) for e in result.entries())
+    entries = result.entries() if isinstance(result, MatH2) else result
+    return b"".join(struct.pack("4d", *e.as_list()) for e in entries)
 
 
 _magnitude = st.floats(1e-14, 1e6)
@@ -290,6 +319,8 @@ _kernel_entry = st.one_of(st.builds(Quaternion, *[_kernel_coord] * 4),
                           st.builds(Quaternion, *[_tiny_coord] * 4),
                           st.just(ZERO))
 _kernel_matrix = st.builds(MatH2, *[_kernel_entry] * 4)
+_q_tiny = Quaternion(3e-13, -2e-13, 0.0, 1e-13)
+_q_mixed = Quaternion(0.5, -1.5, 2.0, -0.0)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -297,13 +328,26 @@ _kernel_matrix = st.builds(MatH2, *[_kernel_entry] * 4)
 @example(real_matrix(1, 1, 1, 1))                              # singular
 @example(diagonal(Quaternion(1e170), Quaternion(1e170)))       # alpha = inf
 @example(real_matrix(1e200, 1e200, 1e200, 1))                  # inf - inf
+# an entry below NONZERO_TOL: c of m (upper tau0/t0 undefined, inverse
+# zero-entry rule), then b (lower tau0/t0 undefined)
+@example(MatH2(_q_mixed, Quaternion(2.0, 0.0, -1.0, 3.0), _q_tiny, Quaternion(1.0, 1.0)))
+@example(MatH2(Quaternion(1.0, 1.0), _q_tiny, Quaternion(-2.0, 0.0, 1.0, 0.5), _q_mixed))
+# tau0 has a zero coordinate whose sign -(lam v) would flip against lam (-v)
+@example(MatH2(Quaternion(-1.0, 0.0, 1.0, 2.0), Quaternion(1.0, 1.0, -0.0, 1.0),
+               Quaternion(-0.0, 0.0, 2.0, 1.0), ZERO))
 def test_property_kernels_are_bitwise_the_quaternion_formulas(m):
     # the second factor reuses m's draws with its entries in other places
     n = MatH2(m.d, m.c, m.b, m.a)
-    for kernel, reference, args in ((MatH2.__matmul__, _reference_matmul, (m, n)),
-                                    (MatH2.__matmul__, _reference_matmul, (n, m)),
-                                    (qmat.alpha, _reference_alpha, (m,)),
-                                    (qmat.inverse, _reference_inverse, (m,))):
+    for kernel, reference, args in (
+            (MatH2.__matmul__, _reference_matmul, (m, n)),
+            (MatH2.__matmul__, _reference_matmul, (n, m)),
+            (qmat.alpha, _reference_alpha, (m,)),
+            (qmat.inverse, _reference_inverse, (m,)),
+            (qmat.conjugate, _reference_conjugate, (m, n)),
+            (qmat.conjugate, _reference_conjugate, (n, m)),
+            (qmat.commutator, _reference_commutator, (m, n)),
+            (ineq.tau0_t0_upper, _reference_tau0_t0_upper, (m, n)),
+            (ineq.tau0_t0_lower, _reference_tau0_t0_lower, (m, n))):
         assert _outcome(kernel, *args) == _outcome(reference, *args)
 
 
