@@ -112,15 +112,6 @@ def _dumps(payload, **kwargs) -> str:
         raise ValueError(_NOT_FINITE) from exc
 
 
-def _check_csv_finite(trace: dynamics.IterationTrace, full: bool) -> None:
-    """The finiteness rule of :func:`_dumps` for the CSV trace, applied to
-    every row before the first one is written."""
-    for step in trace.steps:
-        if not all(math.isfinite(value) for value in dynamics.csv_row(step, full)
-                   if isinstance(value, float)):
-            raise ValueError(_NOT_FINITE)
-
-
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
         print(_dumps(payload, indent=2))
@@ -204,10 +195,14 @@ def cmd_iterate(args) -> int:
         ineq.auto_select(t, args.tol)      # a full T is an error here too
         mode = qmat.shape(t, args.tol)
     trace = dynamics.iterate(s, t, args.steps, mode, tol=args.tol)
-    if args.format == "json":       # whole and finite before --output is opened
+    # whole and finite before --output is opened: the rule of _dumps
+    if args.format == "json":
         text = _dumps(trace.to_dict(), indent=2) + "\n"
     else:
-        _check_csv_finite(trace, args.full)
+        rows = [dynamics.csv_row(step, args.full) for step in trace.steps]
+        if not all(math.isfinite(value) for row in rows for value in row
+                   if isinstance(value, float)):
+            raise ValueError(_NOT_FINITE)
     try:
         with (open(args.output, "w", newline="") if args.output
               else contextlib.nullcontext(sys.stdout)) as out:
@@ -216,8 +211,7 @@ def cmd_iterate(args) -> int:
             else:
                 writer = csv.writer(out)
                 writer.writerow(dynamics.csv_header(args.full))
-                for step in trace.steps:
-                    writer.writerow(dynamics.csv_row(step, args.full))
+                writer.writerows(rows)
     except OSError as exc:
         if not args.output:
             raise                   # stdout: main's rule

@@ -13,9 +13,9 @@ conjugation step m t m^-1, which :func:`commutator` uses too) are the hot
 path. They compute on entry coordinates and build only their result
 quaternions, but each result coordinate is the float expression of the
 ``Quaternion`` formula in its docstring, evaluated in the same order: the
-results are bitwise equal to that formula's, zero-entry rule and error
-types included. One helper holds each formula (``_mul``, ``_prod_sum``,
-``_inverse_entry``), and the kernels share their coordinate tuples.
+results are bitwise equal to that formula's, error types included. One
+helper holds each formula (``_mul``, ``_prod_sum``, ``_inverse_entry``),
+and the kernels share their coordinate tuples.
 """
 
 from __future__ import annotations
@@ -275,24 +275,18 @@ def tilde_set(m: MatH2) -> TildeSet:
     """Compute all eight tilde quantities of an invertible matrix.
 
     Each left value is l^-1 times an entry, each right value an entry times
-    r^-1. The entry being normalized is also the inner entry of its factor
-    formula, so when it vanishes the tilde value is exactly zero and no
-    inverse is needed.
+    r^-1, so an exactly zero entry gives an exactly zero tilde value, as
+    the closed form of :func:`inverse` does.
     """
     nonsingular_alpha(m)
     a, b, c, d = m.entries()
     l11, l12, l21, l22 = l_values(m)
     r11, r12, r21, r22 = r_values(m)
-
-    def left(factor: Quaternion, entry: Quaternion) -> Quaternion:
-        return ZERO if entry.norm() <= NONZERO_TOL else factor.inverse() * entry
-
-    def right(entry: Quaternion, factor: Quaternion) -> Quaternion:
-        return ZERO if entry.norm() <= NONZERO_TOL else entry * factor.inverse()
-
     return TildeSet(
-        a_t=left(l22, a), b_t=left(l12, b), c_t=left(l21, c), d_t=left(l11, d),
-        a_s=right(a, r22), b_s=right(b, r12), c_s=right(c, r21), d_s=right(d, r11),
+        a_t=l22.inverse() * a, b_t=l12.inverse() * b,
+        c_t=l21.inverse() * c, d_t=l11.inverse() * d,
+        a_s=a * r22.inverse(), b_s=b * r12.inverse(),
+        c_s=c * r21.inverse(), d_s=d * r11.inverse(),
     )
 
 
@@ -302,11 +296,12 @@ def inverse(m: MatH2) -> MatH2:
         A^-1 = (1/alpha) [[|d|^2 conj(a) - conj(c) d conj(b),  |b|^2 conj(c) - conj(a) b conj(d)],
                           [|c|^2 conj(b) - conj(d) c conj(a),  |a|^2 conj(d) - conj(b) a conj(c)]]
 
-    Each inverse entry is exactly zero when its source entry (d, b, c, a
-    respectively) has norm <= NONZERO_TOL, as on the Kellerhals routes:
-    exact-zero couplings decide truncation along a trace. Those routes
-    (:func:`tilde_set`, :func:`inverse_r`) stay as the paper's quantities
-    and as test oracles.
+    The formula alone gives an exactly zero inverse entry when its source
+    entry (d, b, c, a respectively) is exactly zero, so exact-zero
+    couplings survive the conjugation step and decide truncation along a
+    trace, while a tiny source entry keeps the term that contracts it. The
+    Kellerhals routes (:func:`tilde_set`, :func:`inverse_r`) stay as the
+    paper's quantities and as test oracles.
     """
     return _from_coords(_inverse_coords(m))
 
@@ -319,15 +314,10 @@ def _inverse_coords(m: MatH2) -> tuple[tuple[float, float, float, float], ...]:
             _inverse_entry(b, c, d, a, s), _inverse_entry(d, a, b, c, s))
 
 
-_ZERO_COORDS = (0.0, 0.0, 0.0, 0.0)
-
-
 def _inverse_entry(p, source, u, v, s) -> tuple[float, float, float, float]:
-    """Coordinates of (conj(p) |source|^2 - conj(u) source conj(v)) s, or of
-    ZERO when |source| <= NONZERO_TOL: one entry of :func:`inverse`."""
+    """Coordinates of (conj(p) |source|^2 - conj(u) source conj(v)) s: one
+    entry of :func:`inverse`."""
     n = _norm2(source)
-    if math.sqrt(n) <= NONZERO_TOL:
-        return _ZERO_COORDS
     pw, px, py, pz = p
     qw, qx, qy, qz = _mul(_mul(_conj(u), source), _conj(v))
     return ((pw * n - qw) * s, (-px * n - qx) * s,

@@ -534,6 +534,26 @@ def test_readme_pair_iterate_keeps_extremal_quantity_exactly(capsys):
     assert summary["steps"] == 1000 and summary["truncated_reason"] is None
 
 
+def test_contracting_coupling_ends_at_a_common_fixed_point(capsys):
+    # a rez obstruction: the unipotent T contracts S's coupling c quadratically
+    # until it is exactly zero, where S and T share the fixed point infinity
+    pair = {
+        "v": 1,
+        "S": matrix_obj(quat_list(1), quat_list(), quat_list(0.5), quat_list(1)),
+        "T": matrix_obj(quat_list(1), quat_list(0, 0, 1), quat_list(), quat_list(1)),
+    }
+    assert run(capsys, "test", json.dumps(pair), "--select", "rez")[0] == 10
+    code, out, err = run(capsys, "iterate", json.dumps(pair), "--steps", "200")
+    assert code == 0
+    summary = json.loads(err)
+    assert summary["truncated_reason"] == "common fixed point reached"
+    assert summary["steps"] < 20
+    assert summary["convergence"]["kind"] == "converges_to_elementary"
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == summary["steps"] + 2      # header + steps 0..n
+    assert float(rows[-1][rows[0].index("abs_c")]) == 0.0
+
+
 def test_readme_pair_extreme_over_sixty_steps(capsys):
     code, out, _ = run(capsys, "extreme", json.dumps(EXTREME_PAIR), "--steps", "60")
     assert code == 11

@@ -1,10 +1,13 @@
+import json
 import math
 import random
+from decimal import Decimal, localcontext
+from pathlib import Path
 
 import pytest
 
 from qmobius.quat import Quaternion, ZERO, ONE, J, isclose
-from qmobius import ineq, dynamics
+from qmobius import ineq, dynamics, qmat
 from qmobius.dynamics import (ConvergenceKind, classify_convergence, csv_header,
                               csv_row, extremal_invariance_check, iterate,
                               recurrence_deviation, verify_recurrence)
@@ -13,6 +16,7 @@ from qmobius.qmat import MatH2, diagonal, identity, lower_triangular, upper_tria
 from conftest import random_sigma, random_elliptic_entry
 
 SQRT2 = math.sqrt(2.0)
+GOLDEN_PAIRS = Path(__file__).resolve().parent / "golden" / "pairs.jsonl"
 
 EXTREME_S = MatH2(ONE, ZERO, ONE, ONE)
 EXTREME_T = upper_triangular(ONE, J, ONE)
@@ -88,6 +92,93 @@ def test_contraction_is_strict_under_unit_budget():
     for prev, nxt in zip(trace.steps, trace.steps[1:]):
         if k * (1.0 + prev.bc_norm) < 1.0 and prev.bc_norm > 0.0:
             assert nxt.bc_norm < prev.bc_norm
+
+
+# --- a 50-digit oracle of the sequence, on plain tuples -----------------------
+#
+# Quaternions are (w, x, y, z) tuples of Decimal and matrices (a, b, c, d)
+# tuples of them. The inverse goes through a^-1 and the Schur complement
+# d - c a^-1 b, a different route from the closed form of qmat.inverse.
+
+def _dmul(p, q):
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    return (pw * qw - px * qx - py * qy - pz * qz,
+            pw * qx + px * qw + py * qz - pz * qy,
+            pw * qy - px * qz + py * qw + pz * qx,
+            pw * qz + px * qy - py * qx + pz * qw)
+
+
+def _dadd(p, q):
+    return tuple(x + y for x, y in zip(p, q))
+
+
+def _dneg(p):
+    return tuple(-x for x in p)
+
+
+def _dinv(p):
+    n2 = sum(x * x for x in p)
+    return (p[0] / n2, -p[1] / n2, -p[2] / n2, -p[3] / n2)
+
+
+def _dmatmul(m, n):
+    a, b, c, d = m
+    e, f, g, h = n
+    return (_dadd(_dmul(a, e), _dmul(b, g)), _dadd(_dmul(a, f), _dmul(b, h)),
+            _dadd(_dmul(c, e), _dmul(d, g)), _dadd(_dmul(c, f), _dmul(d, h)))
+
+
+def _dmatinv(m):
+    a, b, c, d = m
+    ai = _dinv(a)
+    si = _dinv(_dadd(d, _dneg(_dmul(_dmul(c, ai), b))))
+    ai_b_si = _dmul(_dmul(ai, b), si)
+    return (_dadd(ai, _dmul(ai_b_si, _dmul(c, ai))), _dneg(ai_b_si),
+            _dneg(_dmul(_dmul(si, c), ai)), si)
+
+
+def test_diagonal_trace_follows_the_fifty_digit_sequence():
+    # the golden corpus's diagonal pair: its coupling entries fall from 1 to
+    # about 1e-35 in 60 steps, through and far below NONZERO_TOL
+    pair = json.loads(GOLDEN_PAIRS.read_text().splitlines()[0])
+    s, t = MatH2.from_dict(pair["S"]), MatH2.from_dict(pair["T"])
+    assert qmat.shape(t, 0.0) == "diagonal"
+    trace = iterate(s, t, 60, "diagonal")
+    assert len(trace.steps) == 61
+    with localcontext() as ctx:
+        ctx.prec = 50
+        exact_t = tuple(tuple(map(Decimal, e.as_list())) for e in t.entries())
+        exact_s = tuple(tuple(map(Decimal, e.as_list())) for e in s.entries())
+        for step in trace.steps:
+            for got, entry in zip(step.entry_norms, exact_s):
+                want = sum(x * x for x in entry).sqrt()
+                assert abs(Decimal(got) - want) <= Decimal("1e-12") * want
+            exact_s = _dmatmul(_dmatmul(exact_s, exact_t), _dmatinv(exact_s))
+    assert trace.steps[-1].s.c.norm() < 1e-30
+
+
+def test_property_diagonal_traces_keep_the_contraction_bound():
+    # Jorgensen's step: |b' c'| <= K (1 + |bc|) |bc| for a unit diagonal T,
+    # so a jss obstruction (K (1 + |bc|) < 1) contracts |b_n c_n| to 0. The
+    # angles keep K = 2 - 2 cos(sum) in [0.01, 0.76], so 80 steps decay past
+    # ELEMENTARY_DECAY_FACTOR and stay in the normal float range.
+    rng = random.Random(517)
+    checked = 0
+    while checked < 100:
+        lam = random_elliptic_entry(rng, rng.uniform(0.05, 0.45))
+        mu = random_elliptic_entry(rng, rng.uniform(0.05, 0.45))
+        s, t = random_sigma(rng), diagonal(lam, mu)
+        if ineq.jss_test(s, t).verdict is not Verdict.OBSTRUCTION:
+            continue
+        checked += 1
+        k = k_value(lam, mu)
+        trace = iterate(s, t, 80, "diagonal")
+        assert trace.truncated_reason is None
+        for prev, nxt in zip(trace.steps, trace.steps[1:]):
+            bound = k * (1.0 + prev.bc_norm) * prev.bc_norm
+            assert nxt.bc_norm <= bound * (1.0 + 1e-12)
+        assert classify_convergence(trace).kind is ConvergenceKind.CONVERGES_TO_ELEMENTARY
 
 
 def test_sigma_preserved_along_trace():

@@ -142,8 +142,8 @@ def test_inverse_identity_and_singular():
 
 
 def test_closed_form_inverse_matches_right_route_oracle():
-    # zero and sub-NONZERO_TOL entries exercise the zero-entry rule: the
-    # closed form must put exact zeros where the Kellerhals route does
+    # exact-zero and sub-NONZERO_TOL entries: the closed form must put exact
+    # zeros where the Kellerhals route does, and keep tiny entries tiny
     rng = random.Random(215)
     checked = 0
     while checked < 400:
@@ -195,29 +195,17 @@ def _identity_deviation(m: MatH2) -> float:
     return max((m.a - ONE).norm(), m.b.norm(), m.c.norm(), (m.d - ONE).norm())
 
 
-def _entrywise(op, m: MatH2, n: MatH2) -> MatH2:
-    return MatH2(*(op(x, y) for x, y in zip(m.entries(), n.entries())))
-
-
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(_matrices)
 @example(MatH2(ZERO, Quaternion(0, 0, 0, 1), Quaternion(0, 0, 0, 1),
-               Quaternion(0, 0, 0, 1e-12)))     # |d| = NONZERO_TOL: off by 1e-12
+               Quaternion(0, 0, 0, 1e-12)))     # |d| = NONZERO_TOL, a tiny entry
 def test_property_inverse_is_two_sided(m):
     assume(qmat.det(m) > 0.1)
     inv = qmat.inverse(m)
-    # The zero-entry rule drops the closed-form entries whose source entry
-    # has norm <= NONZERO_TOL, so each product misses exactly the terms of
-    # the dropped part (an all-zero matrix when no entry is that small).
-    dropped = _entrywise(Quaternion.__sub__, MatH2(*_closed_form_entries(m)), inv)
-    for source, part in zip((m.d, m.b, m.c, m.a), dropped.entries()):
-        assert source.norm() <= qmat.NONZERO_TOL or part.norm() == 0.0
     # rounding in each product entry scales with |m| |m^-1|
     scale = m.max_entry_norm() * inv.max_entry_norm()
-    assert (_identity_deviation(_entrywise(Quaternion.__add__, inv @ m, dropped @ m))
-            <= 1e-13 * (1.0 + scale))
-    assert (_identity_deviation(_entrywise(Quaternion.__add__, m @ inv, m @ dropped))
-            <= 1e-13 * (1.0 + scale))
+    assert _identity_deviation(inv @ m) <= 1e-13 * (1.0 + scale)
+    assert _identity_deviation(m @ inv) <= 1e-13 * (1.0 + scale)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -249,9 +237,7 @@ def _reference_alpha(m: MatH2) -> float:
     return 0.0 if value < 0.0 else value
 
 
-def _closed_form_entries(m: MatH2) -> tuple:
-    """The four entries of the closed-form inverse, without the zero-entry
-    rule."""
+def _reference_inverse(m: MatH2) -> MatH2:
     value = _reference_alpha(m)
     if math.sqrt(value) <= qmat.NONZERO_TOL:
         raise qmat.SingularMatrixError("singular matrix")
@@ -260,14 +246,8 @@ def _closed_form_entries(m: MatH2) -> tuple:
     s = 1.0 / value
     a, b, c, d = m.entries()
     ac, bc, cc, dc = a.conj(), b.conj(), c.conj(), d.conj()
-    return ((ac * d.norm2() - cc * d * bc) * s, (cc * b.norm2() - ac * b * dc) * s,
-            (bc * c.norm2() - dc * c * ac) * s, (dc * a.norm2() - bc * a * cc) * s)
-
-
-def _reference_inverse(m: MatH2) -> MatH2:
-    sources = (m.d, m.b, m.c, m.a)
-    return MatH2(*(ZERO if source.norm() <= qmat.NONZERO_TOL else entry
-                   for source, entry in zip(sources, _closed_form_entries(m))))
+    return MatH2((ac * d.norm2() - cc * d * bc) * s, (cc * b.norm2() - ac * b * dc) * s,
+                 (bc * c.norm2() - dc * c * ac) * s, (dc * a.norm2() - bc * a * cc) * s)
 
 
 def _reference_conjugate(m: MatH2, t: MatH2) -> MatH2:
@@ -313,7 +293,8 @@ def _outcome(fn, *args):
 _magnitude = st.floats(1e-14, 1e6)
 _kernel_coord = st.one_of(_magnitude, _magnitude.map(lambda x: -x),
                           st.sampled_from([0.0, -0.0]))
-# norm below NONZERO_TOL: the zero-entry rule of inverse applies
+# norm below NONZERO_TOL: tau0/t0 treat the entry as zero, while inverse
+# keeps it in its closed form
 _tiny_coord = st.floats(-4e-13, 4e-13)
 _kernel_entry = st.one_of(st.builds(Quaternion, *[_kernel_coord] * 4),
                           st.builds(Quaternion, *[_tiny_coord] * 4),
@@ -328,8 +309,8 @@ _q_mixed = Quaternion(0.5, -1.5, 2.0, -0.0)
 @example(real_matrix(1, 1, 1, 1))                              # singular
 @example(diagonal(Quaternion(1e170), Quaternion(1e170)))       # alpha = inf
 @example(real_matrix(1e200, 1e200, 1e200, 1))                  # inf - inf
-# an entry below NONZERO_TOL: c of m (upper tau0/t0 undefined, inverse
-# zero-entry rule), then b (lower tau0/t0 undefined)
+# an entry below NONZERO_TOL: c of m (upper tau0/t0 undefined, a tiny
+# inverse entry), then b (lower tau0/t0 undefined)
 @example(MatH2(_q_mixed, Quaternion(2.0, 0.0, -1.0, 3.0), _q_tiny, Quaternion(1.0, 1.0)))
 @example(MatH2(Quaternion(1.0, 1.0), _q_tiny, Quaternion(-2.0, 0.0, 1.0, 0.5), _q_mixed))
 # tau0 has a zero coordinate whose sign -(lam v) would flip against lam (-v)
