@@ -216,7 +216,8 @@ def cmd_iterate(args) -> int:
         if not args.output:
             raise                   # stdout: main's rule
         raise ValueError(f"cannot write {args.output}: {exc}") from exc
-    verdict = dynamics.classify_convergence(trace) if len(trace.steps) >= 5 else None
+    classifiable = len(trace.steps) >= dynamics.MIN_CLASSIFY_STEPS
+    verdict = dynamics.classify_convergence(trace) if classifiable else None
     summary = {
         "mode": mode,
         "steps": len(trace.steps) - 1,

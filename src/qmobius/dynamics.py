@@ -29,6 +29,9 @@ ELEMENTARY_DECAY_FACTOR = 1e-4
 # closed recurrences against matrix products: a two-route rounding check
 RECURRENCE_TOL = 1e-7
 
+# the shortest trace (records, S_0 included) that classify_convergence judges
+MIN_CLASSIFY_STEPS = 5
+
 # the shapes of T (qmat.shape) that iterate runs in; a diagonal T fits all
 MODES = ("diagonal", "upper", "lower")
 
@@ -127,17 +130,16 @@ def csv_row(step: IterationStep, full: bool = False) -> list:
     return row
 
 
-def _step_record(n: int, s: MatH2, t: MatH2, mode: str,
+def _step_record(n: int, s: MatH2, t_upper: MatH2, mode: str,
                  k: float) -> tuple[IterationStep, float]:
     """The record of S_n, and the norm of its coupling entry (c_n, or b_n
-    in lower mode)."""
+    in lower mode). ``t_upper`` is T, J-flipped in lower mode."""
     norms = (s.a.norm(), s.b.norm(), s.c.norm(), s.d.norm())
     step = IterationStep(n=n, s=s, det=qmat.det(s), entry_norms=norms)
-    side = "lower" if mode == "lower" else "upper"
-    _, _, tau0_t0 = ineq.triangle_side(s, t, side)
-    cn = norms[1] if side == "lower" else norms[2]
+    cn = norms[1] if mode == "lower" else norms[2]
     if cn > qmat.NONZERO_TOL:
-        tau, tt = tau0_t0(s, t)
+        tau, tt = ineq.tau0_t0_upper(ineq._j_flip(s) if mode == "lower" else s,
+                                     t_upper)
         tau_norm, t_norm = tau.norm(), tt.norm()
         step.tau, step.t = tau, tt
         step.tau_c = tau_norm * cn
@@ -167,10 +169,11 @@ def iterate(s: MatH2, t: MatH2, n_steps: int, mode: str,
     if qmat.shape(t, tol) not in (mode, "diagonal"):
         raise ValueError(f"T does not match mode {mode!r}")
     k = ineq.k_value(t.a, t.d)
+    t_upper = ineq._j_flip(t) if mode == "lower" else t
     trace = IterationTrace(mode=mode)
     current = s
     for n in range(n_steps + 1):
-        step, coupling_norm = _step_record(n, current, t, mode, k)
+        step, coupling_norm = _step_record(n, current, t_upper, mode, k)
         trace.steps.append(step)
         if mode != "diagonal" and coupling_norm == 0.0:
             trace.truncated_reason = "common fixed point reached"
@@ -297,18 +300,20 @@ class ConvergenceReport(_Value):
 def classify_convergence(trace: IterationTrace) -> ConvergenceReport:
     """Classify the long-run behaviour visible in a finite trace.
 
-    DIVERGES when entries passed DIVERGENCE_CUTOFF. STATIONARY when the
-    extremal quantity is defined throughout and varies less than
-    DEFAULT_TOL * (1 + length), whatever tolerance the trace was run with.
-    CONVERGES_TO_ELEMENTARY when the tail ratios of |b_n c_n| contract (all
-    < 1) and either ELEMENTARY_CUTOFF is reached or the total decay from
-    the peak spans ELEMENTARY_DECAY_FACTOR (sustained geometric contraction
-    certifies the limit even before the absolute cutoff). Everything else
-    is UNDETERMINED.
+    DIVERGES when entries passed DIVERGENCE_CUTOFF. CONVERGES_TO_ELEMENTARY
+    when the trace ended at a common fixed point of S_n and T, whatever its
+    earlier ratios. STATIONARY when the extremal quantity is defined
+    throughout and varies less than DEFAULT_TOL * (1 + length), whatever
+    tolerance the trace was run with. CONVERGES_TO_ELEMENTARY also when
+    the tail ratios of |b_n c_n| contract (all < 1) and either
+    ELEMENTARY_CUTOFF is reached or the total decay from the peak spans
+    ELEMENTARY_DECAY_FACTOR (sustained geometric contraction certifies the
+    limit even before the absolute cutoff). Everything else is
+    UNDETERMINED; fewer than MIN_CLASSIFY_STEPS records is an error.
     """
     steps = trace.steps
-    if len(steps) < 5:
-        raise ValueError("need at least 5 steps to classify")
+    if len(steps) < MIN_CLASSIFY_STEPS:
+        raise ValueError(f"need at least {MIN_CLASSIFY_STEPS} steps to classify")
 
     bc = [step.bc_norm for step in steps]
     ratios = [bc[i + 1] / bc[i] for i in range(len(bc) - 1) if bc[i] > 0.0]
@@ -318,6 +323,9 @@ def classify_convergence(trace: IterationTrace) -> ConvergenceReport:
     if (trace.truncated_reason in ("divergence cutoff exceeded", "numerical blow-up")
             or any(max(step.entry_norms) > DIVERGENCE_CUTOFF for step in steps)):
         return ConvergenceReport(ConvergenceKind.DIVERGES, rate)
+
+    if trace.truncated_reason == "common fixed point reached":
+        return ConvergenceReport(ConvergenceKind.CONVERGES_TO_ELEMENTARY, rate)
 
     lhs = [step.extremal_lhs for step in steps]
     if all(v is not None for v in lhs):

@@ -184,31 +184,23 @@ def tau0_t0_upper(s: MatH2, t: MatH2) -> tuple[Quaternion, Quaternion]:
     return (tau0, t0)
 
 
-def tau0_t0_lower(s: MatH2, t: MatH2) -> tuple[Quaternion, Quaternion]:
-    """Displacement quantities for a lower-triangular T = [[lam, 0], [eta, mu]].
-
-    tau0 = mu (-b^-1 a) + eta + (b^-1 a) lam
-    t0   = mu (d b^-1)  + eta - (d b^-1) lam
-
-    This is :func:`tau0_t0_upper` of the J-flipped pair: J M J = [[d, c],
-    [b, a]] with J = [[0, 1], [1, 0]], which has determinant 1 and swaps
-    the fixed points 0 and infinity. Same products, same order.
-    """
-    return tau0_t0_upper(_j_flip(s), _j_flip(t))
-
-
 def _j_flip(m: MatH2) -> MatH2:
-    """J m J with J = [[0, 1], [1, 0]]: the lower triangle's upper mirror."""
+    """J m J = [[d, c], [b, a]] with J = [[0, 1], [1, 0]]: the lower
+    triangle's upper mirror, and the one place that maps one to the other.
+
+    J has determinant 1 and swaps the fixed points 0 and infinity, so a
+    lower T = [[lam, 0], [eta, mu]] becomes the upper [[mu, eta], [0, lam]]
+    and b of S becomes its coupling entry. The paper's lower displacement
+    quantities
+
+        tau0 = mu (-b^-1 a) + eta + (b^-1 a) lam
+        t0   = mu (d b^-1)  + eta - (d b^-1) lam
+
+    are :func:`tau0_t0_upper` of (J S J, J T J): same products, same order.
+    Gates, determinants and the diagonal quantities are read on the pair
+    as given; only the coupling and displacement quantities on its flip.
+    """
     return MatH2(m.d, m.c, m.b, m.a)
-
-
-def triangle_side(s: MatH2, t: MatH2, side: str):
-    """(eta, coupling entry of S, tau0/t0) of the "upper" or "lower"
-    triangle; the one place that pairs a side with its entries. The J-flip
-    swaps b and c, so the lower side mirrors the upper one."""
-    if side == "upper":
-        return t.b, s.c, tau0_t0_upper
-    return t.c, s.b, tau0_t0_lower
 
 
 def _pair_gates(s: MatH2, t: MatH2, tol: float,
@@ -336,22 +328,22 @@ def _displacement_test(name: str, s: MatH2, t: MatH2, side: str, re_gate: bool,
     which pass their own Re-gate and eps. A zero coupling entry
     (:func:`_coupling_ok`) is a failed gate with lhs 0 and the ``c_zero``
     (lower triangle: ``b_zero``) flag. ``extra`` goes into diagnostics ahead
-    of the displacement norms, whose key order is part of the output.
+    of the displacement norms, whose key order is part of the output. The
+    lower triangle reads its eta, coupling and displacements on the J-flip
+    (:func:`_j_flip`).
     """
-    eta, coupling, tau0_t0 = triangle_side(s, t, side)
     lam, mu = t.a, t.d
     ok, diag = _pair_gates(s, t, tol, (side, "diagonal"))
-    diag.update({
-        "S_value": s_value(lam, mu),
-        "swapped": 1.0 if lam.norm() > 1.0 + tol else 0.0,
-        "eta_norm": eta.norm(),
-        **(extra or {}),
-    })
-    coupling_norm = coupling.norm()
+    diag["S_value"] = s_value(lam, mu)
+    diag["swapped"] = 1.0 if lam.norm() > 1.0 + tol else 0.0
+    if side == "lower":
+        s, t = _j_flip(s), _j_flip(t)
+    diag.update({"eta_norm": t.b.norm(), **(extra or {})})
+    coupling_norm = s.c.norm()
     coupling_ok = _coupling_ok(coupling_norm, tol)
     ok = ok and re_gate and diag["S_value"] <= eps + tol and coupling_ok
     if coupling_ok:
-        tau0, t0 = tau0_t0(s, t)
+        tau0, t0 = tau0_t0_upper(s, t)
         diag["tau0_norm"] = tau0.norm()
         diag["t0_norm"] = t0.norm()
         lhs = coupling_norm * math.sqrt(diag["tau0_norm"] * diag["t0_norm"])
@@ -469,8 +461,8 @@ def jlt_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,
              b_variant: bool = False) -> TestReport:
     """Lower-triangular generator test, T = [[lam, 0], [eta, mu]].
 
-    Uses the b-based displacement quantities of :func:`tau0_t0_lower`
-    with Re(lam) = Re(mu) = kappa and budget S <= eps, where eps is
+    Uses the b-based displacement quantities (:func:`_j_flip`) with
+    Re(lam) = Re(mu) = kappa and budget S <= eps, where eps is
     1/(4 sqrt 2) for kappa != 0 and 1/4 for kappa = 0; the threshold is
     (1 + sqrt(1 - S/eps)) / 2. With ``b_variant=True`` this is
     :func:`jg_test` (kappa != 0) or :func:`rez_test` (kappa = 0) of the
@@ -558,19 +550,22 @@ def non_extreme_tau_test(s: MatH2, t: MatH2, side: str = "upper",
     """Non-extremeness via displacement asymmetry.
 
     If |tau0 - t0| / (|tau0| |t0|) exceeds |conj(c) d + a conj(c)| the pair
-    cannot be extreme. The lower side is the upper test on the J-flipped
-    pair (J S J, J T J), as for :func:`jlt_test`, so its right-hand side is
+    cannot be extreme. The pair is gated as given; on the lower side the
+    displacements and the right-hand side are those of the J-flipped pair
+    (:func:`_j_flip`), as for :func:`jlt_test`, so the right-hand side is
     |conj(b) a + d conj(b)|. Degenerate displacements (tau0 or t0 ~ 0) are
     reported as inconclusive with a diagnostics flag, and so is a zero
     coupling (:func:`_coupling_ok`, flag ``c_zero``/``b_zero``, failed gate).
     """
-    if side == "lower":
-        s, t = _j_flip(s), _j_flip(t)
-    elif side != "upper":
+    if side not in ("upper", "lower"):
         raise ValueError("side must be 'upper' or 'lower'")
     lam, mu = t.a, t.d
-    ok, diag = _pair_gates(s, t, tol, ("upper", "diagonal"))
+    ok, diag = _pair_gates(s, t, tol, (side, "diagonal"))
+    ok = ok and abs(lam.re - mu.re) <= tol
     diag["S_value"] = s_value(lam, mu)
+    eps = EPS_GENERIC if abs(lam.re) > tol else EPS_PURE_IMAGINARY
+    if side == "lower":
+        s, t = _j_flip(s), _j_flip(t)
     e = s.c.conj()
     rhs = (e * s.d + s.a * e).norm()
     if not _coupling_ok(s.c.norm(), tol):
@@ -578,12 +573,10 @@ def non_extreme_tau_test(s: MatH2, t: MatH2, side: str = "upper",
         return TestReport(f"non_extreme_{side}", 0.0, rhs, -rhs,
                           Verdict.INCONCLUSIVE, False, diag)
     tau0, t0 = tau0_t0_upper(s, t)
-    ok = ok and abs(lam.re - mu.re) <= tol
     diag.update({"tau0_norm": tau0.norm(), "t0_norm": t0.norm(),
                  "tau0_minus_t0_norm": (tau0 - t0).norm()})
     # the extremal displacement value |c| sqrt(|tau0 t0|) would equal this
     # threshold in an extreme group; recorded for reference
-    eps = EPS_GENERIC if abs(lam.re) > tol else EPS_PURE_IMAGINARY
     if diag["S_value"] <= eps:
         diag["kappa0"] = displacement_threshold(diag["S_value"], eps)
     if tau0.norm() <= tol or t0.norm() <= tol:

@@ -41,10 +41,6 @@ ALL_POINTS = _Sentinel("ALL_POINTS")
 ExtQuaternion = Quaternion | _Sentinel
 
 
-def is_infinity(z) -> bool:
-    return z is INFINITY
-
-
 def apply(m: MatH2, z: ExtQuaternion) -> ExtQuaternion:
     """Evaluate the fractional linear map Z -> (aZ + b)(cZ + d)^-1.
 
@@ -130,9 +126,3 @@ def encode_point(z) -> object:
     if z is ALL_POINTS:
         return "all"
     return z.as_list()
-
-
-def decode_point(obj) -> ExtQuaternion:
-    if obj == "inf":
-        return INFINITY
-    return Quaternion.from_list(obj)

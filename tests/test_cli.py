@@ -554,6 +554,16 @@ def test_contracting_coupling_ends_at_a_common_fixed_point(capsys):
     assert float(rows[-1][rows[0].index("abs_c")]) == 0.0
 
 
+def test_iterate_classifies_from_five_records(capsys):
+    # --steps 3 gives records 0..3, one short of dynamics.MIN_CLASSIFY_STEPS
+    for steps, classified in (("3", False), ("4", True)):
+        code, _, err = run(capsys, "iterate", json.dumps(EXTREME_PAIR),
+                           "--steps", steps)
+        assert code == 0
+        convergence = json.loads(err)["convergence"]
+        assert (convergence != "too short to classify") is classified
+
+
 def test_readme_pair_extreme_over_sixty_steps(capsys):
     code, out, _ = run(capsys, "extreme", json.dumps(EXTREME_PAIR), "--steps", "60")
     assert code == 11

@@ -234,9 +234,34 @@ def test_divergent_pair():
 
 def test_classify_requires_five_steps():
     s, t = obstruction_pair()
-    trace = iterate(s, t, 2, "diagonal")
+    assert dynamics.MIN_CLASSIFY_STEPS == 5
+    trace = iterate(s, t, dynamics.MIN_CLASSIFY_STEPS - 2, "diagonal")
     with pytest.raises(ValueError):
         classify_convergence(trace)
+    classify_convergence(iterate(s, t, dynamics.MIN_CLASSIFY_STEPS - 1, "diagonal"))
+
+
+def test_trace_ending_at_a_common_fixed_point_converges_to_elementary():
+    # a unipotent lower T contracts b_n to exactly 0 at step 10; the ratio
+    # |b_2 c_2| / |b_1 c_1| ~ 2.1 sits in the last ten, so the tail-ratio
+    # rule alone would leave the trace undetermined
+    s = MatH2(Quaternion(-0.4303103268509807, 0.3946320222833945,
+                         0.9941985241637741, -0.40300372498083414),
+              Quaternion(0.5317251068448701, -0.3518516026596676,
+                         -0.37726242655787146, -0.011845678753996922),
+              Quaternion(-0.6621614987922969, -0.09932674934799025,
+                         -0.1604033657307058, 0.40748948348544917),
+              Quaternion(-0.014054211332198974, -0.12409994264794841,
+                         -0.3294888554829389, 0.10585590366988415))
+    t = lower_triangular(ONE, Quaternion(0.468220277163252, -0.21647411850573953,
+                                         0.005099235189618719, -0.4448379670320324),
+                         ONE)
+    trace = iterate(s, t, 1000, "lower")
+    assert trace.truncated_reason == "common fixed point reached"
+    assert len(trace.steps) == 11 and trace.steps[-1].entry_norms[1] == 0.0
+    bc = [step.bc_norm for step in trace.steps]
+    assert bc[2] / bc[1] > 1.0
+    assert classify_convergence(trace).kind is ConvergenceKind.CONVERGES_TO_ELEMENTARY
 
 
 def test_classify_undetermined_short_horizon():

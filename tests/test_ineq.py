@@ -12,7 +12,7 @@ from qmobius.ineq import (Verdict, auto_select, beta_t, displacement_threshold,
                           hyperbolic_commutator_test, jg_test, jss2_test,
                           jss_test, jssc2_test, jlt_test, k_value,
                           kellerhals_form, non_extreme_tau_test, rez_test,
-                          s_value, tau0_t0_lower, tau0_t0_upper, waterman_test)
+                          s_value, tau0_t0_upper, waterman_test)
 from qmobius.qmat import MatH2, diagonal, lower_triangular, upper_triangular
 from conftest import (check_report_invariants, mul_oracle, random_quaternion,
                       random_sigma, random_unit_quaternion,
@@ -158,7 +158,8 @@ def test_tau0_t0_second_implementation_oracle():
         if s.b.norm() < 0.1:
             continue
         # the lower formulas, which the code reaches through the J-flip
-        tau0, t0 = tau0_t0_lower(s, lower_triangular(t.a, t.b, t.d))
+        flip = ineq._j_flip
+        tau0, t0 = tau0_t0_upper(flip(s), flip(lower_triangular(t.a, t.b, t.d)))
         binv = s.b.inverse()
         binv_a = mul_oracle(binv, s.a)
         d_binv = mul_oracle(s.d, binv)
@@ -171,8 +172,10 @@ def test_tau0_t0_second_implementation_oracle():
 def test_tau0_t0_domain_errors():
     with pytest.raises(ValueError):
         tau0_t0_upper(real_matrix(1, 1, 0, 1), upper_triangular(ONE, J, ONE))
+    # b = 0 is the lower triangle's shared fixed point, met on the J-flip
     with pytest.raises(ValueError):
-        tau0_t0_lower(real_matrix(1, 0, 1, 1), lower_triangular(ONE, J, ONE))
+        tau0_t0_upper(ineq._j_flip(real_matrix(1, 0, 1, 1)),
+                      ineq._j_flip(lower_triangular(ONE, J, ONE)))
 
 
 # --- diagonal tests ---------------------------------------------------------
@@ -710,6 +713,19 @@ def test_non_extreme_tau_lower_side():
     assert report.verdict is Verdict.INCONCLUSIVE
     with pytest.raises(ValueError):
         non_extreme_tau_test(s, t, "sideways")
+
+
+def test_non_extreme_tau_lower_gates_the_pair_as_given():
+    # the determinants are those of S and T, not of their J-flips, whose
+    # alpha differs from theirs in the last bits for about a quarter of draws
+    rng = random.Random(5)
+    t = lower_triangular(ONE, Quaternion(0, 0.3, 0.2, 0.1), ONE)
+    for _ in range(2000):
+        s = random_sigma(rng)
+        tau_diag = non_extreme_tau_test(s, t, "lower").diagnostics
+        jlt_diag = jlt_test(s, t).diagnostics
+        assert (tau_diag["det_S"], tau_diag["det_T"], tau_diag["S_value"]) \
+            == (jlt_diag["det_S"], jlt_diag["det_T"], jlt_diag["S_value"])
 
 
 def test_non_extreme_degenerate_displacement():
