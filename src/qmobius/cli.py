@@ -295,9 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process; parse_args keeps no state between calls
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         if not 0.0 <= args.tol <= MAX_TOL:
             raise ValueError(f"--tol must be finite, non-negative and at most "

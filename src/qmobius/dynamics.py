@@ -119,9 +119,9 @@ def csv_row(step: IterationStep, full: bool = False) -> list:
         step.n,
         *step.entry_norms,
         step.bc_norm,
-        "" if step.tau_c is None else step.tau_c,
-        "" if step.t_c is None else step.t_c,
-        "" if step.extremal_lhs is None else step.extremal_lhs,
+        step.tau_c,                 # None: csv writes an empty field
+        step.t_c,
+        step.extremal_lhs,
         step.det,
     ]
     if full:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .quat import Quaternion, DEFAULT_TOL, _Value, _q, arg, similar
+from .quat import Quaternion, ONE, DEFAULT_TOL, _Value, _q, arg, similar
 from . import qmat, moebius
 from .qmat import MatH2
 
@@ -437,7 +437,7 @@ def waterman_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestReport:
     diag.update({"im_lambda": im_lam, "eta_norm": eta.norm()})
     c_norm = s.c.norm()
     c_ok = _coupling_ok(c_norm, tol)
-    ok = (ok and (eta - Quaternion(1.0)).norm() <= tol
+    ok = (ok and (eta - ONE).norm() <= tol
           and (lam - mu).norm() <= tol
           and abs(lam.norm() - 1.0) <= tol
           and im_lam <= 0.125 + tol and c_ok)
@@ -510,21 +510,19 @@ def extremality_criteria(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestRe
     diag["elliptic"] = 1.0 if elliptic else 0.0
 
     angle_sum = None
+    not_extreme = False
     if lam.norm() > 0.0 and mu.norm() > 0.0:
         angle_sum = arg(lam) + arg(mu)
         diag["angle_sum"] = angle_sum
         if angle_sum > tol:
             bound = 2.0 * math.pi / angle_sum     # inf for a subnormal angle sum
             diag["order_bound"] = float(math.ceil(bound)) if bound < math.inf else bound
-
-    not_extreme = False
-    if elliptic and angle_sum is not None and tol < angle_sum:
-        half = angle_sum / 2.0
-        cot2 = _power(math.cos(half) / math.sin(half), 2)
-        cot_criterion = cot2 - 3.0
-        ad_dev = abs(s.a.norm() * s.d.norm() - 1.0)
-        diag.update({"cot_criterion": cot_criterion, "ad_deviation": ad_dev})
-        not_extreme = ad_dev > cot_criterion + EXTREMAL_TOL
+            if elliptic:
+                half = angle_sum / 2.0
+                cot_criterion = _power(math.cos(half) / math.sin(half), 2) - 3.0
+                ad_dev = abs(s.a.norm() * s.d.norm() - 1.0)
+                diag.update({"cot_criterion": cot_criterion, "ad_deviation": ad_dev})
+                not_extreme = ad_dev > cot_criterion + EXTREMAL_TOL
 
     verdict = Verdict.INCONCLUSIVE
     if base.preconditions_met:
@@ -573,17 +571,18 @@ def non_extreme_tau_test(s: MatH2, t: MatH2, side: str = "upper",
         return TestReport(f"non_extreme_{side}", 0.0, rhs, -rhs,
                           Verdict.INCONCLUSIVE, False, diag)
     tau0, t0 = tau0_t0_upper(s, t)
-    diag.update({"tau0_norm": tau0.norm(), "t0_norm": t0.norm(),
-                 "tau0_minus_t0_norm": (tau0 - t0).norm()})
+    tau0_norm, t0_norm, gap = tau0.norm(), t0.norm(), (tau0 - t0).norm()
+    diag.update({"tau0_norm": tau0_norm, "t0_norm": t0_norm,
+                 "tau0_minus_t0_norm": gap})
     # the extremal displacement value |c| sqrt(|tau0 t0|) would equal this
     # threshold in an extreme group; recorded for reference
     if diag["S_value"] <= eps:
         diag["kappa0"] = displacement_threshold(diag["S_value"], eps)
-    if tau0.norm() <= tol or t0.norm() <= tol:
+    if tau0_norm <= tol or t0_norm <= tol:
         diag["degenerate_displacement"] = 1.0
         return TestReport(f"non_extreme_{side}", 0.0, rhs, -rhs,
                           Verdict.INCONCLUSIVE, ok, diag)
-    lhs = (tau0 - t0).norm() / (tau0.norm() * t0.norm())
+    lhs = gap / (tau0_norm * t0_norm)
     margin = lhs - rhs
     verdict = (Verdict.NOT_EXTREME if ok and margin > EXTREMAL_TOL
                else Verdict.INCONCLUSIVE)

@@ -12,33 +12,26 @@ from __future__ import annotations
 
 import enum
 
-from .quat import Quaternion, DEFAULT_TOL, similar
+from .quat import Quaternion, ZERO, DEFAULT_TOL
 from . import qmat
 from .qmat import MatH2, NONZERO_TOL
 
 
-class _Sentinel:
-    """A named singleton, bound to the module global of that name; copies
-    and pickles resolve to that global, so ``is`` tests stay valid."""
+class _Point(enum.Enum):
+    """The two non-quaternion points: enum members are singletons, so
+    ``is`` tests stay valid through copies and pickles."""
 
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
+    INFINITY = "inf"       # the single point at infinity of H + {infinity}
+    ALL_POINTS = "all"     # the fixed-point set of the identity
 
     def __repr__(self) -> str:
         return self.name
 
-    def __reduce__(self) -> str:
-        return self.name
 
+INFINITY = _Point.INFINITY
+ALL_POINTS = _Point.ALL_POINTS
 
-# the single point at infinity of the extended quaternionic plane
-INFINITY = _Sentinel("INFINITY")
-# the fixed-point set of the identity (every boundary point)
-ALL_POINTS = _Sentinel("ALL_POINTS")
-
-ExtQuaternion = Quaternion | _Sentinel
+ExtQuaternion = Quaternion | _Point
 
 
 def apply(m: MatH2, z: ExtQuaternion) -> ExtQuaternion:
@@ -115,14 +108,13 @@ def fixed_points_normal_form(m: MatH2, tol: float = DEFAULT_TOL):
     if classify_normal_form(m, tol) is IsometryClass.IDENTITY:
         return ALL_POINTS
     if kind == "diagonal":
-        return [Quaternion(), INFINITY]
+        return [ZERO, INFINITY]
     return [INFINITY]
 
 
 def encode_point(z) -> object:
-    """JSON encoding: finite points as 4-arrays, infinity as the string "inf"."""
-    if z is INFINITY:
-        return "inf"
-    if z is ALL_POINTS:
-        return "all"
+    """JSON encoding: finite points as 4-arrays, INFINITY and ALL_POINTS as
+    their values "inf" and "all"."""
+    if isinstance(z, _Point):
+        return z.value
     return z.as_list()

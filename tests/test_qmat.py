@@ -119,6 +119,15 @@ def test_kellerhals_sixteen_identities():
             assert (left - right).norm() < 1e-9
 
 
+def test_left_and_right_kellerhals_routes_agree():
+    rng = random.Random(7)
+    for _ in range(500):
+        t = qmat.tilde_set(random_sigma(rng))
+        for x in "abcd":
+            left, right = getattr(t, f"{x}_t"), getattr(t, f"{x}_s")
+            assert (left - right).norm() <= 1e-12 * max(1.0, right.norm())
+
+
 def test_inverse_round_trip_and_routes_agree():
     rng = random.Random(205)
     for _ in range(200):
