@@ -25,7 +25,7 @@ overflows (a determinant too) is an error (exit 2), never
 ``NaN``/``Infinity`` in JSON or ``inf``/``nan`` in CSV. An elementary pair
 (zero coupling entry) is a report with failed preconditions, not an error.
 :func:`main` is the one place that maps failures to exit codes; ``--batch``
-prefixes the message with the line.
+reads and writes one line at a time and prefixes the message with the line.
 
 ``--tol`` (default ``quat.DEFAULT_TOL``) is the one tolerance a user sets:
 the structural one behind every shape, determinant and similarity gate. It
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import math
 import os
@@ -70,11 +69,19 @@ VERDICT_EXIT = {
 SELECTORS = ("auto", *ineq.TESTS)
 
 
-def _read(path: str) -> str:
+def _read_file(path: str, read):
+    """Yield from ``read(file)`` on the text file PATH. The one rule for input
+    files: one that cannot be opened or read is a usage error."""
     try:
-        return Path(path).read_text()
+        with Path(path).open() as f:
+            yield from read(f)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
+
+
+def _read(path: str) -> str:
+    """The whole text of PATH, decoded in one piece."""
+    return "".join(_read_file(path, lambda f: (f.read(),)))
 
 
 def _decode(text: str):
@@ -104,10 +111,15 @@ def _parse_pair(obj) -> tuple[MatH2, MatH2]:
 _NOT_FINITE = "result is not finite (a computation overflowed)"
 
 
-def _dumps(payload, **kwargs) -> str:
+# built once: json.dumps(..., allow_nan=False) builds an encoder per call
+_ENCODERS = {indent: json.JSONEncoder(allow_nan=False, indent=indent)
+             for indent in (None, 2)}
+
+
+def _dumps(payload, indent=None) -> str:
     """Strict JSON text: a NaN or infinite value is an error, never output."""
     try:
-        return json.dumps(payload, allow_nan=False, **kwargs)
+        return _ENCODERS[indent].encode(payload)
     except ValueError as exc:
         raise ValueError(_NOT_FINITE) from exc
 
@@ -173,19 +185,32 @@ def cmd_test(args) -> int:
 
 
 def _run_batch(args) -> int:
-    for idx, line in enumerate(_read(args.pair).splitlines()):
+    """One report per line, read and written one line at a time. Text mode
+    ends each physical line at a translated newline, and splitlines() splits
+    it at the other separators: the lines of the whole text's splitlines()."""
+    write = sys.stdout.write        # one write per report, even unbuffered
+    lines = (line for physical in _read_file(args.pair, iter)
+             for line in physical.splitlines())
+    for number, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
             s, t = _parse_pair(_decode(line))
             report = _run_selected(args.select, s, t, args.tol)
-            text = _dumps({"line": idx + 1, **report.to_dict()})
+            text = _dumps({"line": number, **report.to_dict()})
         except qmat.SingularMatrixError as exc:
-            raise qmat.SingularMatrixError(f"line {idx + 1}: {exc}") from exc
+            raise qmat.SingularMatrixError(f"line {number}: {exc}") from exc
         except ValueError as exc:
-            raise ValueError(f"line {idx + 1}: {exc}") from exc
-        print(text)
+            raise ValueError(f"line {number}: {exc}") from exc
+        write(text + "\n")
     return EXIT_OK
+
+
+def _csv_line(fields) -> str:
+    """The line csv's excel dialect writes for fields that need no quoting:
+    ints, floats (whose str is their repr), None (an empty field) and the
+    column names."""
+    return ",".join(["" if value is None else str(value) for value in fields]) + "\r\n"
 
 
 def cmd_iterate(args) -> int:
@@ -209,9 +234,9 @@ def cmd_iterate(args) -> int:
             if args.format == "json":
                 out.write(text)
             else:
-                writer = csv.writer(out)
-                writer.writerow(dynamics.csv_header(args.full))
-                writer.writerows(rows)
+                out.write(_csv_line(dynamics.csv_header(args.full)))
+                out.writelines(map(_csv_line, rows))   # one row at a time
+            out.flush()             # a failed stdout fails before the summary
     except OSError as exc:
         if not args.output:
             raise                   # stdout: main's rule

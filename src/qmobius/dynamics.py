@@ -119,7 +119,7 @@ def csv_row(step: IterationStep, full: bool = False) -> list:
         step.n,
         *step.entry_norms,
         step.bc_norm,
-        step.tau_c,                 # None: csv writes an empty field
+        step.tau_c,                 # None: an empty CSV field
         step.t_c,
         step.extremal_lhs,
         step.det,

@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import math
 import reprlib
+from math import isfinite
 from operator import attrgetter
 
 DEFAULT_TOL = 1e-9
+
+# the coordinate types accepted from input: exactly these, so not bool or str
+_REAL = (int, float)
 
 
 class _Value:
@@ -176,14 +180,18 @@ class Quaternion(_Frozen):
         a list or tuple of four finite int or float values (not bool or str)."""
         if not isinstance(coords, (list, tuple)) or len(coords) != 4:
             raise ValueError("quaternion encoding must be a list of 4 coordinates")
+        w, x, y, z = coords
         try:
-            values = [float(c) for c in coords if type(c) in (int, float)]
+            if (type(w) in _REAL and type(x) in _REAL
+                    and type(y) in _REAL and type(z) in _REAL):
+                w, x, y, z = float(w), float(x), float(y), float(z)
+                # each one: a sum of finite values can overflow
+                if isfinite(w) and isfinite(x) and isfinite(y) and isfinite(z):
+                    return _q(w, x, y, z)
         except OverflowError:           # an int beyond float range
-            values = []
-        if len(values) != 4 or not all(map(math.isfinite, values)):
-            raise ValueError("quaternion coordinates must be finite numbers, "
-                             f"got {reprlib.repr(coords)}")
-        return _q(*values)
+            pass
+        raise ValueError("quaternion coordinates must be finite numbers, "
+                         f"got {reprlib.repr(coords)}")
 
     def __repr__(self) -> str:
         return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -223,6 +224,33 @@ def test_iterate_full_adds_coordinate_columns(capsys):
     # step 1: a = 1 - j
     header = rows[0]
     assert rows[2][header.index("a_y")] == "-1.0"
+
+
+_csv_float = st.one_of(
+    st.sampled_from((-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e308, -1e308, 1e-7)),
+    st.floats(allow_nan=False, allow_infinity=False))
+_csv_fields = st.sampled_from((9, 25)).flatmap(lambda n: st.lists(
+    st.one_of(st.none(), st.integers(), _csv_float), min_size=n, max_size=n))
+
+
+def _csv_writer_line(fields) -> str:
+    out = io.StringIO(newline="")
+    csv.writer(out).writerow(fields)
+    return out.getvalue()
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.integers(0, 10 ** 6), _csv_fields)
+@example(0, [None, -0.0, 5e-324, 1e16, 1e308, 0.1, -2, None, 1.5])
+@example(1000, [1e16, None, -0.0, 5e-324, 1e308, -1e-300, *[0.1] * 19])
+def test_csv_line_is_the_csv_writer_line(n, fields):
+    # rows of 10 and 26 fields (--full), as dynamics.csv_row builds them
+    line = cli._csv_line([n, *fields])
+    assert line == _csv_writer_line([n, *fields])
+    assert line.endswith("\r\n") and line.count("\n") == 1
+    for full in (False, True):
+        header = dynamics.csv_header(full)
+        assert cli._csv_line(header) == _csv_writer_line(header)
 
 
 def test_iterate_json_format(capsys, tmp_path):
@@ -482,11 +510,95 @@ def test_batch_jh_singular_matrix_exit_code(capsys, tmp_path):
 
 
 def test_batch_malformed_json_line(capsys, tmp_path):
-    batch = write_batch(tmp_path, json.dumps(EXTREME_PAIR), "{not json")
+    # the reports before the failing line are out; the lines after it are
+    # never screened
+    batch = write_batch(tmp_path, json.dumps(EXTREME_PAIR),
+                        json.dumps(OBSTRUCTION_PAIR), "{not json",
+                        json.dumps(EXTREME_PAIR))
     code, out, err = run(capsys, "test", batch, "--batch")
     assert code == 2
-    assert [json.loads(line)["line"] for line in out.splitlines()] == [1]
-    assert_one_error_line(err, "line 2:")
+    assert [json.loads(line)["line"] for line in out.splitlines()] == [1, 2]
+    assert_one_error_line(err, "line 3:", "malformed JSON")
+
+
+# every separator str.splitlines() knows; text mode translates the first three
+_SEPARATORS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+               "\x85", "\u2028", "\u2029")
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(("pair", "", "  ", "padded")),
+                          st.sampled_from(_SEPARATORS)), max_size=8),
+       st.booleans())
+@example([("pair", "\r\n"), ("pair", "\r"), ("", "\r\n"), ("pair", "\x0c"),
+          ("pair", "\u2028"), ("", "\n"), ("  ", "\x85")], True)
+# the \r\n after the padded line falls in two of the reader's 8 KiB chunks
+@example([("padded", "\r\n"), ("pair", "\r\n"), ("", "\r\n")], False)
+def test_batch_line_numbers_are_those_of_splitlines(tmp_path_factory, pieces,
+                                                     final_newline):
+    pair = json.dumps(EXTREME_PAIR)
+    kinds = {"pair": pair, "padded": pair + " " * (8191 - len(pair))}
+    text = "".join(kinds.get(kind, kind) + sep for kind, sep in pieces)
+    text += "" if final_newline else pair          # a last line with no newline
+    batch = tmp_path_factory.mktemp("batch") / "pairs.jsonl"
+    batch.write_bytes(text.encode())
+    expected = [number for number, line
+                in enumerate(batch.read_text().splitlines(), 1)
+                if line.strip()]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert cli.main(["test", str(batch), "--batch"]) == cli.EXIT_OK
+    assert [json.loads(line)["line"] for line in out.getvalue().splitlines()] == expected
+    assert err.getvalue() == ""
+
+
+def test_batch_undecodable_byte_is_one_error_line(capsys, tmp_path):
+    # the lines before the undecodable chunk are reported; the position in
+    # the message is the byte's offset in that chunk of the batch, but in
+    # the whole file for a single pair, which is read in one piece
+    pair = json.dumps(EXTREME_PAIR).encode()
+    good = 20_000 // len(pair)
+    batch = tmp_path / "pairs.jsonl"
+    batch.write_bytes(b"".join(pair + b"\n" for _ in range(good)) + b"\xff\n" + pair)
+    code, out, err = run(capsys, "test", str(batch), "--batch")
+    assert code == 2
+    assert_one_error_line(err, "can't decode byte 0xff")
+    numbers = [json.loads(line)["line"] for line in out.splitlines()]
+    assert numbers == list(range(1, len(numbers) + 1)) and 0 < len(numbers) < good
+    batch.write_bytes(b"\xff" + pair)
+    code, out, err = run(capsys, "test", str(batch), "--batch")
+    assert (code, out) == (2, "")
+    assert_one_error_line(err, "can't decode byte 0xff in position 0")
+    single = tmp_path / "pair.json"
+    single.write_bytes(pair + b" " * 20_000 + b"\xff")
+    code, out, err = run(capsys, "test", str(single))
+    assert (code, out) == (2, "")
+    assert_one_error_line(err, f"can't decode byte 0xff in position {len(pair) + 20_000}")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_batch_reports_a_line_before_the_next_is_written():
+    # a batch read whole would wait for the end of its input before the
+    # first report, and this exchange would never finish
+    env = _process_env(unbuffered=True)
+    with subprocess.Popen([sys.executable, "-m", "qmobius.cli", "test",
+                           "/dev/stdin", "--batch"], stdin=subprocess.PIPE,
+                          stdout=subprocess.PIPE, env=env) as proc:
+        watchdog = threading.Timer(60, proc.kill)
+        watchdog.start()
+        try:
+            reports = []
+            for pair in (EXTREME_PAIR, OBSTRUCTION_PAIR):
+                proc.stdin.write(json.dumps(pair).encode() + b"\n")
+                proc.stdin.flush()
+                reports.append(json.loads(proc.stdout.readline()))
+            proc.stdin.close()
+            assert proc.wait(timeout=60) == 0
+        finally:
+            watchdog.cancel()
+            proc.kill()
+    assert [(r["line"], r["verdict"]) for r in reports] == [
+        (1, "extremal"), (2, "obstruction")]
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
@@ -607,32 +719,45 @@ def test_batch_non_finite_result_names_its_line(capsys, tmp_path):
         assert_one_error_line(err, "line 2:", "not finite")
 
 
-def run_process(argv, stdout):
-    """The command line in a fresh interpreter: (exit code, stdout, stderr),
-    stdout empty unless it is subprocess.PIPE."""
+def _process_env(unbuffered=False):
+    """The environment of a fresh interpreter: src/ importable, and stdout
+    unbuffered (every write a system call) only if asked."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def run_process(argv, stdout, unbuffered=False):
+    """The command line in a fresh interpreter: (exit code, stdout, stderr),
+    stdout empty unless it is subprocess.PIPE."""
     proc = subprocess.run([sys.executable, "-m", "qmobius.cli", *argv],
-                          stdout=stdout, stderr=subprocess.PIPE, env=env,
-                          timeout=60)
+                          stdout=stdout, stderr=subprocess.PIPE,
+                          env=_process_env(unbuffered), timeout=60)
     return proc.returncode, (proc.stdout or b"").decode(), proc.stderr.decode()
 
 
-@pytest.mark.parametrize("argv", [
-    ("test", json.dumps(EXTREME_PAIR)),
-    ("iterate", json.dumps(EXTREME_PAIR), "--steps", "20", "--full"),
-], ids=["test", "iterate"])
-def test_closed_stdout_exits_141_without_traceback(argv):
+@pytest.mark.parametrize("command", ["test", "iterate", "batch"])
+def test_closed_stdout_exits_141_without_traceback(tmp_path, command):
     # stdout is a pipe whose reader is already gone, as in `| head` after
-    # head has exited, so the first write fails whatever the timing
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        code, _, err = run_process(argv, write_end)
-    finally:
-        os.close(write_end)
-    assert code == 141
-    assert err == ""
+    # head has exited, so the first write fails whatever the timing; the
+    # batch outgrows stdout's buffer, so a buffered run fails mid-batch
+    argv = {
+        "test": ("test", json.dumps(EXTREME_PAIR)),
+        "iterate": ("iterate", json.dumps(EXTREME_PAIR), "--steps", "20", "--full"),
+        "batch": ("test", write_batch(tmp_path, *[json.dumps(EXTREME_PAIR)] * 64),
+                  "--batch"),
+    }[command]
+    for unbuffered in (False, True):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            code, _, err = run_process(argv, write_end, unbuffered)
+        finally:
+            os.close(write_end)
+        assert (code, err) == (141, ""), unbuffered
 
 
 def _bad_s(**entries):
@@ -667,6 +792,7 @@ REJECTED_RUNS = [
     ("extreme_steps_zero", None),
     ("iterate_overflow_keeps_output", None),
     ("stdout_full", None),
+    ("stdout_full", "batch"),
     ("output_full", None),
 ]
 
@@ -691,7 +817,9 @@ def _rejected_argv(tmp_path, case, form):
         "iterate_overflow_keeps_output": (
             "iterate", json.dumps(OVERFLOW_PAIR), "--mode", "diagonal",
             "--format", "json", "--output", str(tmp_path / "trace.json")),
-        "stdout_full": ("test", json.dumps(EXTREME_PAIR)),
+        "stdout_full": (("test", write_batch(tmp_path, *[json.dumps(EXTREME_PAIR)] * 2),
+                         "--batch") if form == "batch"
+                        else ("test", json.dumps(EXTREME_PAIR))),
         "output_full": ("iterate", json.dumps(EXTREME_PAIR), "--output", "/dev/full"),
     }[case]
 
@@ -705,11 +833,17 @@ def test_rejected_run_is_one_error_line(capsys, tmp_path, case, form):
     if case.endswith("_full"):
         if not os.path.exists("/dev/full"):
             pytest.skip("no /dev/full")
-        with open("/dev/full", "w") as full:
-            code, out, err = run_process(argv, full if case == "stdout_full"
-                                         else subprocess.PIPE)
-    else:
-        code, out, err = run(capsys, *argv)
+        # buffered, stdout fails at the final flush; unbuffered, at the
+        # first write
+        for unbuffered in (False, True):
+            with open("/dev/full", "w") as full:
+                code, out, err = run_process(argv, full if case == "stdout_full"
+                                             else subprocess.PIPE, unbuffered)
+            assert (code, out) == (2, "")
+            assert "Traceback" not in err
+            assert_one_error_line(err, "cannot write")
+        return
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert "Traceback" not in err

@@ -2,8 +2,11 @@ import dataclasses
 import json
 import math
 import random
+import reprlib
+import struct
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qmobius.quat import (Quaternion, ZERO, ONE, I, J, K, DEFAULT_TOL,
                           arg, complex_representative, isclose, similar)
@@ -154,6 +157,62 @@ def test_json_round_trip():
     for bad in (math.nan, math.inf, -math.inf, "nan", True):
         with pytest.raises(ValueError, match="finite"):
             Quaternion.from_list([1, bad, 0, 0])
+
+
+def _from_list_oracle(coords) -> list[float]:
+    """``Quaternion.from_list`` as it was before its coordinates were
+    unpacked one by one, frozen here: the accepted values and the messages
+    the current check must keep."""
+    if not isinstance(coords, (list, tuple)) or len(coords) != 4:
+        raise ValueError("quaternion encoding must be a list of 4 coordinates")
+    try:
+        values = [float(c) for c in coords if type(c) in (int, float)]
+    except OverflowError:           # an int beyond float range
+        values = []
+    if len(values) != 4 or not all(map(math.isfinite, values)):
+        raise ValueError("quaternion coordinates must be finite numbers, "
+                         f"got {reprlib.repr(coords)}")
+    return values
+
+
+def _decoded(decode, coords):
+    """The coordinates' bits, or the ValueError message."""
+    try:
+        return [struct.pack("<d", c) for c in decode(coords)]
+    except ValueError as exc:
+        return str(exc)
+
+
+_EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308)
+_coordinate = st.one_of(
+    st.floats(), st.sampled_from(_EDGE_FLOATS),
+    st.integers(), st.sampled_from((10 ** 400, -10 ** 400, 2 ** 53 + 1)),
+    st.booleans(), st.text(max_size=3), st.none(),
+    st.lists(st.floats(), max_size=4))
+_coords = st.lists(_coordinate, min_size=3, max_size=5)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.one_of(_coords, _coords.map(tuple)))
+@example([math.nan, 0, 0, 0])
+@example((0, math.inf, 0, 0))
+@example([0, 0, -math.inf, 0])
+@example((1, 2, 3, math.nan))
+@example((-0.0, 5e-324, -5e-324, 1))
+@example([1e308, 1e308, 1e308, 1e308])    # finite, with an infinite sum
+@example([10 ** 400, 0, 0, 0])
+@example((0.5, 0, 0, -10 ** 400))
+@example([2 ** 53 + 1, -7, 0, 3])
+@example([1, True, 0, 0])
+@example([0, 0, "1", 0])
+@example([0, None, 0, 0])
+@example([[1.0], 0, 0, 0])
+@example([1, 2, 3])
+@example((1, 2, 3, 4, 5))
+@example("abcd")
+def test_from_list_matches_its_frozen_oracle(coords):
+    assert (_decoded(lambda c: Quaternion.from_list(c).as_list(), coords)
+            == _decoded(_from_list_oracle, coords))
 
 
 def test_arithmetic_results_are_ordinary_quaternions():
