@@ -108,9 +108,6 @@ def _parse_pair(obj) -> tuple[MatH2, MatH2]:
     return MatH2.from_dict(obj["S"]), MatH2.from_dict(obj["T"])
 
 
-_NOT_FINITE = "result is not finite (a computation overflowed)"
-
-
 # built once: json.dumps(..., allow_nan=False) builds an encoder per call
 _ENCODERS = {indent: json.JSONEncoder(allow_nan=False, indent=indent)
              for indent in (None, 2)}
@@ -121,7 +118,7 @@ def _dumps(payload, indent=None) -> str:
     try:
         return _ENCODERS[indent].encode(payload)
     except ValueError as exc:
-        raise ValueError(_NOT_FINITE) from exc
+        raise ValueError(dynamics.NOT_FINITE) from exc
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -219,15 +216,12 @@ def cmd_iterate(args) -> int:
     if mode == "auto":
         ineq.auto_select(t, args.tol)      # a full T is an error here too
         mode = qmat.shape(t, args.tol)
+    # finite (iterate's rule) and whole before --output is opened
     trace = dynamics.iterate(s, t, args.steps, mode, tol=args.tol)
-    # whole and finite before --output is opened: the rule of _dumps
     if args.format == "json":
         text = _dumps(trace.to_dict(), indent=2) + "\n"
     else:
         rows = [dynamics.csv_row(step, args.full) for step in trace.steps]
-        if not all(math.isfinite(value) for row in rows for value in row
-                   if isinstance(value, float)):
-            raise ValueError(_NOT_FINITE)
     try:
         with (open(args.output, "w", newline="") if args.output
               else contextlib.nullcontext(sys.stdout)) as out:

@@ -2,11 +2,15 @@
 
 The sequence drives both the obstruction proofs (contraction of |b_n c_n|
 for diagonal T) and the extremality theorems (invariance of the extremal
-quantity). Each step is the full product :func:`qmat.conjugate` (bitwise
-``S_n @ T @ inverse(S_n)``, on coordinates) and the coordinate
-displacement quantities :func:`ineq.tau0_t0_upper` (J-flipped in lower
-mode). The closed entry recurrences are recomputed only to cross-check the
-products, which is itself a meaningful test of the algebra.
+quantity). :func:`iterate` keeps S_n and T as entry coordinates from input
+to output. Each step computes alpha of S_n once, for ``det`` and for the
+conjugation S_n T S_n^-1 (the coordinate core of :func:`qmat.conjugate`,
+bitwise ``S_n @ T @ inverse(S_n)``), and the displacement quantities
+through the coordinate core of :func:`ineq.tau0_t0_upper` (J-flipped in
+lower mode). Every value of a record must be finite; :func:`iterate` is
+the one place that checks. The closed entry recurrences are recomputed
+only to cross-check the products, which is itself a meaningful test of
+the algebra.
 
 A finite trace can never certify discreteness; the strongest positive
 statement made here is "extremal quantity constant over the horizon".
@@ -17,7 +21,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .quat import Quaternion, DEFAULT_TOL, _Value
+from .quat import Quaternion, DEFAULT_TOL, _Value, _new, _q
 from . import qmat, ineq
 from .qmat import MatH2
 
@@ -35,6 +39,10 @@ MIN_CLASSIFY_STEPS = 5
 # the shapes of T (qmat.shape) that iterate runs in; a diagonal T fits all
 MODES = ("diagonal", "upper", "lower")
 
+# the error of a record with a non-finite value, and of any result that
+# overflowed (the CLI's JSON encoder raises it too)
+NOT_FINITE = "result is not finite (a computation overflowed)"
+
 
 class IterationStep(_Value):
     """Per-step statistics of the sequence.
@@ -49,25 +57,51 @@ class IterationStep(_Value):
     |c_n|, |d_n|, computed once per step for the coupling, ``bc_norm``, the
     divergence check and the CSV row; the JSON record carries S itself
     instead.
+
+    S_n is stored as its 16 entry coordinates (``s_coords``: a, b, c, d,
+    each w, x, y, z) and tau/t as theirs (``tau_coords``, ``t_coords``);
+    ``s``, ``tau`` and ``t`` build the matrix and quaternions when read.
     """
 
-    __slots__ = _fields = ("n", "s", "det", "entry_norms", "tau", "t", "tau_c",
-                           "t_c", "extremal_lhs")
+    __slots__ = ("n", "s_coords", "det", "entry_norms", "tau_coords", "t_coords",
+                 "tau_c", "t_c", "extremal_lhs")
+    _fields = ("n", "s", "det", "entry_norms", "tau", "t", "tau_c", "t_c",
+               "extremal_lhs")
 
     def __init__(self, n: int, s: MatH2, det: float,
                  entry_norms: tuple[float, float, float, float],
                  tau: Quaternion | None = None, t: Quaternion | None = None,
                  tau_c: float | None = None, t_c: float | None = None,
                  extremal_lhs: float | None = None):
+        self._fill(n, tuple(x for e in s.entries() for x in e.as_list()), det,
+                   entry_norms, None if tau is None else tuple(tau.as_list()),
+                   None if t is None else tuple(t.as_list()), tau_c, t_c,
+                   extremal_lhs)
+
+    def _fill(self, n, s_coords, det, entry_norms, tau_coords, t_coords, tau_c,
+              t_c, extremal_lhs) -> "IterationStep":
         self.n = n
-        self.s = s
+        self.s_coords = s_coords
         self.det = det
         self.entry_norms = entry_norms
-        self.tau = tau
-        self.t = t
+        self.tau_coords = tau_coords
+        self.t_coords = t_coords
         self.tau_c = tau_c
         self.t_c = t_c
         self.extremal_lhs = extremal_lhs
+        return self
+
+    @property
+    def s(self) -> MatH2:
+        return qmat._from_coords(_entries(self.s_coords))
+
+    @property
+    def tau(self) -> Quaternion | None:
+        return None if self.tau_coords is None else _q(*self.tau_coords)
+
+    @property
+    def t(self) -> Quaternion | None:
+        return None if self.t_coords is None else _q(*self.t_coords)
 
     @property
     def bc_norm(self) -> float:
@@ -76,15 +110,20 @@ class IterationStep(_Value):
     def to_dict(self) -> dict:
         return {
             "n": self.n,
-            "S": self.s.to_dict(),
+            "S": {key: list(e) for key, e in zip("abcd", _entries(self.s_coords))},
             "bc_norm": self.bc_norm,
             "det": self.det,
-            "tau": None if self.tau is None else self.tau.as_list(),
-            "t": None if self.t is None else self.t.as_list(),
+            "tau": None if self.tau_coords is None else list(self.tau_coords),
+            "t": None if self.t_coords is None else list(self.t_coords),
             "tau_c": self.tau_c,
             "t_c": self.t_c,
             "extremal_lhs": self.extremal_lhs,
         }
+
+
+def _entries(s_coords):
+    """The four entry coordinate tuples of a flat 16-tuple."""
+    return (s_coords[0:4], s_coords[4:8], s_coords[8:12], s_coords[12:16])
 
 
 class IterationTrace(_Value):
@@ -125,30 +164,43 @@ def csv_row(step: IterationStep, full: bool = False) -> list:
         step.det,
     ]
     if full:
-        for entry in step.s.entries():
-            row.extend(entry.as_list())
+        row.extend(step.s_coords)
     return row
 
 
-def _step_record(n: int, s: MatH2, t_upper: MatH2, mode: str,
-                 k: float) -> tuple[IterationStep, float]:
-    """The record of S_n, and the norm of its coupling entry (c_n, or b_n
-    in lower mode). ``t_upper`` is T, J-flipped in lower mode."""
-    norms = (s.a.norm(), s.b.norm(), s.c.norm(), s.d.norm())
-    step = IterationStep(n=n, s=s, det=qmat.det(s), entry_norms=norms)
+def _record(n: int, m, det: float, t_upper, mode: str, k: float) -> IterationStep:
+    """The record of S_n from its entry coordinates m. ``t_upper`` is the
+    coordinates of T, J-flipped in lower mode, where the coupling entry and
+    tau/t are read on the flip of S_n (:func:`ineq._j_flip`; on coordinates
+    the reversed entry tuple).
+
+    Each value of the record must be finite, one at a time (a sum of finite
+    values can overflow): the first one that is not is a ``ValueError``.
+    """
+    norm2 = qmat._norm2
+    a, b, c, d = m
+    norms = (math.sqrt(norm2(a)), math.sqrt(norm2(b)),
+             math.sqrt(norm2(c)), math.sqrt(norm2(d)))
+    bc = norms[1] * norms[2]
+    checked = [*norms, det, bc]
+    tau = tt = tau_c = t_c = lhs = None
     cn = norms[1] if mode == "lower" else norms[2]
     if cn > qmat.NONZERO_TOL:
-        tau, tt = ineq.tau0_t0_upper(ineq._j_flip(s) if mode == "lower" else s,
-                                     t_upper)
-        tau_norm, t_norm = tau.norm(), tt.norm()
-        step.tau, step.t = tau, tt
-        step.tau_c = tau_norm * cn
-        step.t_c = t_norm * cn
+        tau, tt = ineq._tau0_t0(m[::-1] if mode == "lower" else m, t_upper)
+        tau_norm, t_norm = math.sqrt(norm2(tau)), math.sqrt(norm2(tt))
+        tau_c = tau_norm * cn
+        t_c = t_norm * cn
+        checked += (tau_c, t_c)
         if mode != "diagonal":
-            step.extremal_lhs = cn * math.sqrt(tau_norm * t_norm)
+            lhs = cn * math.sqrt(tau_norm * t_norm)
     if mode == "diagonal":
-        step.extremal_lhs = k * (1.0 + step.bc_norm)
-    return step, cn
+        lhs = k * (1.0 + bc)
+    if lhs is not None:
+        checked.append(lhs)
+    if not all(map(math.isfinite, checked)):
+        raise ValueError(NOT_FINITE)
+    return _new(IterationStep)._fill(n, (*a, *b, *c, *d), det, norms, tau, tt,
+                                     tau_c, t_c, lhs)
 
 
 def iterate(s: MatH2, t: MatH2, n_steps: int, mode: str,
@@ -160,7 +212,14 @@ def iterate(s: MatH2, t: MatH2, n_steps: int, mode: str,
     reaching exact zero means S_n and T share a fixed point; the trace is
     truncated there with reason "common fixed point reached". Entry norms
     beyond ``DIVERGENCE_CUTOFF`` also truncate (reason "divergence cutoff
-    exceeded") since further products only overflow.
+    exceeded") since further products only overflow, and so does an S_n
+    that :func:`qmat.nonsingular_alpha` rejects (reason "numerical
+    blow-up"). A record holding a non-finite value is a ``ValueError``
+    (:data:`NOT_FINITE`), never a trace.
+
+    S_n stays entry coordinates from step to step: alpha is computed once
+    per step, for ``det`` and for the conjugation :func:`qmat.conjugate`
+    computes, with the same bits.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -169,13 +228,16 @@ def iterate(s: MatH2, t: MatH2, n_steps: int, mode: str,
     if qmat.shape(t, tol) not in (mode, "diagonal"):
         raise ValueError(f"T does not match mode {mode!r}")
     k = ineq.k_value(t.a, t.d)
-    t_upper = ineq._j_flip(t) if mode == "lower" else t
+    t_coords = qmat._coords(t)
+    t_upper = qmat._coords(ineq._j_flip(t)) if mode == "lower" else t_coords
+    coupling = 1 if mode == "lower" else 2
     trace = IterationTrace(mode=mode)
-    current = s
+    current = qmat._coords(s)
     for n in range(n_steps + 1):
-        step, coupling_norm = _step_record(n, current, t_upper, mode, k)
+        value = qmat._alpha(current)
+        step = _record(n, current, math.sqrt(value), t_upper, mode, k)
         trace.steps.append(step)
-        if mode != "diagonal" and coupling_norm == 0.0:
+        if mode != "diagonal" and step.entry_norms[coupling] == 0.0:
             trace.truncated_reason = "common fixed point reached"
             break
         if max(step.entry_norms) > DIVERGENCE_CUTOFF:
@@ -183,7 +245,7 @@ def iterate(s: MatH2, t: MatH2, n_steps: int, mode: str,
             break
         if n < n_steps:
             try:
-                current = qmat.conjugate(current, t)
+                current = qmat._conjugate(current, t_coords, qmat._nonsingular(value))
             except ValueError:
                 # entry growth destroys the determinant (error scales with
                 # the fourth power of the entry norms) well before any
@@ -238,6 +300,8 @@ def extremal_invariance_check(s: MatH2, t: MatH2, n_steps: int,
     compared against the pointwise value under the linearly growing budget
     tol * (1 + n). The passing verdict is EXTREMAL in the sense of
     "constant over the horizon"; it never asserts the group is discrete.
+    A trace record with a non-finite value is :func:`iterate`'s
+    ``ValueError``, never a deviation that compares false.
     """
     name = ineq.auto_select(t, tol)
     # lower mode propagates the b-based quantity (see IterationStep)

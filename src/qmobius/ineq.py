@@ -161,15 +161,22 @@ def tau0_t0_upper(s: MatH2, t: MatH2) -> tuple[Quaternion, Quaternion]:
     t0   = lam (a c^-1)  + eta - (a c^-1) mu
 
     with a, c, d from S. Factor order matters and is exactly as written.
-    Computed on coordinates, with |c|^2 once, but bitwise equal to the
-    ``Quaternion`` expressions above (``c.inverse()`` for c^-1).
+    Computed on coordinates (:func:`_tau0_t0`), with |c|^2 once, but bitwise
+    equal to the ``Quaternion`` expressions above (``c.inverse()`` for c^-1).
     """
+    tau0, t0 = _tau0_t0(qmat._coords(s), qmat._coords(t))
+    return (_q(*tau0), _q(*t0))
+
+
+def _tau0_t0(s, t) -> tuple[tuple[float, float, float, float], ...]:
+    """The coordinates of :func:`tau0_t0_upper` from the entry coordinates
+    of S and T."""
     mul = qmat._mul
-    a, _, c, d = qmat._coords(s)
+    a, _, c, d = s
     n = qmat._norm2(c)
     if math.sqrt(n) <= qmat.NONZERO_TOL:
         raise ValueError("S and T share a fixed point; pair is elementary-suspect")
-    lam, (ew, ex, ey, ez), _, mu = qmat._coords(t)
+    lam, (ew, ex, ey, ez), _, mu = t
     cw, cx, cy, cz = c
     cinv = (cw / n, -cx / n, -cy / n, -cz / n)
     cinv_d = mul(cinv, d)
@@ -177,10 +184,10 @@ def tau0_t0_upper(s: MatH2, t: MatH2) -> tuple[Quaternion, Quaternion]:
     vw, vx, vy, vz = cinv_d
     pw, px, py, pz = mul(lam, (-vw, -vx, -vy, -vz))
     qw, qx, qy, qz = mul(cinv_d, mu)
-    tau0 = _q(pw + ew + qw, px + ex + qx, py + ey + qy, pz + ez + qz)
+    tau0 = (pw + ew + qw, px + ex + qx, py + ey + qy, pz + ez + qz)
     pw, px, py, pz = mul(lam, a_cinv)
     qw, qx, qy, qz = mul(a_cinv, mu)
-    t0 = _q(pw + ew - qw, px + ex - qx, py + ey - qy, pz + ez - qz)
+    t0 = (pw + ew - qw, px + ex - qx, py + ey - qy, pz + ez - qz)
     return (tau0, t0)
 
 
@@ -199,6 +206,8 @@ def _j_flip(m: MatH2) -> MatH2:
     are :func:`tau0_t0_upper` of (J S J, J T J): same products, same order.
     Gates, determinants and the diagonal quantities are read on the pair
     as given; only the coupling and displacement quantities on its flip.
+    On a tuple of entry coordinates the flip is the reversed tuple, which
+    is how ``dynamics.iterate`` flips S_n.
     """
     return MatH2(m.d, m.c, m.b, m.a)
 
@@ -288,6 +297,9 @@ def hyperbolic_commutator_test(a: MatH2, b: MatH2,
     B in Sigma with c != 0. The theorem additionally assumes the commutator
     is strictly hyperbolic, which is not algorithmically checkable here;
     the report carries ``commutator_hyperbolicity_unverified`` = 1 always.
+    delta_[A,B] is the trace of :func:`qmat.commutator` without the matrix
+    (``qmat._commutator_trace``, bitwise the same); A singular or
+    overflowing is reported before B.
     """
     k = a.a.re
     ok, dets = _pair_gates(b, a, tol, ("diagonal",))
@@ -297,8 +309,7 @@ def hyperbolic_commutator_test(a: MatH2, b: MatH2,
     ok = ok and normal_form and nontrivial and _coupling_ok(b.c.norm(), tol)
 
     delta_a = a.a.re + a.d.re
-    comm = qmat.commutator(a, b)
-    delta_comm = comm.a.re + comm.d.re
+    delta_comm = qmat._commutator_trace(a, b)
     sigma_b, _ = qmat.parker_short(b)
     term_a = abs(delta_a * delta_a - 4.0)
     term_c = abs(delta_comm - 2.0)

@@ -14,8 +14,12 @@ path. They compute on entry coordinates and build only their result
 quaternions, but each result coordinate is the float expression of the
 ``Quaternion`` formula in its docstring, evaluated in the same order: the
 results are bitwise equal to that formula's, error types included. One
-helper holds each formula (``_mul``, ``_prod_sum``, ``_inverse_entry``),
-and the kernels share their coordinate tuples.
+helper holds each formula (``_mul``, ``_re_mul``, ``_prod_sum``,
+``_inverse_entry``), and the kernels share their coordinate tuples. The
+callers that read only part of a result stay on coordinates throughout:
+``_conjugate`` takes an alpha already computed (``dynamics.iterate``
+computes it once per step), and ``_commutator_trace`` evaluates only the
+real parts of the commutator's diagonal (``ineq`` ``jh``).
 """
 
 from __future__ import annotations
@@ -101,6 +105,13 @@ def _mul(p, q) -> tuple[float, float, float, float]:
             pw * qz + px * qy - py * qx + pz * qw)
 
 
+def _re_mul(p, q) -> float:
+    """Re(p q): the w coordinate of :func:`_mul`, the same expression."""
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    return pw * qw - px * qx - py * qy - pz * qz
+
+
 def _prod_sum(p, q, r, s) -> tuple[float, float, float, float]:
     """Coordinates of p q + r s: one entry of a matrix product."""
     pw, px, py, pz = _mul(p, q)
@@ -165,10 +176,15 @@ def alpha(m: MatH2) -> float:
     determinant); tiny negative rounding residue is clamped away, but not
     an overflow (inf - inf = NaN), which must not read as a singular matrix.
     """
-    a, b, c, d = _coords(m)
+    return _alpha(_coords(m))
+
+
+def _alpha(m) -> float:
+    """:func:`alpha` of the matrix with entry coordinates m."""
+    a, b, c, d = m
     pw, px, py, pz = _mul(_mul(a, _conj(c)), d)
     bw, bx, by, bz = b
-    # Re(p conj(b)): the w coordinate of _mul(p, _conj(b))
+    # Re(p conj(b)): _re_mul(p, _conj(b)), written out on the hot path
     value = (_norm2(a) * _norm2(d) + _norm2(b) * _norm2(c)
              - 2.0 * (pw * bw - px * -bx - py * -by - pz * -bz))
     return 0.0 if value < 0.0 else value
@@ -180,7 +196,7 @@ def det(m: MatH2) -> float:
     Coincides with |ad - a c a^-1 b| whenever a != 0; the alpha route is
     used because it needs no inverses.
     """
-    return math.sqrt(alpha(m))
+    return math.sqrt(_alpha(_coords(m)))
 
 
 def nonsingular_alpha(m: MatH2) -> float:
@@ -189,9 +205,14 @@ def nonsingular_alpha(m: MatH2) -> float:
     The one owner of the singular/overflow decision: det = sqrt(alpha) <=
     NONZERO_TOL is a :class:`SingularMatrixError`; a non-finite alpha
     (entries that overflow, inf - inf = NaN included) is a ``ValueError``,
-    never a NaN result.
+    never a NaN result. The coordinate kernels apply the same rule,
+    ``_nonsingular``, to an alpha they have already computed.
     """
-    value = alpha(m)
+    return _nonsingular(_alpha(_coords(m)))
+
+
+def _nonsingular(value: float) -> float:
+    """The rule of :func:`nonsingular_alpha`, on an alpha already computed."""
     if math.sqrt(value) <= NONZERO_TOL:
         raise SingularMatrixError("singular matrix")
     if not math.isfinite(value):
@@ -303,13 +324,15 @@ def inverse(m: MatH2) -> MatH2:
     Kellerhals routes (:func:`tilde_set`, :func:`inverse_r`) stay as the
     paper's quantities and as test oracles.
     """
-    return _from_coords(_inverse_coords(m))
+    m = _coords(m)
+    return _from_coords(_inverse_coords(m, _nonsingular(_alpha(m))))
 
 
-def _inverse_coords(m: MatH2) -> tuple[tuple[float, float, float, float], ...]:
-    """Coordinates of the four entries of :func:`inverse`, with its checks."""
-    s = 1.0 / nonsingular_alpha(m)
-    a, b, c, d = _coords(m)
+def _inverse_coords(m, value: float) -> tuple[tuple[float, float, float, float], ...]:
+    """Coordinates of the four entries of :func:`inverse` of the matrix with
+    entry coordinates m, given its alpha ``value`` (checked by the caller)."""
+    s = 1.0 / value
+    a, b, c, d = m
     return (_inverse_entry(a, d, c, b, s), _inverse_entry(c, b, a, d, s),
             _inverse_entry(b, c, d, a, s), _inverse_entry(d, a, b, c, s))
 
@@ -337,13 +360,32 @@ def conjugate(m: MatH2, t: MatH2) -> MatH2:
     m t and the entries of m^-1 stay coordinate tuples, and only the four
     result quaternions are built.
     """
-    return _from_coords(_product(_product(_coords(m), _coords(t)),
-                                 _inverse_coords(m)))
+    m = _coords(m)
+    return _from_coords(_conjugate(m, _coords(t), _nonsingular(_alpha(m))))
+
+
+def _conjugate(m, t, value: float) -> tuple[tuple[float, float, float, float], ...]:
+    """Entry coordinates of :func:`conjugate` from those of m and t, given
+    m's alpha ``value`` (checked by the caller)."""
+    return _product(_product(m, t), _inverse_coords(m, value))
 
 
 def commutator(a: MatH2, b: MatH2) -> MatH2:
-    """A B A^-1 B^-1."""
+    """A B A^-1 B^-1. :func:`_commutator_trace` computes its trace alone."""
     return conjugate(a, b) @ inverse(b)
+
+
+def _commutator_trace(a: MatH2, b: MatH2) -> float:
+    """Re(c.a) + Re(c.d) of c = :func:`commutator` (a, b), bitwise and with
+    the same errors in the same order (a's check before b's).
+
+    The product (a b a^-1) b^-1 is evaluated only for the w coordinates of
+    its two diagonal entries, each the expression of ``_prod_sum``.
+    """
+    a, b = _coords(a), _coords(b)
+    xa, xb, xc, xd = _conjugate(a, b, _nonsingular(_alpha(a)))
+    e, f, g, h = _inverse_coords(b, _nonsingular(_alpha(b)))
+    return (_re_mul(xa, e) + _re_mul(xb, g)) + (_re_mul(xc, f) + _re_mul(xd, h))
 
 
 def foreman_invariants(m: MatH2) -> tuple[float, float, float]:

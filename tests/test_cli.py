@@ -68,6 +68,21 @@ JSS2_POWER_PAIR = {
                     quat_list(0.8, -0.6)),
 }
 
+# iterate records that overflow: K = inf at step 0 (T = diag(1e160, 1e-160)),
+# alpha = inf + inf - inf = NaN at step 0, and det = inf at step 1 after a
+# finite step 0 (T = diag(1e80, 1e-80))
+_UNIT_S = matrix_obj(quat_list(1), quat_list(0.5), quat_list(0.3), quat_list(1.15))
+ITERATE_OVERFLOWS = {
+    "k_inf": {"v": 1, "S": _UNIT_S,
+              "T": matrix_obj(quat_list(1e160), quat_list(), quat_list(),
+                              quat_list(1e-160))},
+    "alpha_nan": {"v": 1, "S": matrix_obj(*[quat_list(1e200)] * 4),
+                  "T": OVERFLOW_PAIR["T"]},
+    "step_1": {"v": 1, "S": _UNIT_S,
+               "T": matrix_obj(quat_list(1e80), quat_list(), quat_list(),
+                               quat_list(1e-80))},
+}
+
 # elliptic T with angle sum 1e-154: cot^2 of half of it overflows at --tol 0
 TINY_ANGLE_PAIR = {
     "v": 1,
@@ -698,9 +713,13 @@ def test_readme_pair_extreme_over_sixty_steps(capsys):
     ("test", json.dumps(JSS2_POWER_PAIR), "--select", "jss2"),
     ("extreme", json.dumps(TINY_ANGLE_PAIR), "--tol", "0"),
     ("test", json.dumps(TINY_ANGLE_PAIR), "--select", "extreme", "--tol", "0"),
+    *[("iterate", json.dumps(pair), *fmt) for pair in ITERATE_OVERFLOWS.values()
+      for fmt in (("--full",), ("--format", "json"))],
 ], ids=["test_json", "test_text", "iterate_json", "iterate_csv", "invariants",
         "classify", "wat_pole", "jss2_bc_norm", "jss2_power", "extreme_cot",
-        "test_extreme_cot"])
+        "test_extreme_cot",
+        *[f"iterate_{name}_{fmt}" for name in ITERATE_OVERFLOWS
+          for fmt in ("csv", "json")]])
 def test_non_finite_result_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2

@@ -232,7 +232,10 @@ def test_property_det_is_multiplicative(m1, m2):
 #
 # MatH2 @, alpha and inverse compute on coordinates. These references are
 # the same formulas composed from Quaternion arithmetic; the kernels must
-# agree with them bit for bit, error types included.
+# agree with them bit for bit, error types included. The kernels that skip
+# part of a result are checked against the public function they stand in
+# for: the commutator's trace against commutator(a, b), and the
+# conjugation given alpha (as iterate runs it) against conjugate.
 
 def _reference_matmul(m: MatH2, n: MatH2) -> MatH2:
     return MatH2(m.a * n.a + m.b * n.c, m.a * n.b + m.b * n.d,
@@ -265,6 +268,16 @@ def _reference_conjugate(m: MatH2, t: MatH2) -> MatH2:
 
 def _reference_commutator(a: MatH2, b: MatH2) -> MatH2:
     return _reference_matmul(_reference_conjugate(a, b), _reference_inverse(b))
+
+
+def _trace_of_commutator(a: MatH2, b: MatH2) -> float:
+    comm = qmat.commutator(a, b)
+    return comm.a.re + comm.d.re
+
+
+def _conjugate_given_alpha(m: MatH2, t: MatH2) -> MatH2:
+    return qmat._from_coords(qmat._conjugate(qmat._coords(m), qmat._coords(t),
+                                             qmat.nonsingular_alpha(m)))
 
 
 def _reference_tau0_t0_upper(s: MatH2, t: MatH2) -> tuple:
@@ -336,6 +349,10 @@ def test_property_kernels_are_bitwise_the_quaternion_formulas(m):
             (qmat.conjugate, _reference_conjugate, (m, n)),
             (qmat.conjugate, _reference_conjugate, (n, m)),
             (qmat.commutator, _reference_commutator, (m, n)),
+            (qmat._commutator_trace, _trace_of_commutator, (m, n)),
+            (qmat._commutator_trace, _trace_of_commutator, (n, m)),
+            (_conjugate_given_alpha, qmat.conjugate, (m, n)),
+            (_conjugate_given_alpha, qmat.conjugate, (n, m)),
             (ineq.tau0_t0_upper, _reference_tau0_t0_upper, (m, n))):
         assert _outcome(kernel, *args) == _outcome(reference, *args)
     # the lower formulas are the upper kernel on the J-flipped pair
@@ -443,6 +460,17 @@ def test_commutator_trivial_cases():
         comm = qmat.commutator(m, other)
         assert (comm.a - ONE).norm() < 1e-12 and (comm.d - ONE).norm() < 1e-12
         assert comm.b.norm() < 1e-12 and comm.c.norm() < 1e-12
+
+
+def test_commutator_trace_checks_a_before_b():
+    singular = real_matrix(1, 1, 1, 1)
+    overflow = real_matrix(1e200, 1e200, 1e200, 1)
+    for a, b, error in ((singular, overflow, qmat.SingularMatrixError),
+                        (overflow, singular, ValueError)):
+        for fn in (qmat.commutator, qmat._commutator_trace):
+            with pytest.raises(ValueError) as info:
+                fn(a, b)
+            assert type(info.value) is error
 
 
 def test_commutator_delta_identity():
