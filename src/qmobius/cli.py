@@ -37,17 +37,22 @@ constant (see the README).
 
 from __future__ import annotations
 
+# The package's layers are imported before the standard library's modules.
+# A process that writes no bytecode compiles each layer from source; done
+# first, the compiler's short-lived memory is freed before argparse and json
+# load and they reuse it, where otherwise it would stack on top of them, so
+# peak RSS is lower. dynamics and moebius are imported by the commands that
+# run them.
+from . import ineq, qmat
+from .qmat import MatH2
+from .quat import DEFAULT_TOL
+
 import argparse
 import contextlib
 import json
 import math
 import os
 import sys
-from pathlib import Path
-
-from . import dynamics, ineq, moebius, qmat
-from .qmat import MatH2
-from .quat import DEFAULT_TOL
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -73,7 +78,7 @@ def _read_file(path: str, read):
     """Yield from ``read(file)`` on the text file PATH. The one rule for input
     files: one that cannot be opened or read is a usage error."""
     try:
-        with Path(path).open() as f:
+        with open(path) as f:
             yield from read(f)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
@@ -118,7 +123,7 @@ def _dumps(payload, indent=None) -> str:
     try:
         return _ENCODERS[indent].encode(payload)
     except ValueError as exc:
-        raise ValueError(dynamics.NOT_FINITE) from exc
+        raise ValueError(qmat.NOT_FINITE) from exc
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -160,6 +165,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from . import moebius
     m, d = _load_nonsingular(args.matrix)
     kind = moebius.classify_normal_form(m, args.tol)
     payload = {"class": kind.value, "det": d}
@@ -211,6 +217,7 @@ def _csv_line(fields) -> str:
 
 
 def cmd_iterate(args) -> int:
+    from . import dynamics
     s, t = _parse_pair(_load_json(args.pair))
     mode = args.mode
     if mode == "auto":
@@ -248,6 +255,7 @@ def cmd_iterate(args) -> int:
 
 
 def cmd_extreme(args) -> int:
+    from . import dynamics
     s, t = _parse_pair(_load_json(args.pair))
     payload = {}
     if qmat.shape(t, args.tol) == "diagonal":
@@ -297,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_it = sub.add_parser("iterate", help="run the conjugation sequence")
     p_it.add_argument("pair", help="pair JSON (inline or file path)")
     p_it.add_argument("--steps", type=int, default=25)
-    p_it.add_argument("--mode", choices=("auto",) + dynamics.MODES,
+    p_it.add_argument("--mode", choices=("auto",) + qmat.MODES,
                       default="auto")
     p_it.add_argument("--output", help="write the trace here instead of stdout")
     p_it.add_argument("--full", action="store_true",

@@ -23,7 +23,7 @@ import math
 
 from .quat import Quaternion, DEFAULT_TOL, _Value, _new, _q
 from . import qmat, ineq
-from .qmat import MatH2
+from .qmat import MODES, NOT_FINITE, MatH2
 
 DIVERGENCE_CUTOFF = 1e8
 ELEMENTARY_CUTOFF = 1e-10
@@ -35,13 +35,6 @@ RECURRENCE_TOL = 1e-7
 
 # the shortest trace (records, S_0 included) that classify_convergence judges
 MIN_CLASSIFY_STEPS = 5
-
-# the shapes of T (qmat.shape) that iterate runs in; a diagonal T fits all
-MODES = ("diagonal", "upper", "lower")
-
-# the error of a record with a non-finite value, and of any result that
-# overflowed (the CLI's JSON encoder raises it too)
-NOT_FINITE = "result is not finite (a computation overflowed)"
 
 
 class IterationStep(_Value):

@@ -28,7 +28,7 @@ import enum
 import math
 
 from .quat import Quaternion, ONE, DEFAULT_TOL, _Value, _q, arg, similar
-from . import qmat, moebius
+from . import qmat
 from .qmat import MatH2
 
 # An extremal verdict means an exact equality held; the fixed slack is
@@ -212,11 +212,13 @@ def _j_flip(m: MatH2) -> MatH2:
     return MatH2(m.d, m.c, m.b, m.a)
 
 
-def _pair_gates(s: MatH2, t: MatH2, tol: float,
-                shapes: tuple[str, ...]) -> tuple[bool, dict[str, float]]:
+def _pair_gates(s: MatH2, t: MatH2, tol: float, shapes: tuple[str, ...],
+                dets: tuple[float, float] | None = None) -> tuple[bool, dict[str, float]]:
     """Whether T has one of ``shapes`` (:func:`qmat.shape`) and S and T both
-    have determinant 1 within tol; diagnostics start with det_S and det_T."""
-    diag = {"det_S": qmat.det(s), "det_T": qmat.det(t)}
+    have determinant 1 within tol; diagnostics start with det_S and det_T.
+    ``dets`` are those two determinants when the caller has them already."""
+    det_s, det_t = (qmat.det(s), qmat.det(t)) if dets is None else dets
+    diag = {"det_S": det_s, "det_T": det_t}
     ok = (qmat.shape(t, tol) in shapes
           and abs(diag["det_S"] - 1.0) <= tol and abs(diag["det_T"] - 1.0) <= tol)
     return ok, diag
@@ -298,18 +300,20 @@ def hyperbolic_commutator_test(a: MatH2, b: MatH2,
     is strictly hyperbolic, which is not algorithmically checkable here;
     the report carries ``commutator_hyperbolicity_unverified`` = 1 always.
     delta_[A,B] is the trace of :func:`qmat.commutator` without the matrix
-    (``qmat._commutator_trace``, bitwise the same); A singular or
+    (``qmat._commutator_trace``, bitwise the same), computed with alpha of
+    A and of B, which the determinant gates read too; A singular or
     overflowing is reported before B.
     """
     k = a.a.re
-    ok, dets = _pair_gates(b, a, tol, ("diagonal",))
+    alpha_a, alpha_b, delta_comm = qmat._alphas_and_commutator_trace(a, b)
+    ok, dets = _pair_gates(b, a, tol, ("diagonal",),
+                           (math.sqrt(alpha_b), math.sqrt(alpha_a)))
     normal_form = (a.a.im_norm() <= tol and a.d.im_norm() <= tol
                    and abs(k * a.d.re - 1.0) <= tol)
     nontrivial = abs(abs(k) - 1.0) > tol and abs(k) > tol
     ok = ok and normal_form and nontrivial and _coupling_ok(b.c.norm(), tol)
 
     delta_a = a.a.re + a.d.re
-    delta_comm = qmat._commutator_trace(a, b)
     sigma_b, _ = qmat.parker_short(b)
     term_a = abs(delta_a * delta_a - 4.0)
     term_c = abs(delta_comm - 2.0)
@@ -442,6 +446,7 @@ def waterman_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestReport:
     displacement is the corresponding displacement quantity times
     lam^-1, so the left-hand sides agree when |lam| = 1.
     """
+    from . import moebius       # the one evaluator that acts on points
     lam, eta, mu = t.a, t.b, t.d
     im_lam = lam.im_norm()
     ok, diag = _pair_gates(s, t, tol, ("upper", "diagonal"))

@@ -18,8 +18,9 @@ helper holds each formula (``_mul``, ``_re_mul``, ``_prod_sum``,
 ``_inverse_entry``), and the kernels share their coordinate tuples. The
 callers that read only part of a result stay on coordinates throughout:
 ``_conjugate`` takes an alpha already computed (``dynamics.iterate``
-computes it once per step), and ``_commutator_trace`` evaluates only the
-real parts of the commutator's diagonal (``ineq`` ``jh``).
+computes it once per step), and ``_alphas_and_commutator_trace``
+evaluates only the real parts of the commutator's diagonal, returning the
+two alphas it computes on the way (``ineq`` ``jh`` gates on them).
 """
 
 from __future__ import annotations
@@ -32,6 +33,14 @@ from .quat import Quaternion, ZERO, ONE, DEFAULT_TOL, _Frozen, _q
 # between algebraic case formulas. Dispatch must be deterministic under
 # rounding, hence a hard cutoff rather than a relative test.
 NONZERO_TOL = 1e-12
+
+# the shapes of T (:func:`shape`) that ``dynamics.iterate`` runs in; a
+# diagonal T fits all
+MODES = ("diagonal", "upper", "lower")
+
+# the error of a result with a non-finite value: an ``iterate`` record, or
+# any result that overflowed (the CLI's JSON encoder raises it too)
+NOT_FINITE = "result is not finite (a computation overflowed)"
 
 
 class SingularMatrixError(ValueError):
@@ -377,15 +386,24 @@ def commutator(a: MatH2, b: MatH2) -> MatH2:
 
 def _commutator_trace(a: MatH2, b: MatH2) -> float:
     """Re(c.a) + Re(c.d) of c = :func:`commutator` (a, b), bitwise and with
-    the same errors in the same order (a's check before b's).
+    the same errors in the same order (a's check before b's)."""
+    return _alphas_and_commutator_trace(a, b)[2]
+
+
+def _alphas_and_commutator_trace(a: MatH2, b: MatH2) -> tuple[float, float, float]:
+    """:func:`alpha` of a and of b, each computed once, and
+    :func:`_commutator_trace` (a, b): ``ineq`` ``jh`` gates on the two
+    determinants and reads the trace.
 
     The product (a b a^-1) b^-1 is evaluated only for the w coordinates of
     its two diagonal entries, each the expression of ``_prod_sum``.
     """
     a, b = _coords(a), _coords(b)
-    xa, xb, xc, xd = _conjugate(a, b, _nonsingular(_alpha(a)))
-    e, f, g, h = _inverse_coords(b, _nonsingular(_alpha(b)))
-    return (_re_mul(xa, e) + _re_mul(xb, g)) + (_re_mul(xc, f) + _re_mul(xd, h))
+    alpha_a, alpha_b = _alpha(a), _alpha(b)
+    xa, xb, xc, xd = _conjugate(a, b, _nonsingular(alpha_a))
+    e, f, g, h = _inverse_coords(b, _nonsingular(alpha_b))
+    return (alpha_a, alpha_b,
+            (_re_mul(xa, e) + _re_mul(xb, g)) + (_re_mul(xc, f) + _re_mul(xd, h)))
 
 
 def foreman_invariants(m: MatH2) -> tuple[float, float, float]:

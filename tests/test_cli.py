@@ -223,7 +223,7 @@ def test_iterate_csv_and_summary(capsys):
                          "--steps", "5")
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == list(cli.dynamics.csv_header())
+    assert rows[0] == list(dynamics.csv_header())
     assert len(rows) == 7        # header + steps 0..5
     assert float(rows[1][8]) == pytest.approx(1.0, abs=1e-12)
     summary = json.loads(err)

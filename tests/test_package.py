@@ -1,5 +1,7 @@
 import copy
 import dataclasses
+import importlib
+import json
 import os
 import pickle
 import subprocess
@@ -18,25 +20,96 @@ from qmobius.qmat import InvariantSet, MatH2, TildeSet
 from qmobius.quat import Quaternion, ONE, I, J, K
 
 
+# the public names by home module, frozen: the lazy namespace must keep
+# each name, its place in __all__ and the object it names
+PUBLIC = {
+    "quat": ["Quaternion", "DEFAULT_TOL", "arg", "complex_representative", "similar"],
+    "qmat": ["InvariantSet", "MatH2", "TildeSet", "alpha", "commutator", "det",
+             "diagonal", "foreman_invariants", "identity", "in_sigma",
+             "invariant_set", "inverse", "lower_triangular", "normalize_to_sigma",
+             "parker_short", "tilde_set", "upper_triangular"],
+    "moebius": ["ALL_POINTS", "INFINITY", "IsometryClass", "apply",
+                "classify_normal_form"],
+    "ineq": ["TestReport", "Verdict", "auto_select", "beta_t", "extremality_criteria",
+             "hyperbolic_commutator_test", "jg_test", "jss2_test", "jss_test",
+             "jssc2_test", "jlt_test", "k_value", "kellerhals_form",
+             "non_extreme_tau_test", "rez_test", "s_value", "waterman_test"],
+    "dynamics": ["ConvergenceKind", "IterationTrace", "classify_convergence",
+                 "extremal_invariance_check", "iterate", "verify_recurrence"],
+}
+
+
 def test_public_names():
+    assert qmobius.__all__ == [*(n for names in PUBLIC.values() for n in names),
+                               "__version__"]
     assert len(qmobius.__all__) == len(set(qmobius.__all__)) == 51
-    assert "__version__" in qmobius.__all__
+    for home, names in PUBLIC.items():
+        module = importlib.import_module(f"qmobius.{home}")
+        for name in names:
+            assert getattr(qmobius, name) is getattr(module, name), name
     for name in qmobius.__all__:
         assert not isinstance(getattr(qmobius, name), ModuleType), name
 
 
+def test_lazy_namespace_is_a_plain_module_namespace():
+    assert set(qmobius.__all__) <= set(dir(qmobius))
+    assert qmobius.dynamics is importlib.import_module("qmobius.dynamics")
+    with pytest.raises(AttributeError) as info:
+        qmobius.no_such_name
+    assert type(info.value) is AttributeError
+    assert str(info.value) == "module 'qmobius' has no attribute 'no_such_name'"
+    assert not hasattr(qmobius, "tau0_t0_upper")    # public in ineq, not here
+
+
+# two processes, each running two commands in turn: what each command
+# loads on top of import qmobius.cli and the command before it
+_PAIR = json.dumps({"S": {"a": [1, 0, 0, 0], "b": [0, 0, 0, 0], "c": [1, 0, 0, 0],
+                          "d": [1, 0, 0, 0]},
+                    "T": {"a": [1, 0, 0, 0], "b": [0, 0, 1, 0], "c": [0, 0, 0, 0],
+                          "d": [1, 0, 0, 0]}})
+_RUNS = [
+    [(["iterate", _PAIR, "--steps", "1"], "dynamics"),
+     (["classify", json.dumps(json.loads(_PAIR)["T"])], "moebius")],
+    [(["extreme", _PAIR, "--steps", "1"], "dynamics"),
+     (["test", _PAIR, "--select", "wat"], "moebius")],
+]
+_PROBE = """
+import json, sys
+def loaded():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "qmobius")
+import qmobius
+seen = [loaded()]
+import qmobius.cli
+seen.append(loaded())
+stdlib = sorted({"dataclasses", "inspect", "pathlib"} & set(sys.modules))
+for argv in json.loads(sys.argv[1]):
+    qmobius.cli.main(argv)
+    seen.append(loaded())
+print(json.dumps([stdlib, seen]))
+"""
+
+
 def test_cli_import_loads_no_dataclasses():
-    # every CLI run is a fresh process, so what importing the CLI loads is
-    # start-up time; -S keeps site's .pth hooks, which import what they like,
-    # out of the result
+    # every CLI run is a fresh process, so what importing the CLI and running
+    # a command load is start-up time; -S keeps site's .pth hooks, which
+    # import what they like, out of the result
     src = Path(__file__).resolve().parent.parent / "src"
-    code = ("import sys, qmobius.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=str(src)),
-                          timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    procs = [subprocess.Popen(
+        [sys.executable, "-S", "-c", _PROBE, json.dumps([argv for argv, _ in run])],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+        for run in _RUNS]
+    for run, proc in zip(_RUNS, procs):
+        stdout, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == 0, stderr
+        stdlib, seen = json.loads(stdout.splitlines()[-1])
+        assert stdlib == []
+        expected = [["qmobius"],
+                    ["qmobius", "qmobius.cli", "qmobius.ineq", "qmobius.qmat",
+                     "qmobius.quat"]]
+        for argv, module in run:
+            expected.append(sorted([*expected[-1], f"qmobius.{module}"]))
+        assert seen == expected, [argv[0] for argv, _ in run]
 
 
 M = MatH2(Quaternion(2, 0.5, -1, 0.25), Quaternion(0.5, 1), Quaternion(0, 0, 0.3),
