@@ -225,18 +225,15 @@ def cmd_iterate(args) -> int:
         mode = qmat.shape(t, args.tol)
     # finite (iterate's rule) and whole before --output is opened
     trace = dynamics.iterate(s, t, args.steps, mode, tol=args.tol)
-    if args.format == "json":
-        text = _dumps(trace.to_dict(), indent=2) + "\n"
-    else:
-        rows = [dynamics.csv_row(step, args.full) for step in trace.steps]
     try:
         with (open(args.output, "w", newline="") if args.output
               else contextlib.nullcontext(sys.stdout)) as out:
             if args.format == "json":
-                out.write(text)
+                out.write(_dumps(trace.to_dict(), indent=2) + "\n")
             else:
                 out.write(_csv_line(dynamics.csv_header(args.full)))
-                out.writelines(map(_csv_line, rows))   # one row at a time
+                out.writelines(_csv_line(dynamics.csv_row(step, args.full))
+                               for step in trace.steps)   # one row at a time
             out.flush()             # a failed stdout fails before the summary
     except OSError as exc:
         if not args.output:

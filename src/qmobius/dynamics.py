@@ -4,13 +4,13 @@ The sequence drives both the obstruction proofs (contraction of |b_n c_n|
 for diagonal T) and the extremality theorems (invariance of the extremal
 quantity). :func:`iterate` keeps S_n and T as entry coordinates from input
 to output. Each step computes alpha of S_n once, for ``det`` and for the
-conjugation S_n T S_n^-1 (the coordinate core of :func:`qmat.conjugate`,
-bitwise ``S_n @ T @ inverse(S_n)``), and the displacement quantities
-through the coordinate core of :func:`ineq.tau0_t0_upper` (J-flipped in
-lower mode). Every value of a record must be finite; :func:`iterate` is
-the one place that checks. The closed entry recurrences are recomputed
-only to cross-check the products, which is itself a meaningful test of
-the algebra.
+conjugation S_n T S_n^-1 (``qmat._conjugate``, bitwise
+``S_n @ T @ inverse(S_n)``), and the displacement quantities through the
+coordinate core of :func:`ineq.tau0_t0_upper` (J-flipped in lower mode).
+Every value of a record must be finite; :func:`iterate` is the one place
+that checks. The closed entry recurrences are recomputed only to
+cross-check the products, which is itself a meaningful test of the
+algebra.
 
 A finite trace can never certify discreteness; the strongest positive
 statement made here is "extremal quantity constant over the horizon".
@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .quat import Quaternion, DEFAULT_TOL, _Value, _new, _q
+from .quat import Quaternion, DEFAULT_TOL, _Value, _q
 from . import qmat, ineq
 from .qmat import MODES, NOT_FINITE, MatH2
 
@@ -52,27 +52,20 @@ class IterationStep(_Value):
     instead.
 
     S_n is stored as its 16 entry coordinates (``s_coords``: a, b, c, d,
-    each w, x, y, z) and tau/t as theirs (``tau_coords``, ``t_coords``);
-    ``s``, ``tau`` and ``t`` build the matrix and quaternions when read.
+    each w, x, y, z) and tau/t as theirs (``tau_coords``, ``t_coords``,
+    None where undefined); ``s``, ``tau`` and ``t`` build the matrix and
+    quaternions when read.
     """
 
-    __slots__ = ("n", "s_coords", "det", "entry_norms", "tau_coords", "t_coords",
-                 "tau_c", "t_c", "extremal_lhs")
-    _fields = ("n", "s", "det", "entry_norms", "tau", "t", "tau_c", "t_c",
-               "extremal_lhs")
+    __slots__ = _fields = ("n", "s_coords", "det", "entry_norms", "tau_coords",
+                           "t_coords", "tau_c", "t_c", "extremal_lhs")
 
-    def __init__(self, n: int, s: MatH2, det: float,
+    def __init__(self, n: int, s_coords: tuple[float, ...], det: float,
                  entry_norms: tuple[float, float, float, float],
-                 tau: Quaternion | None = None, t: Quaternion | None = None,
-                 tau_c: float | None = None, t_c: float | None = None,
-                 extremal_lhs: float | None = None):
-        self._fill(n, tuple(x for e in s.entries() for x in e.as_list()), det,
-                   entry_norms, None if tau is None else tuple(tau.as_list()),
-                   None if t is None else tuple(t.as_list()), tau_c, t_c,
-                   extremal_lhs)
-
-    def _fill(self, n, s_coords, det, entry_norms, tau_coords, t_coords, tau_c,
-              t_c, extremal_lhs) -> "IterationStep":
+                 tau_coords: tuple[float, float, float, float] | None,
+                 t_coords: tuple[float, float, float, float] | None,
+                 tau_c: float | None, t_c: float | None,
+                 extremal_lhs: float | None):
         self.n = n
         self.s_coords = s_coords
         self.det = det
@@ -82,7 +75,6 @@ class IterationStep(_Value):
         self.tau_c = tau_c
         self.t_c = t_c
         self.extremal_lhs = extremal_lhs
-        return self
 
     @property
     def s(self) -> MatH2:
@@ -192,8 +184,7 @@ def _record(n: int, m, det: float, t_upper, mode: str, k: float) -> IterationSte
         checked.append(lhs)
     if not all(map(math.isfinite, checked)):
         raise ValueError(NOT_FINITE)
-    return _new(IterationStep)._fill(n, (*a, *b, *c, *d), det, norms, tau, tt,
-                                     tau_c, t_c, lhs)
+    return IterationStep(n, (*a, *b, *c, *d), det, norms, tau, tt, tau_c, t_c, lhs)
 
 
 def iterate(s: MatH2, t: MatH2, n_steps: int, mode: str,
@@ -211,8 +202,8 @@ def iterate(s: MatH2, t: MatH2, n_steps: int, mode: str,
     (:data:`NOT_FINITE`), never a trace.
 
     S_n stays entry coordinates from step to step: alpha is computed once
-    per step, for ``det`` and for the conjugation :func:`qmat.conjugate`
-    computes, with the same bits.
+    per step, for ``det`` and for the conjugation, which has the bits of
+    ``S_n @ T @ inverse(S_n)``.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -222,7 +213,7 @@ def iterate(s: MatH2, t: MatH2, n_steps: int, mode: str,
         raise ValueError(f"T does not match mode {mode!r}")
     k = ineq.k_value(t.a, t.d)
     t_coords = qmat._coords(t)
-    t_upper = qmat._coords(ineq._j_flip(t)) if mode == "lower" else t_coords
+    t_upper = t_coords[::-1] if mode == "lower" else t_coords
     coupling = 1 if mode == "lower" else 2
     trace = IterationTrace(mode=mode)
     current = qmat._coords(s)

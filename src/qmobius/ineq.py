@@ -207,7 +207,7 @@ def _j_flip(m: MatH2) -> MatH2:
     Gates, determinants and the diagonal quantities are read on the pair
     as given; only the coupling and displacement quantities on its flip.
     On a tuple of entry coordinates the flip is the reversed tuple, which
-    is how ``dynamics.iterate`` flips S_n.
+    is how ``dynamics.iterate`` flips S_n and T.
     """
     return MatH2(m.d, m.c, m.b, m.a)
 
@@ -299,10 +299,10 @@ def hyperbolic_commutator_test(a: MatH2, b: MatH2,
     B in Sigma with c != 0. The theorem additionally assumes the commutator
     is strictly hyperbolic, which is not algorithmically checkable here;
     the report carries ``commutator_hyperbolicity_unverified`` = 1 always.
-    delta_[A,B] is the trace of :func:`qmat.commutator` without the matrix
-    (``qmat._commutator_trace``, bitwise the same), computed with alpha of
-    A and of B, which the determinant gates read too; A singular or
-    overflowing is reported before B.
+    delta_[A,B] is the trace of :func:`qmat.commutator` without the matrix,
+    bitwise the ``a.re + d.re`` of ``commutator(a, b)``, computed with
+    alpha of A and of B, which the determinant gates read too; A singular
+    or overflowing is reported before B.
     """
     k = a.a.re
     alpha_a, alpha_b, delta_comm = qmat._alphas_and_commutator_trace(a, b)

@@ -8,19 +8,20 @@ Parker-Short quantities (sigma, tau). The group of determinant-1 matrices
 boundary action lives in :mod:`qmobius.moebius`.
 
 ``MatH2 @``, :func:`alpha` (hence :func:`det` and
-:func:`nonsingular_alpha`), :func:`inverse` and :func:`conjugate` (the
-conjugation step m t m^-1, which :func:`commutator` uses too) are the hot
-path. They compute on entry coordinates and build only their result
-quaternions, but each result coordinate is the float expression of the
-``Quaternion`` formula in its docstring, evaluated in the same order: the
-results are bitwise equal to that formula's, error types included. One
-helper holds each formula (``_mul``, ``_re_mul``, ``_prod_sum``,
-``_inverse_entry``), and the kernels share their coordinate tuples. The
-callers that read only part of a result stay on coordinates throughout:
-``_conjugate`` takes an alpha already computed (``dynamics.iterate``
-computes it once per step), and ``_alphas_and_commutator_trace``
-evaluates only the real parts of the commutator's diagonal, returning the
-two alphas it computes on the way (``ineq`` ``jh`` gates on them).
+:func:`nonsingular_alpha`) and :func:`inverse` are the hot path. They
+compute on entry coordinates and build only their result quaternions, but
+each result coordinate is the float expression of the ``Quaternion``
+formula in its docstring, evaluated in the same order: the results are
+bitwise equal to that formula's, error types included. One helper holds
+each formula (``_mul``, ``_re_mul``, ``_prod_sum``, ``_inverse_entry``),
+and the kernels share their coordinate tuples. The callers that read only
+part of a result stay on coordinates throughout: ``_conjugate``, the
+conjugation step m t m^-1 given m's alpha (``dynamics.iterate`` computes
+it once per step), is bitwise ``m @ t @ inverse(m)``, and
+``_alphas_and_commutator_trace`` evaluates only the real parts of the
+diagonal of :func:`commutator` (a, b), bitwise its ``a.re + d.re``,
+returning the two alphas it computes on the way (``ineq`` ``jh`` gates on
+them).
 """
 
 from __future__ import annotations
@@ -362,38 +363,22 @@ def inverse_r(m: MatH2) -> MatH2:
     return MatH2(t.d_s, -t.b_s, -t.c_s, t.a_s)
 
 
-def conjugate(m: MatH2, t: MatH2) -> MatH2:
-    """m t m^-1, the conjugation step S_{n+1} = S_n T S_n^-1.
-
-    Bitwise equal to ``m @ t @ inverse(m)``, errors included: the product
-    m t and the entries of m^-1 stay coordinate tuples, and only the four
-    result quaternions are built.
-    """
-    m = _coords(m)
-    return _from_coords(_conjugate(m, _coords(t), _nonsingular(_alpha(m))))
-
-
 def _conjugate(m, t, value: float) -> tuple[tuple[float, float, float, float], ...]:
-    """Entry coordinates of :func:`conjugate` from those of m and t, given
-    m's alpha ``value`` (checked by the caller)."""
+    """Entry coordinates of m t m^-1 from those of m and t, given m's alpha
+    ``value`` (checked by the caller): bitwise ``m @ t @ inverse(m)``."""
     return _product(_product(m, t), _inverse_coords(m, value))
 
 
 def commutator(a: MatH2, b: MatH2) -> MatH2:
-    """A B A^-1 B^-1. :func:`_commutator_trace` computes its trace alone."""
-    return conjugate(a, b) @ inverse(b)
-
-
-def _commutator_trace(a: MatH2, b: MatH2) -> float:
-    """Re(c.a) + Re(c.d) of c = :func:`commutator` (a, b), bitwise and with
-    the same errors in the same order (a's check before b's)."""
-    return _alphas_and_commutator_trace(a, b)[2]
+    """A B A^-1 B^-1; A singular or overflowing is reported before B."""
+    return a @ b @ inverse(a) @ inverse(b)
 
 
 def _alphas_and_commutator_trace(a: MatH2, b: MatH2) -> tuple[float, float, float]:
-    """:func:`alpha` of a and of b, each computed once, and
-    :func:`_commutator_trace` (a, b): ``ineq`` ``jh`` gates on the two
-    determinants and reads the trace.
+    """:func:`alpha` of a and of b, each computed once, and Re(c.a) +
+    Re(c.d) of c = :func:`commutator` (a, b), bitwise and with the same
+    errors in the same order (a's check before b's): ``ineq`` ``jh`` gates
+    on the two determinants and reads the trace.
 
     The product (a b a^-1) b^-1 is evaluated only for the w coordinates of
     its two diagonal entries, each the expression of ``_prod_sum``.

@@ -1,3 +1,4 @@
+import ast
 import copy
 import dataclasses
 import importlib
@@ -59,6 +60,33 @@ def test_lazy_namespace_is_a_plain_module_namespace():
     assert type(info.value) is AttributeError
     assert str(info.value) == "module 'qmobius' has no attribute 'no_such_name'"
     assert not hasattr(qmobius, "tau0_t0_upper")    # public in ineq, not here
+
+
+def test_every_private_name_is_read_in_the_package():
+    # a private helper that only tests call is a second path to keep in
+    # step: each module-level _private def, class or assignment must be a
+    # loaded name or an attribute name somewhere in the package
+    defined, read = [], set()
+    for path in sorted(Path(qmobius.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for target in targets for n in ast.walk(target)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [f"{path.stem}.{name}" for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert "qmat._conjugate" in defined and "_conjugate" in read
+    assert [name for name in defined if name.split(".")[1] not in read] == []
 
 
 # two processes, each running two commands in turn: what each command
@@ -167,11 +195,16 @@ def test_mutable_value_types():
     traces = [IterationTrace("upper") for _ in range(2)]
     assert traces[0] == traces[1] and traces[0].truncated_reason is None
     assert traces[0].steps == [] and traces[0].steps is not traces[1].steps
-    step = IterationStep(n=0, s=M, det=1.0, entry_norms=(1.0, 2.0, 3.0, 4.0))
+    s_coords = tuple(x for e in M.entries() for x in e.as_list())
+    step = IterationStep(n=0, s_coords=s_coords, det=1.0,
+                         entry_norms=(1.0, 2.0, 3.0, 4.0), tau_coords=None,
+                         t_coords=None, tau_c=None, t_c=None, extremal_lhs=None)
+    assert step.s == M
     assert (step.tau, step.t, step.tau_c, step.t_c, step.extremal_lhs) == (None,) * 5
     assert not hasattr(step, "__dict__")
     step.det = 2.0
-    assert step != IterationStep(0, M, 1.0, (1.0, 2.0, 3.0, 4.0))
+    assert step != IterationStep(0, s_coords, 1.0, (1.0, 2.0, 3.0, 4.0),
+                                 None, None, None, None, None)
     report = ineq.jss_test(M, MatH2(ONE, I, Quaternion(), ONE))
     for value in (report, traces[0], step, ConvergenceReport(ConvergenceKind.STATIONARY, 0.5)):
         with pytest.raises(TypeError):

@@ -232,10 +232,9 @@ def test_property_det_is_multiplicative(m1, m2):
 #
 # MatH2 @, alpha and inverse compute on coordinates. These references are
 # the same formulas composed from Quaternion arithmetic; the kernels must
-# agree with them bit for bit, error types included. The kernels that skip
-# part of a result are checked against the public function they stand in
-# for: the commutator's trace against commutator(a, b), and the
-# conjugation given alpha (as iterate runs it) against conjugate.
+# agree with them bit for bit, error types included. So must the kernels
+# that skip part of a result: the conjugation given alpha (as iterate runs
+# it), and the commutator's trace with the two alphas jh gates on.
 
 def _reference_matmul(m: MatH2, n: MatH2) -> MatH2:
     return MatH2(m.a * n.a + m.b * n.c, m.a * n.b + m.b * n.d,
@@ -270,9 +269,13 @@ def _reference_commutator(a: MatH2, b: MatH2) -> MatH2:
     return _reference_matmul(_reference_conjugate(a, b), _reference_inverse(b))
 
 
-def _trace_of_commutator(a: MatH2, b: MatH2) -> float:
-    comm = qmat.commutator(a, b)
-    return comm.a.re + comm.d.re
+def _reference_alphas_and_commutator_trace(a: MatH2, b: MatH2) -> tuple:
+    comm = _reference_commutator(a, b)      # a's errors before b's
+    return (qmat.alpha(a), qmat.alpha(b), comm.a.re + comm.d.re)
+
+
+def _commutator_trace(a: MatH2, b: MatH2) -> float:
+    return qmat._alphas_and_commutator_trace(a, b)[2]
 
 
 def _conjugate_given_alpha(m: MatH2, t: MatH2) -> MatH2:
@@ -309,7 +312,8 @@ def _outcome(fn, *args):
     if isinstance(result, float):
         return struct.pack("d", result)
     entries = result.entries() if isinstance(result, MatH2) else result
-    return b"".join(struct.pack("4d", *e.as_list()) for e in entries)
+    return b"".join(struct.pack("4d", *e.as_list()) if isinstance(e, Quaternion)
+                    else struct.pack("d", e) for e in entries)
 
 
 _magnitude = st.floats(1e-14, 1e6)
@@ -339,20 +343,23 @@ _q_mixed = Quaternion(0.5, -1.5, 2.0, -0.0)
 @example(MatH2(Quaternion(-1.0, 0.0, 1.0, 2.0), Quaternion(1.0, 1.0, -0.0, 1.0),
                Quaternion(-0.0, 0.0, 2.0, 1.0), ZERO))
 def test_property_kernels_are_bitwise_the_quaternion_formulas(m):
-    # the second factor reuses m's draws with its entries in other places
+    # the second factor reuses m's draws with its entries in other places,
+    # which keeps alpha; doubled (exactly), it has 16 times m's alpha
     n = MatH2(m.d, m.c, m.b, m.a)
     for kernel, reference, args in (
             (MatH2.__matmul__, _reference_matmul, (m, n)),
             (MatH2.__matmul__, _reference_matmul, (n, m)),
             (qmat.alpha, _reference_alpha, (m,)),
             (qmat.inverse, _reference_inverse, (m,)),
-            (qmat.conjugate, _reference_conjugate, (m, n)),
-            (qmat.conjugate, _reference_conjugate, (n, m)),
+            (_conjugate_given_alpha, _reference_conjugate, (m, n)),
+            (_conjugate_given_alpha, _reference_conjugate, (n, m)),
             (qmat.commutator, _reference_commutator, (m, n)),
-            (qmat._commutator_trace, _trace_of_commutator, (m, n)),
-            (qmat._commutator_trace, _trace_of_commutator, (n, m)),
-            (_conjugate_given_alpha, qmat.conjugate, (m, n)),
-            (_conjugate_given_alpha, qmat.conjugate, (n, m)),
+            (qmat._alphas_and_commutator_trace,
+             _reference_alphas_and_commutator_trace, (m, n)),
+            (qmat._alphas_and_commutator_trace,
+             _reference_alphas_and_commutator_trace, (n, m)),
+            (qmat._alphas_and_commutator_trace,
+             _reference_alphas_and_commutator_trace, (m, n.scaled(2.0))),
             (ineq.tau0_t0_upper, _reference_tau0_t0_upper, (m, n))):
         assert _outcome(kernel, *args) == _outcome(reference, *args)
     # the lower formulas are the upper kernel on the J-flipped pair
@@ -467,7 +474,7 @@ def test_commutator_trace_checks_a_before_b():
     overflow = real_matrix(1e200, 1e200, 1e200, 1)
     for a, b, error in ((singular, overflow, qmat.SingularMatrixError),
                         (overflow, singular, ValueError)):
-        for fn in (qmat.commutator, qmat._commutator_trace):
+        for fn in (qmat.commutator, _commutator_trace):
             with pytest.raises(ValueError) as info:
                 fn(a, b)
             assert type(info.value) is error

@@ -4,8 +4,10 @@
 coordinates: every step builds S_n as a ``MatH2``, takes ``qmat.det``, the
 entry norms through ``Quaternion.norm``, tau/t through
 ``ineq.tau0_t0_upper`` (of the J-flipped pair in lower mode) and the next
-S_n through ``qmat.conjugate``, which computes alpha a second time. It never
-rejects a value; the CLI used to rescan its records for non-finite ones.
+S_n as ``current @ t @ qmat.inverse(current)``, whose inverse computes alpha
+a second time. It never rejects a value; the CLI used to rescan its records
+for non-finite ones. Its records go through the one ``IterationStep``
+constructor, from the coordinates of what it computed.
 The coordinate loop must give the same records and truncation reason, and
 raise at a record with a non-finite value exactly where that rescan failed.
 """
@@ -38,8 +40,15 @@ def _reference_step_record(n, s, t_upper, mode, k):
             lhs = cn * math.sqrt(tau_norm * t_norm)
     if mode == "diagonal":
         lhs = k * (1.0 + norms[1] * norms[2])
-    step = IterationStep(n, s, qmat.det(s), norms, tau, tt, tau_c, t_c, lhs)
+    step = IterationStep(n, _coords(s.entries()), qmat.det(s), norms,
+                         None if tau is None else _coords([tau]),
+                         None if tt is None else _coords([tt]), tau_c, t_c, lhs)
     return step, cn
+
+
+def _coords(quaternions):
+    """The coordinates of these quaternions, in order, as one flat tuple."""
+    return tuple(x for q in quaternions for x in q.as_list())
 
 
 def reference_iterate(s, t, n_steps, mode):
@@ -58,7 +67,7 @@ def reference_iterate(s, t, n_steps, mode):
             break
         if n < n_steps:
             try:
-                current = qmat.conjugate(current, t)
+                current = current @ t @ qmat.inverse(current)
             except ValueError:
                 trace.truncated_reason = "numerical blow-up"
                 break
@@ -77,10 +86,6 @@ def _bits(value):
         return struct.pack("d", value)
     if isinstance(value, tuple):
         return tuple(map(_bits, value))
-    if isinstance(value, Quaternion):
-        return struct.pack("4d", *value.as_list())
-    if isinstance(value, MatH2):
-        return tuple(map(_bits, value.entries()))
     return value                    # n, and None for a missing quantity
 
 
