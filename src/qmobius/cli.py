@@ -201,10 +201,8 @@ def _run_batch(args) -> int:
             s, t = _parse_pair(_decode(line))
             report = _run_selected(args.select, s, t, args.tol)
             text = _dumps({"line": number, **report.to_dict()})
-        except qmat.SingularMatrixError as exc:
-            raise qmat.SingularMatrixError(f"line {number}: {exc}") from exc
         except ValueError as exc:
-            raise ValueError(f"line {number}: {exc}") from exc
+            raise type(exc)(f"line {number}: {exc}") from exc
         write(text + "\n")
     return EXIT_OK
 

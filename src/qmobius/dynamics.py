@@ -153,11 +153,12 @@ def csv_row(step: IterationStep, full: bool = False) -> list:
     return row
 
 
-def _record(n: int, m, det: float, t_upper, mode: str, k: float) -> IterationStep:
-    """The record of S_n from its entry coordinates m. ``t_upper`` is the
-    coordinates of T, J-flipped in lower mode, where the coupling entry and
-    tau/t are read on the flip of S_n (:func:`ineq._j_flip`; on coordinates
-    the reversed entry tuple).
+def _record(n: int, m, det: float, t_upper, mode: str,
+            k: float) -> tuple[IterationStep, float]:
+    """The record of S_n from its entry coordinates m, and the norm of its
+    coupling entry. ``t_upper`` is the coordinates of T, J-flipped in lower
+    mode, where the coupling entry and tau/t are read on the flip of S_n
+    (:func:`ineq._j_flip`; on coordinates the reversed entry tuple).
 
     Each value of the record must be finite, one at a time (a sum of finite
     values can overflow): the first one that is not is a ``ValueError``.
@@ -184,7 +185,7 @@ def _record(n: int, m, det: float, t_upper, mode: str, k: float) -> IterationSte
         checked.append(lhs)
     if not all(map(math.isfinite, checked)):
         raise ValueError(NOT_FINITE)
-    return IterationStep(n, (*a, *b, *c, *d), det, norms, tau, tt, tau_c, t_c, lhs)
+    return IterationStep(n, (*a, *b, *c, *d), det, norms, tau, tt, tau_c, t_c, lhs), cn
 
 
 def iterate(s: MatH2, t: MatH2, n_steps: int, mode: str,
@@ -214,14 +215,13 @@ def iterate(s: MatH2, t: MatH2, n_steps: int, mode: str,
     k = ineq.k_value(t.a, t.d)
     t_coords = qmat._coords(t)
     t_upper = t_coords[::-1] if mode == "lower" else t_coords
-    coupling = 1 if mode == "lower" else 2
     trace = IterationTrace(mode=mode)
     current = qmat._coords(s)
     for n in range(n_steps + 1):
         value = qmat._alpha(current)
-        step = _record(n, current, math.sqrt(value), t_upper, mode, k)
+        step, coupling = _record(n, current, math.sqrt(value), t_upper, mode, k)
         trace.steps.append(step)
-        if mode != "diagonal" and step.entry_norms[coupling] == 0.0:
+        if mode != "diagonal" and coupling == 0.0:
             trace.truncated_reason = "common fixed point reached"
             break
         if max(step.entry_norms) > DIVERGENCE_CUTOFF:

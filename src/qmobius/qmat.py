@@ -7,17 +7,17 @@ Parker-Short quantities (sigma, tau). The group of determinant-1 matrices
 (called Sigma throughout) acts by isometries on hyperbolic 5-space; its
 boundary action lives in :mod:`qmobius.moebius`.
 
-``MatH2 @``, :func:`alpha` (hence :func:`det` and
-:func:`nonsingular_alpha`) and :func:`inverse` are the hot path. They
-compute on entry coordinates and build only their result quaternions, but
-each result coordinate is the float expression of the ``Quaternion``
-formula in its docstring, evaluated in the same order: the results are
-bitwise equal to that formula's, error types included. One helper holds
-each formula (``_mul``, ``_re_mul``, ``_prod_sum``, ``_inverse_entry``),
-and the kernels share their coordinate tuples. The callers that read only
-part of a result stay on coordinates throughout: ``_conjugate``, the
-conjugation step m t m^-1 given m's alpha (``dynamics.iterate`` computes
-it once per step), is bitwise ``m @ t @ inverse(m)``, and
+The hot path is three coordinate kernels: ``_alpha`` (behind
+:func:`alpha`, :func:`det` and :func:`nonsingular_alpha`), ``_conjugate``
+and ``_alphas_and_commutator_trace``; ``MatH2 @`` and :func:`inverse` run
+on the same coordinates. Each builds only its result quaternions, but each
+result coordinate is the float expression of the ``Quaternion`` formula in
+its docstring, evaluated in the same order: the results are bitwise equal
+to that formula's, error types included. One helper holds each formula
+(``_mul``, ``_re_mul``, ``_prod_sum``, ``_inverse_entry``), and the
+kernels share their coordinate tuples. ``_conjugate``, the conjugation
+step m t m^-1 given m's alpha (``dynamics.iterate`` computes it once per
+step), is bitwise ``m @ t @ inverse(m)``, and
 ``_alphas_and_commutator_trace`` evaluates only the real parts of the
 diagonal of :func:`commutator` (a, b), bitwise its ``a.re + d.re``,
 returning the two alphas it computes on the way (``ineq`` ``jh`` gates on
@@ -54,7 +54,8 @@ class MatH2(_Frozen):
     __slots__ = _fields = ("a", "b", "c", "d")
 
     def __init__(self, a: Quaternion, b: Quaternion, c: Quaternion, d: Quaternion):
-        # a conjugation step builds three matrices: write the slots directly
+        # from_dict builds two matrices per --batch line, four under jlt (the
+        # J-flip): the slot setters take 40% of the time of _set_fields
         _set_a(self, a)
         _set_b(self, b)
         _set_c(self, c)
@@ -192,11 +193,8 @@ def alpha(m: MatH2) -> float:
 def _alpha(m) -> float:
     """:func:`alpha` of the matrix with entry coordinates m."""
     a, b, c, d = m
-    pw, px, py, pz = _mul(_mul(a, _conj(c)), d)
-    bw, bx, by, bz = b
-    # Re(p conj(b)): _re_mul(p, _conj(b)), written out on the hot path
     value = (_norm2(a) * _norm2(d) + _norm2(b) * _norm2(c)
-             - 2.0 * (pw * bw - px * -bx - py * -by - pz * -bz))
+             - 2.0 * _re_mul(_mul(_mul(a, _conj(c)), d), _conj(b)))
     return 0.0 if value < 0.0 else value
 
 

@@ -118,6 +118,8 @@ def runs(pairs) -> list[tuple[str, list[str]]]:
                          "--mode", mode]))
         if modes:
             out.append((f"iterate-auto-{name}", ["iterate", pair, "--steps", "5"]))
+            out.append((f"iterate-json-{name}",
+                        ["iterate", pair, "--format", "json", "--steps", "5"]))
         out.append((f"extreme-{name}", ["extreme", pair]))
         for label, m in (("S", s), ("T", t)):
             matrix = json.dumps(m.to_dict())

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qmobius.quat import Quaternion, ZERO, ONE, J, isclose
+from qmobius.quat import Quaternion, ZERO, ONE, J, K, isclose
 from qmobius import ineq, dynamics, qmat
 from qmobius.dynamics import (ConvergenceKind, classify_convergence, csv_header,
                               csv_row, extremal_invariance_check, iterate,
@@ -339,6 +339,36 @@ def test_invariance_check_diagonal_equality_drifts_without_discreteness():
     assert report.preconditions_met
     assert report.verdict is Verdict.INCONCLUSIVE
     assert report.diagnostics["max_deviation"] > 1e-3
+
+
+def test_invariance_check_truncated_trace_is_inconclusive():
+    # jss-extremal with margin 0, but T is loxodromic: the entries grow past
+    # the divergence cutoff at step 85, before the horizon
+    s = MatH2(ONE, ONE, Quaternion(0.44), Quaternion(1.44))
+    t = diagonal(Quaternion(1.5), Quaternion(1.0 / 1.5))
+    assert ineq.jss_test(s, t).verdict is Verdict.EXTREMAL
+    assert iterate(s, t, 100, "diagonal").truncated_reason == "divergence cutoff exceeded"
+    report = extremal_invariance_check(s, t, 100)
+    assert report.verdict is Verdict.INCONCLUSIVE
+    assert report.diagnostics["truncated"] == 1.0
+    assert "missing_extremal_quantity_at" not in report.diagnostics
+
+
+def test_invariance_check_stops_where_the_extremal_quantity_is_missing():
+    # jlt-extremal in both forms; the coupling b_n contracts to NONZERO_TOL
+    # or below at step 57 (no extremal quantity there) and to exact zero,
+    # a common fixed point, at step 62
+    s = qmat.normalize_to_sigma(MatH2(ONE, ONE, ONE, K))
+    t = lower_triangular(ONE, J * (1.0 / s.b.norm()), ONE)
+    assert ineq.jlt_test(s, t).verdict is Verdict.EXTREMAL
+    assert ineq.jlt_test(s, t, b_variant=True).verdict is Verdict.EXTREMAL
+    trace = iterate(s, t, 100, "lower")
+    assert trace.truncated_reason == "common fixed point reached"
+    assert trace.steps[-1].n == 62
+    report = extremal_invariance_check(s, t, 100)
+    assert report.verdict is Verdict.INCONCLUSIVE
+    assert report.diagnostics["missing_extremal_quantity_at"] == 57.0
+    assert report.diagnostics["truncated"] == 1.0
 
 
 def test_csv_helpers():

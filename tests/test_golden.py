@@ -27,5 +27,5 @@ def test_golden_corpus_replays_identically(monkeypatch):
         got = (code, lines[0] if lines else "", out.getvalue())
         if got != (rec["exit"], rec["stderr_first"], rec["stdout"]):
             mismatched.append(rec["name"])
-    assert len(records) == 168
+    assert len(records) == 176
     assert mismatched == []

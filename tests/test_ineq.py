@@ -410,6 +410,15 @@ def test_eta_normalized_ratio_identity():
                 pytest.approx(plain.lhs / plain.threshold, abs=1e-9))
 
 
+def test_eta_normalized_zero_coupling_is_a_failed_gate():
+    s = real_matrix(1, 0.5, 0, 1)
+    normalized = eta_normalized_test(s, upper_triangular(ONE, J, ONE))
+    check_report_invariants(normalized)
+    assert normalized.lhs == 0.0
+    assert normalized.diagnostics["c_zero"] == 1.0
+    assert not normalized.preconditions_met
+
+
 def test_eta_normalized_zero_eta_raises():
     with pytest.raises(ValueError):
         eta_normalized_test(real_matrix(1, 0, 1, 1),
