@@ -358,6 +358,9 @@ def classify_convergence(trace: IterationTrace) -> ConvergenceReport:
     ELEMENTARY_DECAY_FACTOR (sustained geometric contraction certifies the
     limit even before the absolute cutoff). Everything else is
     UNDETERMINED; fewer than MIN_CLASSIFY_STEPS records is an error.
+    ``rate`` is the mean of the tail, the last (up to ten) ratios
+    |b_{n+1} c_{n+1}| / |b_n c_n| with b_n c_n > 0, added in order: the
+    same bits on every supported Python.
     """
     steps = trace.steps
     if len(steps) < MIN_CLASSIFY_STEPS:
@@ -366,7 +369,10 @@ def classify_convergence(trace: IterationTrace) -> ConvergenceReport:
     bc = [step.bc_norm for step in steps]
     ratios = [bc[i + 1] / bc[i] for i in range(len(bc) - 1) if bc[i] > 0.0]
     tail = ratios[-10:]
-    rate = sum(tail) / len(tail) if tail else None
+    total = 0.0
+    for ratio in tail:
+        total += ratio
+    rate = total / len(tail) if tail else None
 
     if (trace.truncated_reason in ("divergence cutoff exceeded", "numerical blow-up")
             or any(max(step.entry_norms) > DIVERGENCE_CUTOFF for step in steps)):

@@ -268,7 +268,7 @@ def jssc2_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestReport:
     """
     report = jss_test(s, t, tol=tol)
     report.test_name = "jssc2"
-    report.diagnostics["beta_T"] = beta_t(t.a, t.d)
+    report.diagnostics["beta_T"] = report.diagnostics["K"]
     return report
 
 
@@ -280,7 +280,7 @@ def jss2_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestReport:
     obstruction here is a stronger statement about the pair.
     """
     ok, diag = _diagonal_gates(s, t, tol)
-    bt = beta_t(t.a, t.d)
+    bt = diag["K"]  # beta(T) is K in closed form (beta_t)
     big = max(t.a.norm(), t.d.norm())
     bc_norm = diag["bc_norm"]
     # an overflowed |bc| has no floor; it stays the (non-finite) exponent

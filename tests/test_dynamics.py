@@ -8,12 +8,14 @@ import pytest
 
 from qmobius.quat import Quaternion, ZERO, ONE, J, K, isclose
 from qmobius import ineq, dynamics, qmat
-from qmobius.dynamics import (ConvergenceKind, classify_convergence, csv_header,
-                              csv_row, extremal_invariance_check, iterate,
+from qmobius.dynamics import (ConvergenceKind, IterationStep, IterationTrace,
+                              classify_convergence, csv_header, csv_row,
+                              extremal_invariance_check, iterate,
                               recurrence_deviation, verify_recurrence)
 from qmobius.ineq import Verdict, k_value
 from qmobius.qmat import MatH2, diagonal, identity, lower_triangular, upper_triangular
 from conftest import random_sigma, random_elliptic_entry
+import hurwitz
 
 SQRT2 = math.sqrt(2.0)
 GOLDEN_PAIRS = Path(__file__).resolve().parent / "golden" / "pairs.jsonl"
@@ -264,6 +266,17 @@ def test_trace_ending_at_a_common_fixed_point_converges_to_elementary():
     assert classify_convergence(trace).kind is ConvergenceKind.CONVERGES_TO_ELEMENTARY
 
 
+def test_rate_adds_the_tail_ratios_in_order():
+    # ratios 1, 1e-16, 1e-16, 1e-16: added in order each 1e-16 rounds away
+    # (mean exactly 0.25); a compensated sum would keep them (0.25000000000000006)
+    steps = [IterationStep(n, (1.0, 0.0, 0.0, 0.0, bc, 0.0, 0.0, 0.0,
+                               1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0),
+                           1.0, (1.0, bc, 1.0, 1.0), None, None, None, None, None)
+             for n, bc in enumerate((1.0, 1.0, 1e-16, 1e-32, 1e-48))]
+    report = classify_convergence(IterationTrace("diagonal", steps))
+    assert report.rate == 0.25
+
+
 def test_classify_undetermined_short_horizon():
     s, t = obstruction_pair()
     trace = iterate(s, t, 6, "diagonal")
@@ -401,3 +414,25 @@ def test_diagonal_mode_records_tau_when_coupling_nonzero():
         assert step.tau_c == pytest.approx(step.tau.norm() * step.s.c.norm())
         assert step.extremal_lhs == pytest.approx(
             k_value(t.a, t.d) * (1.0 + step.bc_norm))
+
+
+def test_hurwitz_traces_stay_in_the_group_bit_for_bit():
+    # S_{n+1} = S_n T S_n^-1 stays a Hurwitz matrix of determinant 1; while
+    # every coordinate is at most 2^12, alpha's terms stay below 2^53 and each
+    # row must be exact: Hurwitz entries and det == 1.0
+    rng = random.Random(0)
+    traces = rows = 0
+    for _ in range(150):
+        s = hurwitz.word(rng)
+        eta = hurwitz.nonzero_hurwitz_integer(rng)
+        for mode, t in (("upper", upper_triangular(ONE, eta, ONE)),
+                        ("lower", lower_triangular(ONE, eta, ONE))):
+            traces += 1
+            for step in iterate(s, t, 40, mode).steps:
+                if max(map(abs, step.s_coords)) > 2.0 ** 12:
+                    break
+                rows += 1
+                assert step.det == 1.0
+                for entry in dynamics._entries(step.s_coords):
+                    assert hurwitz.is_hurwitz(entry), (step.n, entry)
+    assert traces == 300 and rows > 2 * traces

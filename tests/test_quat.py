@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import operator
 import random
 import reprlib
 import struct
@@ -231,6 +232,17 @@ def test_arithmetic_results_are_ordinary_quaternions():
         assert r == public and hash(r) == hash(public) and repr(r) == repr(public)
         with pytest.raises(dataclasses.FrozenInstanceError):
             r.w = 0.0
+
+
+def test_operands_without_a_rule_raise_type_error():
+    q = Quaternion(1, 2, 3, 4)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(q, "x")
+    # q1 / q2 is ambiguous in a noncommutative ring
+    with pytest.raises(TypeError):
+        Quaternion(1) / Quaternion(2)
+    assert abs(q) == q.norm()
 
 
 def test_default_tol_exposed():
