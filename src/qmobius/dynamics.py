@@ -2,11 +2,13 @@
 
 The sequence drives both the obstruction proofs (contraction of |b_n c_n|
 for diagonal T) and the extremality theorems (invariance of the extremal
-quantity). :func:`iterate` keeps S_n and T as entry coordinates from input
-to output. Each step computes alpha of S_n once, for ``det`` and for the
-conjugation S_n T S_n^-1 (``qmat._conjugate``, bitwise
-``S_n @ T @ inverse(S_n)``), and the displacement quantities through the
-coordinate core of :func:`ineq.tau0_t0_upper` (J-flipped in lower mode).
+quantity). :func:`iterate` works on the entry coordinates that a ``MatH2``
+holds, from input to output, and each record keeps S_n as the ``MatH2`` of
+the coordinates its step computed. Each step computes alpha of S_n once,
+for ``det`` and for the conjugation S_n T S_n^-1 (``qmat._conjugate``,
+bitwise ``S_n @ T @ inverse(S_n)``), and the displacement quantities
+through the coordinate core of :func:`ineq.tau0_t0_upper` (J-flipped in
+lower mode).
 Every value of a record must be finite; :func:`iterate` is the one place
 that checks. The closed entry recurrences are recomputed only to
 cross-check the products, which is itself a meaningful test of the
@@ -51,23 +53,22 @@ class IterationStep(_Value):
     divergence check and the CSV row; the JSON record carries S itself
     instead.
 
-    S_n is stored as its 16 entry coordinates (``s_coords``: a, b, c, d,
-    each w, x, y, z) and tau/t as theirs (``tau_coords``, ``t_coords``,
-    None where undefined); ``s``, ``tau`` and ``t`` build the matrix and
-    quaternions when read.
+    S_n is the ``MatH2`` ``s``, which holds its entry coordinates; tau/t
+    are stored as their coordinates (``tau_coords``, ``t_coords``, None
+    where undefined), and ``tau`` and ``t`` build the quaternions when read.
     """
 
-    __slots__ = _fields = ("n", "s_coords", "det", "entry_norms", "tau_coords",
+    __slots__ = _fields = ("n", "s", "det", "entry_norms", "tau_coords",
                            "t_coords", "tau_c", "t_c", "extremal_lhs")
 
-    def __init__(self, n: int, s_coords: tuple[float, ...], det: float,
+    def __init__(self, n: int, s: MatH2, det: float,
                  entry_norms: tuple[float, float, float, float],
                  tau_coords: tuple[float, float, float, float] | None,
                  t_coords: tuple[float, float, float, float] | None,
                  tau_c: float | None, t_c: float | None,
                  extremal_lhs: float | None):
         self.n = n
-        self.s_coords = s_coords
+        self.s = s
         self.det = det
         self.entry_norms = entry_norms
         self.tau_coords = tau_coords
@@ -75,10 +76,6 @@ class IterationStep(_Value):
         self.tau_c = tau_c
         self.t_c = t_c
         self.extremal_lhs = extremal_lhs
-
-    @property
-    def s(self) -> MatH2:
-        return qmat._from_coords(_entries(self.s_coords))
 
     @property
     def tau(self) -> Quaternion | None:
@@ -95,7 +92,7 @@ class IterationStep(_Value):
     def to_dict(self) -> dict:
         return {
             "n": self.n,
-            "S": {key: list(e) for key, e in zip("abcd", _entries(self.s_coords))},
+            "S": self.s.to_dict(),
             "bc_norm": self.bc_norm,
             "det": self.det,
             "tau": None if self.tau_coords is None else list(self.tau_coords),
@@ -104,11 +101,6 @@ class IterationStep(_Value):
             "t_c": self.t_c,
             "extremal_lhs": self.extremal_lhs,
         }
-
-
-def _entries(s_coords):
-    """The four entry coordinate tuples of a flat 16-tuple."""
-    return (s_coords[0:4], s_coords[4:8], s_coords[8:12], s_coords[12:16])
 
 
 class IterationTrace(_Value):
@@ -149,7 +141,8 @@ def csv_row(step: IterationStep, full: bool = False) -> list:
         step.det,
     ]
     if full:
-        row.extend(step.s_coords)
+        for entry in step.s._coords:
+            row.extend(entry)
     return row
 
 
@@ -185,7 +178,8 @@ def _record(n: int, m, det: float, t_upper, mode: str,
         checked.append(lhs)
     if not all(map(math.isfinite, checked)):
         raise ValueError(NOT_FINITE)
-    return IterationStep(n, (*a, *b, *c, *d), det, norms, tau, tt, tau_c, t_c, lhs), cn
+    return IterationStep(n, qmat._from_coords(m), det, norms, tau, tt, tau_c, t_c,
+                         lhs), cn
 
 
 def iterate(s: MatH2, t: MatH2, n_steps: int, mode: str,
@@ -213,10 +207,10 @@ def iterate(s: MatH2, t: MatH2, n_steps: int, mode: str,
     if qmat.shape(t, tol) not in (mode, "diagonal"):
         raise ValueError(f"T does not match mode {mode!r}")
     k = ineq.k_value(t.a, t.d)
-    t_coords = qmat._coords(t)
+    t_coords = t._coords
     t_upper = t_coords[::-1] if mode == "lower" else t_coords
     trace = IterationTrace(mode=mode)
-    current = qmat._coords(s)
+    current = s._coords
     for n in range(n_steps + 1):
         value = qmat._alpha(current)
         step, coupling = _record(n, current, math.sqrt(value), t_upper, mode, k)

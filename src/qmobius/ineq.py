@@ -164,7 +164,7 @@ def tau0_t0_upper(s: MatH2, t: MatH2) -> tuple[Quaternion, Quaternion]:
     Computed on coordinates (:func:`_tau0_t0`), with |c|^2 once, but bitwise
     equal to the ``Quaternion`` expressions above (``c.inverse()`` for c^-1).
     """
-    tau0, t0 = _tau0_t0(qmat._coords(s), qmat._coords(t))
+    tau0, t0 = _tau0_t0(s._coords, t._coords)
     return (_q(*tau0), _q(*t0))
 
 
@@ -206,10 +206,10 @@ def _j_flip(m: MatH2) -> MatH2:
     are :func:`tau0_t0_upper` of (J S J, J T J): same products, same order.
     Gates, determinants and the diagonal quantities are read on the pair
     as given; only the coupling and displacement quantities on its flip.
-    On a tuple of entry coordinates the flip is the reversed tuple, which
-    is how ``dynamics.iterate`` flips S_n and T.
+    On entry coordinates the flip is the reversed tuple, which is also how
+    ``dynamics.iterate`` flips S_n and T.
     """
-    return MatH2(m.d, m.c, m.b, m.a)
+    return qmat._from_coords(m._coords[::-1])
 
 
 def _pair_gates(s: MatH2, t: MatH2, tol: float, shapes: tuple[str, ...],
@@ -304,16 +304,17 @@ def hyperbolic_commutator_test(a: MatH2, b: MatH2,
     alpha of A and of B, which the determinant gates read too; A singular
     or overflowing is reported before B.
     """
-    k = a.a.re
+    lam, mu = a.a, a.d
+    k = lam.re
     alpha_a, alpha_b, delta_comm = qmat._alphas_and_commutator_trace(a, b)
     ok, dets = _pair_gates(b, a, tol, ("diagonal",),
                            (math.sqrt(alpha_b), math.sqrt(alpha_a)))
-    normal_form = (a.a.im_norm() <= tol and a.d.im_norm() <= tol
-                   and abs(k * a.d.re - 1.0) <= tol)
+    normal_form = (lam.im_norm() <= tol and mu.im_norm() <= tol
+                   and abs(k * mu.re - 1.0) <= tol)
     nontrivial = abs(abs(k) - 1.0) > tol and abs(k) > tol
     ok = ok and normal_form and nontrivial and _coupling_ok(b.c.norm(), tol)
 
-    delta_a = a.a.re + a.d.re
+    delta_a = k + mu.re
     sigma_b, _ = qmat.parker_short(b)
     term_a = abs(delta_a * delta_a - 4.0)
     term_c = abs(delta_comm - 2.0)

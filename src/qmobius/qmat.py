@@ -10,10 +10,11 @@ boundary action lives in :mod:`qmobius.moebius`.
 The hot path is three coordinate kernels: ``_alpha`` (behind
 :func:`alpha`, :func:`det` and :func:`nonsingular_alpha`), ``_conjugate``
 and ``_alphas_and_commutator_trace``; ``MatH2 @`` and :func:`inverse` run
-on the same coordinates. Each builds only its result quaternions, but each
-result coordinate is the float expression of the ``Quaternion`` formula in
-its docstring, evaluated in the same order: the results are bitwise equal
-to that formula's, error types included. One helper holds each formula
+on the same coordinates. A :class:`MatH2` holds its entry coordinates,
+which the kernels read and return as they are; each result coordinate is
+the float expression of the ``Quaternion`` formula in its docstring,
+evaluated in the same order: the results are bitwise equal to that
+formula's, error types included. One helper holds each formula
 (``_mul``, ``_re_mul``, ``_prod_sum``, ``_inverse_entry``), and the
 kernels share their coordinate tuples. ``_conjugate``, the conjugation
 step m t m^-1 given m's alpha (``dynamics.iterate`` computes it once per
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 
-from .quat import Quaternion, ZERO, ONE, DEFAULT_TOL, _Frozen, _q
+from .quat import Quaternion, ZERO, ONE, DEFAULT_TOL, _Frozen, _checked_coords, _new, _q
 
 # Norm threshold under which an entry is treated as zero when dispatching
 # between algebraic case formulas. Dispatch must be deterministic under
@@ -48,21 +49,25 @@ class SingularMatrixError(ValueError):
     """A computation needed an invertible matrix and got a singular one."""
 
 
-class MatH2(_Frozen):
-    """Row-major 2x2 matrix [[a, b], [c, d]] over the quaternions."""
+def _entry(i: int) -> property:
+    """The read property of entry i: a ``Quaternion`` of its coordinates."""
+    return property(lambda m: _q(*m._coords[i]))
 
-    __slots__ = _fields = ("a", "b", "c", "d")
+
+class MatH2(_Frozen):
+    """Row-major 2x2 matrix [[a, b], [c, d]] over the quaternions. Its one
+    slot, ``_coords``, holds the kernels' entry coordinates, ((w, x, y, z) of
+    a, of b, of c, of d); reading an entry builds its ``Quaternion``."""
+
+    __slots__ = ("_coords",)
+    _fields = ("a", "b", "c", "d")
+    a, b, c, d = map(_entry, range(4))
 
     def __init__(self, a: Quaternion, b: Quaternion, c: Quaternion, d: Quaternion):
-        # from_dict builds two matrices per --batch line, four under jlt (the
-        # J-flip): the slot setters take 40% of the time of _set_fields
-        _set_a(self, a)
-        _set_b(self, b)
-        _set_c(self, c)
-        _set_d(self, d)
+        _set_coords(self, (a._astuple, b._astuple, c._astuple, d._astuple))
 
     def __matmul__(self, other: "MatH2") -> "MatH2":
-        return _from_coords(_product(_coords(self), _coords(other)))
+        return _from_coords(_product(self._coords, other._coords))
 
     def entries(self) -> tuple[Quaternion, Quaternion, Quaternion, Quaternion]:
         return (self.a, self.b, self.c, self.d)
@@ -75,36 +80,24 @@ class MatH2(_Frozen):
         return MatH2(self.a * s, self.b * s, self.c * s, self.d * s)
 
     def to_dict(self) -> dict:
-        return {
-            "a": self.a.as_list(),
-            "b": self.b.as_list(),
-            "c": self.c.as_list(),
-            "d": self.d.as_list(),
-        }
+        a, b, c, d = self._coords
+        return {"a": list(a), "b": list(b), "c": list(c), "d": list(d)}
 
     @classmethod
     def from_dict(cls, obj) -> "MatH2":
         """Decode {"a": [...], ..., "d": [...]}, the one check of an input matrix."""
         if not isinstance(obj, dict) or not obj.keys() >= {"a", "b", "c", "d"}:
             raise ValueError("matrix must be an object with entries a, b, c, d")
-        return cls(*map(Quaternion.from_list, (obj["a"], obj["b"], obj["c"], obj["d"])))
+        return _from_coords(tuple(map(_checked_coords, (obj["a"], obj["b"],
+                                                        obj["c"], obj["d"]))))
 
 
-_set_a = MatH2.a.__set__
-_set_b = MatH2.b.__set__
-_set_c = MatH2.c.__set__
-_set_d = MatH2.d.__set__
+_set_coords = MatH2._coords.__set__
 
 
 # Kernel helpers on (w, x, y, z) coordinate tuples. A conjugate enters with
 # its coordinates negated, as ``q.conj()`` stores them, so every expression
 # is the one Quaternion arithmetic evaluates.
-
-def _coords(m: MatH2) -> tuple[tuple[float, float, float, float], ...]:
-    a, b, c, d = m.a, m.b, m.c, m.d
-    return ((a.w, a.x, a.y, a.z), (b.w, b.x, b.y, b.z),
-            (c.w, c.x, c.y, c.z), (d.w, d.x, d.y, d.z))
-
 
 def _mul(p, q) -> tuple[float, float, float, float]:
     """Coordinates of the Hamilton product p q (``Quaternion.__mul__``)."""
@@ -141,8 +134,9 @@ def _product(m, n) -> tuple[tuple[float, float, float, float], ...]:
 
 def _from_coords(entries) -> MatH2:
     """The matrix whose entries have these coordinates."""
-    a, b, c, d = entries
-    return MatH2(_q(*a), _q(*b), _q(*c), _q(*d))
+    m = _new(MatH2)
+    _set_coords(m, entries)
+    return m
 
 
 def _norm2(p) -> float:
@@ -174,8 +168,9 @@ def lower_triangular(lam: Quaternion, eta: Quaternion, mu: Quaternion) -> MatH2:
 def shape(m: MatH2, tol: float) -> str:
     """The triangle of m: "diagonal", "upper", "lower" or "full" by which
     off-diagonal entries have norm <= tol. Every shape gate asks this."""
-    b_zero = m.b.norm() <= tol
-    if m.c.norm() <= tol:
+    _, b, c, _ = m._coords
+    b_zero = math.sqrt(_norm2(b)) <= tol
+    if math.sqrt(_norm2(c)) <= tol:
         return "diagonal" if b_zero else "upper"
     return "lower" if b_zero else "full"
 
@@ -187,7 +182,7 @@ def alpha(m: MatH2) -> float:
     determinant); tiny negative rounding residue is clamped away, but not
     an overflow (inf - inf = NaN), which must not read as a singular matrix.
     """
-    return _alpha(_coords(m))
+    return _alpha(m._coords)
 
 
 def _alpha(m) -> float:
@@ -204,7 +199,7 @@ def det(m: MatH2) -> float:
     Coincides with |ad - a c a^-1 b| whenever a != 0; the alpha route is
     used because it needs no inverses.
     """
-    return math.sqrt(_alpha(_coords(m)))
+    return math.sqrt(_alpha(m._coords))
 
 
 def nonsingular_alpha(m: MatH2) -> float:
@@ -216,7 +211,7 @@ def nonsingular_alpha(m: MatH2) -> float:
     never a NaN result. The coordinate kernels apply the same rule,
     ``_nonsingular``, to an alpha they have already computed.
     """
-    return _nonsingular(_alpha(_coords(m)))
+    return _nonsingular(_alpha(m._coords))
 
 
 def _nonsingular(value: float) -> float:
@@ -332,7 +327,7 @@ def inverse(m: MatH2) -> MatH2:
     Kellerhals routes (:func:`tilde_set`, :func:`inverse_r`) stay as the
     paper's quantities and as test oracles.
     """
-    m = _coords(m)
+    m = m._coords
     return _from_coords(_inverse_coords(m, _nonsingular(_alpha(m))))
 
 
@@ -381,7 +376,7 @@ def _alphas_and_commutator_trace(a: MatH2, b: MatH2) -> tuple[float, float, floa
     The product (a b a^-1) b^-1 is evaluated only for the w coordinates of
     its two diagonal entries, each the expression of ``_prod_sum``.
     """
-    a, b = _coords(a), _coords(b)
+    a, b = a._coords, b._coords
     alpha_a, alpha_b = _alpha(a), _alpha(b)
     xa, xb, xc, xd = _conjugate(a, b, _nonsingular(alpha_a))
     e, f, g, h = _inverse_coords(b, _nonsingular(alpha_b))

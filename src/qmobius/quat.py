@@ -176,22 +176,8 @@ class Quaternion(_Frozen):
 
     @classmethod
     def from_list(cls, coords) -> "Quaternion":
-        """Decode [w, x, y, z], the one check of coordinates read from input:
-        a list or tuple of four finite int or float values (not bool or str)."""
-        if not isinstance(coords, (list, tuple)) or len(coords) != 4:
-            raise ValueError("quaternion encoding must be a list of 4 coordinates")
-        w, x, y, z = coords
-        try:
-            if (type(w) in _REAL and type(x) in _REAL
-                    and type(y) in _REAL and type(z) in _REAL):
-                w, x, y, z = float(w), float(x), float(y), float(z)
-                # each one: a sum of finite values can overflow
-                if isfinite(w) and isfinite(x) and isfinite(y) and isfinite(z):
-                    return _q(w, x, y, z)
-        except OverflowError:           # an int beyond float range
-            pass
-        raise ValueError("quaternion coordinates must be finite numbers, "
-                         f"got {reprlib.repr(coords)}")
+        """Decode [w, x, y, z] (see :func:`_checked_coords`)."""
+        return _q(*_checked_coords(coords))
 
     def __repr__(self) -> str:
         return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
@@ -219,6 +205,26 @@ def _q(w: float, x: float, y: float, z: float) -> Quaternion:
     _set_y(q, y)
     _set_z(q, z)
     return q
+
+
+def _checked_coords(coords) -> tuple[float, float, float, float]:
+    """The float coordinates of [w, x, y, z], the one check of coordinates
+    read from input: a list or tuple of four finite int or float values
+    (not bool or str)."""
+    if not isinstance(coords, (list, tuple)) or len(coords) != 4:
+        raise ValueError("quaternion encoding must be a list of 4 coordinates")
+    w, x, y, z = coords
+    try:
+        if (type(w) in _REAL and type(x) in _REAL
+                and type(y) in _REAL and type(z) in _REAL):
+            w, x, y, z = float(w), float(x), float(y), float(z)
+            # each one: a sum of finite values can overflow
+            if isfinite(w) and isfinite(x) and isfinite(y) and isfinite(z):
+                return (w, x, y, z)
+    except OverflowError:           # an int beyond float range
+        pass
+    raise ValueError("quaternion coordinates must be finite numbers, "
+                     f"got {reprlib.repr(coords)}")
 
 
 ZERO = Quaternion()

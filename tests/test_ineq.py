@@ -1,6 +1,7 @@
 import inspect
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -167,6 +168,30 @@ def test_tau0_t0_second_implementation_oracle():
         t_oracle = mul_oracle(t.d, d_binv) + t.b - mul_oracle(d_binv, t.a)
         assert isclose(tau0, tau_oracle, 1e-12)
         assert isclose(t0, t_oracle, 1e-12)
+
+
+def _bits(m):
+    return struct.pack("16d", *(x for q in m.entries() for x in q.as_list()))
+
+
+def test_j_flip_is_conjugation_by_j():
+    # J m J with J = [[0, 1], [1, 0]], by the matrix product, on finite
+    # matrices: random Sigma elements, large, tiny and zero entries, and
+    # signed zeros (the product may drop a zero's sign, == does not see it);
+    # flipping twice gives m back bit for bit
+    j = MatH2(ZERO, ONE, ONE, ZERO)
+    rng = random.Random(421)
+    matrices = [random_sigma(rng) for _ in range(40)]
+    matrices += [MatH2(*(random_quaternion(rng, scale) for _ in range(4)))
+                 for scale in (1e-300, 1e-8, 1e8, 1e300)]
+    matrices += [real_matrix(1, 0, 1, 1), real_matrix(0, 0, 0, 0),
+                 MatH2(Quaternion(-0.0, 1.0, -0.0, 2.0), ZERO,
+                       Quaternion(0.0, -0.0, 3.0, -0.0), Quaternion(-1.0))]
+    for m in matrices:
+        flipped = ineq._j_flip(m)
+        assert flipped == j @ m @ j
+        assert flipped.entries() == (m.d, m.c, m.b, m.a)
+        assert _bits(ineq._j_flip(flipped)) == _bits(m)
 
 
 def test_tau0_t0_domain_errors():

@@ -161,11 +161,11 @@ def _frozen_values():
 @pytest.mark.parametrize("value, same", _frozen_values(),
                          ids=["Quaternion", "MatH2", "InvariantSet", "TildeSet"])
 def test_frozen_value_type_contract(value, same):
-    fields = tuple(getattr(value, name) for name in value.__slots__)
+    fields = tuple(getattr(value, name) for name in value._fields)
     assert value == same and hash(value) == hash(same) == hash(fields)
     assert value is not same and not hasattr(value, "__dict__")
     assert value.__eq__(fields) is NotImplemented and value != fields
-    name = value.__slots__[0]
+    name = value._fields[0]
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(value, name, fields[0])
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -195,15 +195,14 @@ def test_mutable_value_types():
     traces = [IterationTrace("upper") for _ in range(2)]
     assert traces[0] == traces[1] and traces[0].truncated_reason is None
     assert traces[0].steps == [] and traces[0].steps is not traces[1].steps
-    s_coords = tuple(x for e in M.entries() for x in e.as_list())
-    step = IterationStep(n=0, s_coords=s_coords, det=1.0,
+    step = IterationStep(n=0, s=M, det=1.0,
                          entry_norms=(1.0, 2.0, 3.0, 4.0), tau_coords=None,
                          t_coords=None, tau_c=None, t_c=None, extremal_lhs=None)
     assert step.s == M
     assert (step.tau, step.t, step.tau_c, step.t_c, step.extremal_lhs) == (None,) * 5
     assert not hasattr(step, "__dict__")
     step.det = 2.0
-    assert step != IterationStep(0, s_coords, 1.0, (1.0, 2.0, 3.0, 4.0),
+    assert step != IterationStep(0, M, 1.0, (1.0, 2.0, 3.0, 4.0),
                                  None, None, None, None, None)
     report = ineq.jss_test(M, MatH2(ONE, I, Quaternion(), ONE))
     for value in (report, traces[0], step, ConvergenceReport(ConvergenceKind.STATIONARY, 0.5)):

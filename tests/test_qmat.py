@@ -1,11 +1,14 @@
+import json
 import math
 import random
+import reprlib
 import struct
+from math import isfinite
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qmobius.quat import Quaternion, ZERO, ONE, I, J, isclose
+from qmobius.quat import Quaternion, ZERO, ONE, I, J, _q, isclose
 from qmobius import ineq, moebius, qmat
 from qmobius.qmat import MatH2, diagonal, identity
 from conftest import random_invertible, random_sigma, random_quaternion
@@ -279,7 +282,7 @@ def _commutator_trace(a: MatH2, b: MatH2) -> float:
 
 
 def _conjugate_given_alpha(m: MatH2, t: MatH2) -> MatH2:
-    return qmat._from_coords(qmat._conjugate(qmat._coords(m), qmat._coords(t),
+    return qmat._from_coords(qmat._conjugate(m._coords, t._coords,
                                              qmat.nonsingular_alpha(m)))
 
 
@@ -501,3 +504,99 @@ def test_matrix_json_round_trip():
     assert MatH2.from_dict(m.to_dict()) == m
     with pytest.raises(ValueError):
         MatH2.from_dict({"a": [1, 0, 0, 0]})
+
+
+def _entry_bits(quaternions) -> list[bytes]:
+    return [struct.pack("4d", *q.as_list()) for q in quaternions]
+
+
+def test_coordinates_survive_construction_and_json_bit_for_bit():
+    rng = random.Random(215)
+    entries = [random_sigma(rng).entries() for _ in range(30)]
+    entries.append((Quaternion(-0.0, 1.5, -0.0, 0.0), Quaternion(-0.0, -0.0, -0.0, -0.0),
+                    ZERO, Quaternion(1.0, -0.0, -2.5e-300, -0.0)))
+    for a, b, c, d in entries:
+        m = MatH2(a, b, c, d)
+        assert (m.a, m.b, m.c, m.d) == (a, b, c, d)
+        assert _entry_bits(m.entries()) == _entry_bits((a, b, c, d))
+        for obj in (m.to_dict(), json.loads(json.dumps(m.to_dict()))):
+            decoded = MatH2.from_dict(obj)
+            assert decoded == m and _entry_bits(decoded.entries()) == _entry_bits((a, b, c, d))
+
+
+# The input decoder as it was while MatH2 held four Quaternion objects,
+# frozen here: ``Quaternion.from_list`` and ``MatH2.from_dict`` verbatim,
+# but for their names, the unused ``cls`` and from_dict returning the four
+# entries instead of a matrix. The one-pass coordinate check must accept
+# and reject the same objects, with the same message and the same bits.
+
+_REAL = (int, float)
+
+
+def _frozen_from_list(coords) -> Quaternion:
+    if not isinstance(coords, (list, tuple)) or len(coords) != 4:
+        raise ValueError("quaternion encoding must be a list of 4 coordinates")
+    w, x, y, z = coords
+    try:
+        if (type(w) in _REAL and type(x) in _REAL
+                and type(y) in _REAL and type(z) in _REAL):
+            w, x, y, z = float(w), float(x), float(y), float(z)
+            # each one: a sum of finite values can overflow
+            if isfinite(w) and isfinite(x) and isfinite(y) and isfinite(z):
+                return _q(w, x, y, z)
+    except OverflowError:           # an int beyond float range
+        pass
+    raise ValueError("quaternion coordinates must be finite numbers, "
+                     f"got {reprlib.repr(coords)}")
+
+
+def _frozen_from_dict(obj) -> tuple[Quaternion, ...]:
+    if not isinstance(obj, dict) or not obj.keys() >= {"a", "b", "c", "d"}:
+        raise ValueError("matrix must be an object with entries a, b, c, d")
+    return tuple(map(_frozen_from_list, (obj["a"], obj["b"], obj["c"], obj["d"])))
+
+
+def _decoded_matrix(entries):
+    """The coordinates' types and bits, or the ValueError message."""
+    try:
+        return [(type(x), struct.pack("d", x)) for q in entries() for x in q.as_list()]
+    except ValueError as exc:
+        return str(exc)
+
+
+_any_coord = st.one_of(st.integers(), st.floats(), st.just(True), st.text(max_size=2),
+                       st.sampled_from((10 ** 400, math.nan, math.inf, -math.inf)))
+_finite_coord = st.one_of(st.integers(-3, 3), st.floats(allow_nan=False, allow_infinity=False))
+_input_entry = st.one_of(
+    st.lists(_finite_coord, min_size=4, max_size=4),
+    st.lists(_finite_coord, min_size=4, max_size=4).map(tuple),
+    st.lists(_any_coord, min_size=3, max_size=5),
+    st.lists(_any_coord, min_size=4, max_size=4).map(tuple),
+    _any_coord)
+_input_matrix = st.one_of(
+    st.fixed_dictionaries({key: _input_entry for key in "abcd"}),
+    st.dictionaries(st.sampled_from("abcde"), _input_entry, max_size=5),
+    _input_entry, st.none())
+_UNIT = [1, 0, 0, 0]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_input_matrix)
+@example({"a": [2, -1, 0, 3], "b": [0, 0, 0, 0], "c": (0, 1, 0, 0), "d": _UNIT})
+@example({"a": [-0.0, 5e-324, 1e308, 0.5], "b": _UNIT, "c": _UNIT, "d": _UNIT, "e": 0})
+@example({"a": _UNIT, "b": [0, True, 0, 0], "c": _UNIT, "d": _UNIT})
+@example({"a": _UNIT, "b": _UNIT, "c": [0, 0, "1", 0], "d": _UNIT})
+@example({"a": _UNIT, "b": _UNIT, "c": _UNIT, "d": [10 ** 400, 0, 0, 0]})
+@example({"a": [math.nan, 0, 0, 0], "b": _UNIT, "c": _UNIT, "d": _UNIT})
+@example({"a": _UNIT, "b": (0, math.inf, 0, 0), "c": _UNIT, "d": _UNIT})
+@example({"a": _UNIT, "b": _UNIT, "c": [0, 0, -math.inf, 0], "d": _UNIT})
+@example({"a": [1, 0, 0], "b": _UNIT, "c": _UNIT, "d": _UNIT})
+@example({"a": _UNIT, "b": _UNIT, "c": _UNIT, "d": [1, 0, 0, 0, 0]})
+@example({"a": _UNIT, "b": [1, 2, 3], "c": [math.nan, 0, 0, 0], "d": "x"})
+@example({"a": _UNIT, "b": _UNIT, "c": _UNIT})
+@example([_UNIT, _UNIT, _UNIT, _UNIT])
+@example("abcd")
+@example(None)
+def test_from_dict_matches_its_frozen_oracle(obj):
+    assert (_decoded_matrix(lambda: MatH2.from_dict(obj).entries())
+            == _decoded_matrix(lambda: _frozen_from_dict(obj)))

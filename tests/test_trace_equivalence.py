@@ -40,7 +40,7 @@ def _reference_step_record(n, s, t_upper, mode, k):
             lhs = cn * math.sqrt(tau_norm * t_norm)
     if mode == "diagonal":
         lhs = k * (1.0 + norms[1] * norms[2])
-    step = IterationStep(n, _coords(s.entries()), qmat.det(s), norms,
+    step = IterationStep(n, s, qmat.det(s), norms,
                          None if tau is None else _coords([tau]),
                          None if tt is None else _coords([tt]), tau_c, t_c, lhs)
     return step, cn
@@ -84,6 +84,8 @@ def _bits(value):
     """Every float of a record field as its IEEE bit pattern."""
     if isinstance(value, float):
         return struct.pack("d", value)
+    if isinstance(value, MatH2):
+        value = value._coords
     if isinstance(value, tuple):
         return tuple(map(_bits, value))
     return value                    # n, and None for a missing quantity
