@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .quat import Quaternion, DEFAULT_TOL, _Value, _q
+from .quat import Quaternion, DEFAULT_TOL, _Value, _norm2, _q
 from . import qmat, ineq
 from .qmat import MODES, NOT_FINITE, MatH2
 
@@ -79,11 +79,11 @@ class IterationStep(_Value):
 
     @property
     def tau(self) -> Quaternion | None:
-        return None if self.tau_coords is None else _q(*self.tau_coords)
+        return None if self.tau_coords is None else _q(self.tau_coords)
 
     @property
     def t(self) -> Quaternion | None:
-        return None if self.t_coords is None else _q(*self.t_coords)
+        return None if self.t_coords is None else _q(self.t_coords)
 
     @property
     def bc_norm(self) -> float:
@@ -156,17 +156,16 @@ def _record(n: int, m, det: float, t_upper, mode: str,
     Each value of the record must be finite, one at a time (a sum of finite
     values can overflow): the first one that is not is a ``ValueError``.
     """
-    norm2 = qmat._norm2
     a, b, c, d = m
-    norms = (math.sqrt(norm2(a)), math.sqrt(norm2(b)),
-             math.sqrt(norm2(c)), math.sqrt(norm2(d)))
+    norms = (math.sqrt(_norm2(a)), math.sqrt(_norm2(b)),
+             math.sqrt(_norm2(c)), math.sqrt(_norm2(d)))
     bc = norms[1] * norms[2]
     checked = [*norms, det, bc]
     tau = tt = tau_c = t_c = lhs = None
     cn = norms[1] if mode == "lower" else norms[2]
     if cn > qmat.NONZERO_TOL:
         tau, tt = ineq._tau0_t0(m[::-1] if mode == "lower" else m, t_upper)
-        tau_norm, t_norm = math.sqrt(norm2(tau)), math.sqrt(norm2(tt))
+        tau_norm, t_norm = math.sqrt(_norm2(tau)), math.sqrt(_norm2(tt))
         tau_c = tau_norm * cn
         t_c = t_norm * cn
         checked += (tau_c, t_c)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .quat import Quaternion, ONE, DEFAULT_TOL, _Value, _q, arg, similar
+from .quat import Quaternion, ONE, DEFAULT_TOL, _Value, _inv, _mul, _norm2, _q, arg, similar
 from . import qmat
 from .qmat import MatH2
 
@@ -165,28 +165,26 @@ def tau0_t0_upper(s: MatH2, t: MatH2) -> tuple[Quaternion, Quaternion]:
     equal to the ``Quaternion`` expressions above (``c.inverse()`` for c^-1).
     """
     tau0, t0 = _tau0_t0(s._coords, t._coords)
-    return (_q(*tau0), _q(*t0))
+    return (_q(tau0), _q(t0))
 
 
 def _tau0_t0(s, t) -> tuple[tuple[float, float, float, float], ...]:
     """The coordinates of :func:`tau0_t0_upper` from the entry coordinates
     of S and T."""
-    mul = qmat._mul
     a, _, c, d = s
-    n = qmat._norm2(c)
+    n = _norm2(c)
     if math.sqrt(n) <= qmat.NONZERO_TOL:
         raise ValueError("S and T share a fixed point; pair is elementary-suspect")
     lam, (ew, ex, ey, ez), _, mu = t
-    cw, cx, cy, cz = c
-    cinv = (cw / n, -cx / n, -cy / n, -cz / n)
-    cinv_d = mul(cinv, d)
-    a_cinv = mul(a, cinv)
+    cinv = _inv(c, n)
+    cinv_d = _mul(cinv, d)
+    a_cinv = _mul(a, cinv)
     vw, vx, vy, vz = cinv_d
-    pw, px, py, pz = mul(lam, (-vw, -vx, -vy, -vz))
-    qw, qx, qy, qz = mul(cinv_d, mu)
+    pw, px, py, pz = _mul(lam, (-vw, -vx, -vy, -vz))
+    qw, qx, qy, qz = _mul(cinv_d, mu)
     tau0 = (pw + ew + qw, px + ex + qx, py + ey + qy, pz + ez + qz)
-    pw, px, py, pz = mul(lam, a_cinv)
-    qw, qx, qy, qz = mul(a_cinv, mu)
+    pw, px, py, pz = _mul(lam, a_cinv)
+    qw, qx, qy, qz = _mul(a_cinv, mu)
     t0 = (pw + ew - qw, px + ex - qx, py + ey - qy, pz + ez - qz)
     return (tau0, t0)
 
@@ -235,13 +233,22 @@ def _coupling_ok(norm: float, tol: float) -> bool:
 
 
 def _diagonal_gates(s: MatH2, t: MatH2, tol: float) -> tuple[bool, dict[str, float]]:
+    """The gates of the diagonal family: :func:`_pair_gates`, and b and c of
+    S both nonzero (:func:`_coupling_ok`). A zero one fixes 0 or infinity,
+    which the diagonal T fixes too, so the pair is elementary: a failed gate
+    with the ``b_zero`` / ``c_zero`` flag."""
     lam, mu = t.a, t.d
     ok, diag = _pair_gates(s, t, tol, ("diagonal",))
+    b_norm, c_norm = s.b.norm(), s.c.norm()
     diag.update({
-        "bc_norm": s.b.norm() * s.c.norm(),
+        "bc_norm": b_norm * c_norm,
         "K": k_value(lam, mu),
         "lambda_similar_mu": 1.0 if similar(lam, mu, tol) else 0.0,
     })
+    for flag, norm in (("b_zero", b_norm), ("c_zero", c_norm)):
+        if not _coupling_ok(norm, tol):
+            diag[flag] = 1.0
+            ok = False
     return ok, diag
 
 

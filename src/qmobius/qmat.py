@@ -14,9 +14,11 @@ on the same coordinates. A :class:`MatH2` holds its entry coordinates,
 which the kernels read and return as they are; each result coordinate is
 the float expression of the ``Quaternion`` formula in its docstring,
 evaluated in the same order: the results are bitwise equal to that
-formula's, error types included. One helper holds each formula
-(``_mul``, ``_re_mul``, ``_prod_sum``, ``_inverse_entry``), and the
-kernels share their coordinate tuples. ``_conjugate``, the conjugation
+formula's, error types included. The quaternion formulas (``_mul``,
+``_re_mul``, ``_norm2``, ``_conj``) are those of :mod:`qmobius.quat`, which
+``Quaternion`` arithmetic evaluates too; the matrix ones are written once
+here (``_prod_sum``, ``_inverse_entry``), and the kernels share their
+coordinate tuples. ``_conjugate``, the conjugation
 step m t m^-1 given m's alpha (``dynamics.iterate`` computes it once per
 step), is bitwise ``m @ t @ inverse(m)``, and
 ``_alphas_and_commutator_trace`` evaluates only the real parts of the
@@ -29,7 +31,8 @@ from __future__ import annotations
 
 import math
 
-from .quat import Quaternion, ZERO, ONE, DEFAULT_TOL, _Frozen, _checked_coords, _new, _q
+from .quat import (Quaternion, ZERO, ONE, DEFAULT_TOL, _Frozen, _checked_coords,
+                   _conj, _mul, _new, _norm2, _q, _re_mul)
 
 # Norm threshold under which an entry is treated as zero when dispatching
 # between algebraic case formulas. Dispatch must be deterministic under
@@ -51,7 +54,7 @@ class SingularMatrixError(ValueError):
 
 def _entry(i: int) -> property:
     """The read property of entry i: a ``Quaternion`` of its coordinates."""
-    return property(lambda m: _q(*m._coords[i]))
+    return property(lambda m: _q(m._coords[i]))
 
 
 class MatH2(_Frozen):
@@ -64,7 +67,7 @@ class MatH2(_Frozen):
     a, b, c, d = map(_entry, range(4))
 
     def __init__(self, a: Quaternion, b: Quaternion, c: Quaternion, d: Quaternion):
-        _set_coords(self, (a._astuple, b._astuple, c._astuple, d._astuple))
+        _set_coords(self, (a._c, b._c, c._c, d._c))
 
     def __matmul__(self, other: "MatH2") -> "MatH2":
         return _from_coords(_product(self._coords, other._coords))
@@ -95,27 +98,6 @@ class MatH2(_Frozen):
 _set_coords = MatH2._coords.__set__
 
 
-# Kernel helpers on (w, x, y, z) coordinate tuples. A conjugate enters with
-# its coordinates negated, as ``q.conj()`` stores them, so every expression
-# is the one Quaternion arithmetic evaluates.
-
-def _mul(p, q) -> tuple[float, float, float, float]:
-    """Coordinates of the Hamilton product p q (``Quaternion.__mul__``)."""
-    pw, px, py, pz = p
-    qw, qx, qy, qz = q
-    return (pw * qw - px * qx - py * qy - pz * qz,
-            pw * qx + px * qw + py * qz - pz * qy,
-            pw * qy - px * qz + py * qw + pz * qx,
-            pw * qz + px * qy - py * qx + pz * qw)
-
-
-def _re_mul(p, q) -> float:
-    """Re(p q): the w coordinate of :func:`_mul`, the same expression."""
-    pw, px, py, pz = p
-    qw, qx, qy, qz = q
-    return pw * qw - px * qx - py * qy - pz * qz
-
-
 def _prod_sum(p, q, r, s) -> tuple[float, float, float, float]:
     """Coordinates of p q + r s: one entry of a matrix product."""
     pw, px, py, pz = _mul(p, q)
@@ -137,16 +119,6 @@ def _from_coords(entries) -> MatH2:
     m = _new(MatH2)
     _set_coords(m, entries)
     return m
-
-
-def _norm2(p) -> float:
-    w, x, y, z = p
-    return w * w + x * x + y * y + z * z
-
-
-def _conj(p) -> tuple[float, float, float, float]:
-    w, x, y, z = p
-    return (w, -x, -y, -z)
 
 
 def identity() -> MatH2:

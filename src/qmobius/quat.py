@@ -4,6 +4,11 @@ Everything downstream (matrices, Moebius maps, inequality tests) is built on
 this module. Quaternions are immutable value objects over 64-bit floats;
 comparisons against tolerances are the caller's job, with ``DEFAULT_TOL``
 as the library-wide default for unit-scale data.
+
+A :class:`Quaternion` holds one coordinate tuple (w, x, y, z). Each formula
+(``_mul``, ``_re_mul``, ``_norm2``, ``_conj``, ``_inv``) is written once, on
+coordinate tuples: the ``Quaternion`` methods and the kernels of ``qmat``,
+``ineq`` and ``dynamics`` evaluate the same expressions, bit for bit.
 """
 
 from __future__ import annotations
@@ -73,82 +78,81 @@ class _Frozen(_Value):
             object.__setattr__(self, name, value)
 
 
+def _coord(i: int) -> property:
+    """The read property of coordinate i."""
+    return property(lambda q: q._c[i])
+
+
 class Quaternion(_Frozen):
     """A quaternion w + x*i + y*j + z*k.
 
     The basis satisfies i*i = j*j = k*k = -1 and i*j = -j*i = k,
     j*k = -k*j = i, k*i = -i*k = j. Real scalars embed as (w, 0, 0, 0)
-    and commute with everything; nonreal quaternions do not.
+    and commute with everything; nonreal quaternions do not. Its one slot,
+    ``_c``, is its field tuple (w, x, y, z); ``w`` to ``z`` and ``re`` read it.
     """
 
-    __slots__ = _fields = ("w", "x", "y", "z")
+    __slots__ = ("_c",)
+    _fields = ("w", "x", "y", "z")
+    w, x, y, z = map(_coord, range(4))
+    re = w
 
     def __init__(self, w: float = 0.0, x: float = 0.0, y: float = 0.0,
                  z: float = 0.0):
-        _set_w(self, float(w))
-        _set_x(self, float(x))
-        _set_y(self, float(y))
-        _set_z(self, float(z))
-
-    @property
-    def re(self) -> float:
-        return self.w
+        _set_c(self, (float(w), float(x), float(y), float(z)))
 
     def im(self) -> "Quaternion":
-        return _q(0.0, self.x, self.y, self.z)
+        _, x, y, z = self._c
+        return _q((0.0, x, y, z))
 
     def conj(self) -> "Quaternion":
-        return _q(self.w, -self.x, -self.y, -self.z)
+        return _q(_conj(self._c))
 
     def norm2(self) -> float:
-        return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
+        return _norm2(self._c)
 
     def norm(self) -> float:
-        return math.sqrt(self.norm2())
+        return math.sqrt(_norm2(self._c))
 
     def im_norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        _, x, y, z = self._c
+        return math.sqrt(x * x + y * y + z * z)
 
-    def __abs__(self) -> float:
-        return self.norm()
+    __abs__ = norm
 
     def __add__(self, other) -> "Quaternion":
+        pw, px, py, pz = self._c
         if isinstance(other, Quaternion):
-            return _q(self.w + other.w, self.x + other.x,
-                      self.y + other.y, self.z + other.z)
+            qw, qx, qy, qz = other._c
+            return _q((pw + qw, px + qx, py + qy, pz + qz))
         if isinstance(other, (int, float)):
-            return _q(self.w + other, self.x, self.y, self.z)
+            return _q((pw + other, px, py, pz))
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Quaternion":
+        pw, px, py, pz = self._c
         if isinstance(other, Quaternion):
-            return _q(self.w - other.w, self.x - other.x,
-                      self.y - other.y, self.z - other.z)
+            qw, qx, qy, qz = other._c
+            return _q((pw - qw, px - qx, py - qy, pz - qz))
         if isinstance(other, (int, float)):
-            return _q(self.w - other, self.x, self.y, self.z)
+            return _q((pw - other, px, py, pz))
         return NotImplemented
 
     def __rsub__(self, other) -> "Quaternion":
         return (-self).__add__(other)
 
     def __neg__(self) -> "Quaternion":
-        return _q(-self.w, -self.x, -self.y, -self.z)
+        w, x, y, z = self._c
+        return _q((-w, -x, -y, -z))
 
     def __mul__(self, other) -> "Quaternion":
         if isinstance(other, Quaternion):
-            pw, px, py, pz = self.w, self.x, self.y, self.z
-            qw, qx, qy, qz = other.w, other.x, other.y, other.z
-            return _q(
-                pw * qw - px * qx - py * qy - pz * qz,
-                pw * qx + px * qw + py * qz - pz * qy,
-                pw * qy - px * qz + py * qw + pz * qx,
-                pw * qz + px * qy - py * qx + pz * qw,
-            )
+            return _q(_mul(self._c, other._c))
         if isinstance(other, (int, float)):
-            return _q(self.w * other, self.x * other,
-                      self.y * other, self.z * other)
+            w, x, y, z = self._c
+            return _q((w * other, x * other, y * other, z * other))
         return NotImplemented
 
     def __rmul__(self, other) -> "Quaternion":
@@ -157,54 +161,81 @@ class Quaternion(_Frozen):
 
     def __truediv__(self, other) -> "Quaternion":
         if isinstance(other, (int, float)):
-            return _q(self.w / other, self.x / other,
-                      self.y / other, self.z / other)
+            w, x, y, z = self._c
+            return _q((w / other, x / other, y / other, z / other))
         # q1 / q2 is ambiguous in a noncommutative ring; be explicit:
         # p * q.inverse() or q.inverse() * p.
         return NotImplemented
 
     def inverse(self) -> "Quaternion":
         """Multiplicative inverse conj(q) / |q|^2."""
-        n2 = self.norm2()
+        n2 = _norm2(self._c)
         if n2 == 0.0:
             raise ZeroDivisionError("non-invertible quaternion")
-        return _q(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
+        return _q(_inv(self._c, n2))
 
     def as_list(self) -> list[float]:
         """JSON-friendly [w, x, y, z] encoding."""
-        return [self.w, self.x, self.y, self.z]
+        return list(self._c)
 
     @classmethod
     def from_list(cls, coords) -> "Quaternion":
         """Decode [w, x, y, z] (see :func:`_checked_coords`)."""
-        return _q(*_checked_coords(coords))
+        return _q(_checked_coords(coords))
 
     def __repr__(self) -> str:
-        return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
+        return "Quaternion({!r}, {!r}, {!r}, {!r})".format(*self._c)
 
 
+Quaternion._astuple = Quaternion._c
 _new = object.__new__
-_set_w = Quaternion.w.__set__
-_set_x = Quaternion.x.__set__
-_set_y = Quaternion.y.__set__
-_set_z = Quaternion.z.__set__
+_set_c = Quaternion._c.__set__
 
 
-def _q(w: float, x: float, y: float, z: float) -> Quaternion:
-    """Build a Quaternion from coordinates that are already floats.
+def _q(c: tuple[float, float, float, float]) -> Quaternion:
+    """Build a Quaternion from a tuple of coordinates that are already floats.
 
     Arithmetic results are floats by construction, so the public
     constructor (``__init__`` and its ``float()`` coercion) is skipped; the
-    slot descriptors write past the frozen ``__setattr__``, as ``__init__``
-    does. Equality, hashing
-    and immutability are those of any other instance.
+    slot descriptor writes past the frozen ``__setattr__``, as ``__init__``
+    does. Equality, hashing and immutability are those of any other instance.
     """
     q = _new(Quaternion)
-    _set_w(q, w)
-    _set_x(q, x)
-    _set_y(q, y)
-    _set_z(q, z)
+    _set_c(q, c)
     return q
+
+
+def _mul(p, q) -> tuple[float, float, float, float]:
+    """Coordinates of the Hamilton product p q."""
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    return (pw * qw - px * qx - py * qy - pz * qz,
+            pw * qx + px * qw + py * qz - pz * qy,
+            pw * qy - px * qz + py * qw + pz * qx,
+            pw * qz + px * qy - py * qx + pz * qw)
+
+
+def _re_mul(p, q) -> float:
+    """Re(p q): the w coordinate of :func:`_mul`, the same expression."""
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    return pw * qw - px * qx - py * qy - pz * qz
+
+
+def _norm2(p) -> float:
+    w, x, y, z = p
+    return w * w + x * x + y * y + z * z
+
+
+def _conj(p) -> tuple[float, float, float, float]:
+    w, x, y, z = p
+    return (w, -x, -y, -z)
+
+
+def _inv(p, n: float) -> tuple[float, float, float, float]:
+    """Coordinates of p^-1 = conj(p) / n, given n = |p|^2 (nonzero)."""
+    w, x, y, z = p
+    return (w / n, -x / n, -y / n, -z / n)
 
 
 def _checked_coords(coords) -> tuple[float, float, float, float]:

@@ -192,6 +192,30 @@ def test_obstruction_pair_auto_routes_to_jss(capsys):
     assert payload["lhs"] == pytest.approx(0.76055, abs=1e-4)
 
 
+# S = [[-1, 0], [2, -1]] and T = diag(-1, (-1 + i + j + k) / 2), Hurwitz
+# matrices with K (1 + |bc|) = 1 in float: b = 0, so S and T share the fixed
+# point 0 and the pair is elementary, which no diagonal selector may decide
+ELEMENTARY_DIAGONAL_PAIR = {
+    "v": 1,
+    "S": matrix_obj(quat_list(-1), quat_list(), quat_list(2), quat_list(-1)),
+    "T": matrix_obj(quat_list(-1), quat_list(), quat_list(),
+                    quat_list(-0.5, 0.5, 0.5, 0.5)),
+}
+
+
+@pytest.mark.parametrize("select", ["jss", "jssc2", "jss2", "extreme"])
+def test_elementary_diagonal_pair_fails_the_coupling_gate(capsys, select):
+    code, out, err = run(capsys, "test", json.dumps(ELEMENTARY_DIAGONAL_PAIR),
+                         "--select", select)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["verdict"] == "inconclusive"
+    assert payload["preconditions_met"] is False
+    assert payload["diagnostics"]["b_zero"] == 1.0
+    assert "c_zero" not in payload["diagnostics"]
+    assert "inconsistency" not in payload["diagnostics"]
+
+
 def test_auto_rejects_full_matrix(capsys):
     code, _, err = run(capsys, "test", json.dumps(FULL_PAIR))
     assert code == 2

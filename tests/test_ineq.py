@@ -18,6 +18,7 @@ from qmobius.qmat import MatH2, diagonal, lower_triangular, upper_triangular
 from conftest import (check_report_invariants, mul_oracle, random_quaternion,
                       random_sigma, random_unit_quaternion,
                       random_elliptic_entry)
+import hurwitz
 
 SQRT2 = math.sqrt(2.0)
 
@@ -567,6 +568,50 @@ def test_property_jlt_is_the_j_flip_of_jg_and_rez(entries, b_zero, kappa, tau,
                 reference.preconditions_met))
 
 
+def test_hurwitz_elementary_diagonal_pairs_are_never_decided():
+    # a Hurwitz word S with b = 0 (or c = 0) fixes 0 (or infinity), as a
+    # diagonal T of units does: the pair is elementary, so the diagonal family
+    # must not read it as an obstruction or as the extreme-group signature
+    rng = random.Random(0)
+    pairs = 0
+    for _ in range(2000):
+        s = hurwitz.word(rng)
+        t = diagonal(rng.choice(hurwitz.UNITS), rng.choice(hurwitz.UNITS))
+        zero = {"b_zero": s.b.norm2() == 0.0, "c_zero": s.c.norm2() == 0.0}
+        if not any(zero.values()):
+            continue
+        pairs += 1
+        for name in ("jss", "jssc2", "jss2", "extreme"):
+            report = ineq.TESTS[name](s, t)
+            assert report.verdict is Verdict.INCONCLUSIVE, name
+            assert not report.preconditions_met, name
+            assert {flag: flag in report.diagnostics for flag in zero} == zero, name
+            assert "inconsistency" not in report.diagnostics, name
+    assert pairs > 900
+
+
+def test_hurwitz_shimizu_equality_is_exact_on_units():
+    # S in the Hurwitz group with c != 0 and T = [[1, eta], [0, 1]], eta a
+    # nonzero Hurwitz integer: the rez lhs is |c| |eta| >= 1 (Shimizu), and
+    # Hurwitz norms are integers, so the pair is extremal exactly when c and
+    # eta are units and otherwise has a margin of at least sqrt(2) - 1
+    rng = random.Random(0)
+    pairs = units = 0
+    for _ in range(4000):
+        s = hurwitz.word(rng)
+        if s.c.norm2() == 0.0:
+            continue
+        eta = hurwitz.nonzero_hurwitz_integer(rng)
+        report = rez_test(s, upper_triangular(ONE, eta, ONE))
+        pairs += 1
+        if s.c.norm2() * eta.norm2() == 1.0:
+            units += 1
+            assert report.verdict is Verdict.EXTREMAL and report.lhs == 1.0
+        else:
+            assert report.margin >= SQRT2 - 1.0, (s, eta)
+    assert pairs > 2500 and units > 10
+
+
 def test_every_test_is_invariant_under_diagonal_conjugation():
     # D = diag(u, v) with unit u, v fixes 0 and infinity, keeps T's shape and
     # both determinants, and carries each displacement by an isometry. wat's
@@ -684,7 +729,9 @@ def test_extremality_criteria_non_elliptic_equality_never_certified():
 
 def test_extremality_criteria_angle_inconsistency():
     t = diagonal(unit_complex(math.pi / 6), unit_complex(-math.pi / 6))
-    s = qmat.identity()     # bc = 0, K = 1: equality with angle sum pi/3
+    # non-elementary, |bc| = eps^2 and K = 1: equality with angle sum pi/3
+    eps = 1e-4
+    s = MatH2(ONE, Quaternion(eps), Quaternion(eps), Quaternion(1.0 + eps * eps))
     report = extremality_criteria(s, t)
     assert report.diagnostics.get("inconsistency") == 1.0
     assert report.verdict is Verdict.INCONCLUSIVE

@@ -543,7 +543,7 @@ def _frozen_from_list(coords) -> Quaternion:
             w, x, y, z = float(w), float(x), float(y), float(z)
             # each one: a sum of finite values can overflow
             if isfinite(w) and isfinite(x) and isfinite(y) and isfinite(z):
-                return _q(w, x, y, z)
+                return _q((w, x, y, z))
     except OverflowError:           # an int beyond float range
         pass
     raise ValueError("quaternion coordinates must be finite numbers, "

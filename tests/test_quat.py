@@ -9,7 +9,8 @@ import struct
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qmobius.quat import (Quaternion, ZERO, ONE, I, J, K, DEFAULT_TOL,
+from qmobius import qmat, quat
+from qmobius.quat import (Quaternion, ZERO, ONE, I, J, K, DEFAULT_TOL, _Frozen,
                           arg, complex_representative, isclose, similar)
 from conftest import mul_oracle, random_quaternion, random_nonzero_quaternion
 
@@ -247,3 +248,177 @@ def test_operands_without_a_rule_raise_type_error():
 
 def test_default_tol_exposed():
     assert DEFAULT_TOL == 1e-9
+
+
+def test_a_quaternion_holds_its_coordinate_tuple():
+    q = Quaternion(1, -2.5, 0, 3)
+    assert Quaternion.__slots__ == ("_c",) and Quaternion._fields == ("w", "x", "y", "z")
+    assert q._c == (1.0, -2.5, 0.0, 3.0) and q._astuple is q._c
+    assert (q.w, q.x, q.y, q.z, q.re) == (1.0, -2.5, 0.0, 3.0, 1.0)
+    assert not any(hasattr(quat, f"_set_{name}") for name in "wxyz")
+    for name in ("_mul", "_re_mul", "_norm2", "_conj"):
+        assert getattr(qmat, name) is getattr(quat, name), name
+
+
+# The four-slot Quaternion arithmetic as it was before a quaternion held its
+# coordinate tuple, frozen here: verbatim but for the class and builder
+# names. Every operation of the tuple-holding Quaternion must give the same
+# bits in every coordinate, and the same error type.
+
+class _FourSlot(_Frozen):
+    __slots__ = _fields = ("w", "x", "y", "z")
+
+    def __init__(self, w: float = 0.0, x: float = 0.0, y: float = 0.0,
+                 z: float = 0.0):
+        _set_w(self, float(w))
+        _set_x(self, float(x))
+        _set_y(self, float(y))
+        _set_z(self, float(z))
+
+    @property
+    def re(self) -> float:
+        return self.w
+
+    def im(self) -> "_FourSlot":
+        return _four_slot_q(0.0, self.x, self.y, self.z)
+
+    def conj(self) -> "_FourSlot":
+        return _four_slot_q(self.w, -self.x, -self.y, -self.z)
+
+    def norm2(self) -> float:
+        return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
+
+    def norm(self) -> float:
+        return math.sqrt(self.norm2())
+
+    def im_norm(self) -> float:
+        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+
+    def __abs__(self) -> float:
+        return self.norm()
+
+    def __add__(self, other) -> "_FourSlot":
+        if isinstance(other, _FourSlot):
+            return _four_slot_q(self.w + other.w, self.x + other.x,
+                                self.y + other.y, self.z + other.z)
+        if isinstance(other, (int, float)):
+            return _four_slot_q(self.w + other, self.x, self.y, self.z)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "_FourSlot":
+        if isinstance(other, _FourSlot):
+            return _four_slot_q(self.w - other.w, self.x - other.x,
+                                self.y - other.y, self.z - other.z)
+        if isinstance(other, (int, float)):
+            return _four_slot_q(self.w - other, self.x, self.y, self.z)
+        return NotImplemented
+
+    def __rsub__(self, other) -> "_FourSlot":
+        return (-self).__add__(other)
+
+    def __neg__(self) -> "_FourSlot":
+        return _four_slot_q(-self.w, -self.x, -self.y, -self.z)
+
+    def __mul__(self, other) -> "_FourSlot":
+        if isinstance(other, _FourSlot):
+            pw, px, py, pz = self.w, self.x, self.y, self.z
+            qw, qx, qy, qz = other.w, other.x, other.y, other.z
+            return _four_slot_q(
+                pw * qw - px * qx - py * qy - pz * qz,
+                pw * qx + px * qw + py * qz - pz * qy,
+                pw * qy - px * qz + py * qw + pz * qx,
+                pw * qz + px * qy - py * qx + pz * qw,
+            )
+        if isinstance(other, (int, float)):
+            return _four_slot_q(self.w * other, self.x * other,
+                                self.y * other, self.z * other)
+        return NotImplemented
+
+    def __rmul__(self, other) -> "_FourSlot":
+        # only reached for real scalars, which are central
+        return self.__mul__(other)
+
+    def __truediv__(self, other) -> "_FourSlot":
+        if isinstance(other, (int, float)):
+            return _four_slot_q(self.w / other, self.x / other,
+                                self.y / other, self.z / other)
+        # q1 / q2 is ambiguous in a noncommutative ring; be explicit:
+        # p * q.inverse() or q.inverse() * p.
+        return NotImplemented
+
+    def inverse(self) -> "_FourSlot":
+        """Multiplicative inverse conj(q) / |q|^2."""
+        n2 = self.norm2()
+        if n2 == 0.0:
+            raise ZeroDivisionError("non-invertible quaternion")
+        return _four_slot_q(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
+
+
+_new = object.__new__
+_set_w = _FourSlot.w.__set__
+_set_x = _FourSlot.x.__set__
+_set_y = _FourSlot.y.__set__
+_set_z = _FourSlot.z.__set__
+
+
+def _four_slot_q(w: float, x: float, y: float, z: float) -> _FourSlot:
+    q = _new(_FourSlot)
+    _set_w(q, w)
+    _set_x(q, x)
+    _set_y(q, y)
+    _set_z(q, z)
+    return q
+
+
+# name: the operation on (p, q, scalar), one class's values of each
+_OPERATIONS = {
+    "add": lambda p, q, s: p + q,
+    "sub": lambda p, q, s: p - q,
+    "mul": lambda p, q, s: p * q,
+    "neg": lambda p, q, s: -p,
+    "add_scalar": lambda p, q, s: p + s,
+    "radd_scalar": lambda p, q, s: s + p,
+    "sub_scalar": lambda p, q, s: p - s,
+    "rsub_scalar": lambda p, q, s: s - p,
+    "mul_scalar": lambda p, q, s: p * s,
+    "rmul_scalar": lambda p, q, s: s * p,
+    "div_scalar": lambda p, q, s: p / s,
+    "conj": lambda p, q, s: p.conj(),
+    "im": lambda p, q, s: p.im(),
+    "inverse": lambda p, q, s: p.inverse(),
+    "norm2": lambda p, q, s: p.norm2(),
+    "norm": lambda p, q, s: p.norm(),
+    "im_norm": lambda p, q, s: p.im_norm(),
+}
+
+
+def _outcome(operation, p, q, s):
+    """The bits of each result coordinate (a float result is one), or the
+    type of the error raised."""
+    try:
+        value = operation(p, q, s)
+    except Exception as exc:
+        return type(exc)
+    coords = [value] if isinstance(value, float) else [value.w, value.x, value.y, value.z]
+    return [(type(c), struct.pack("<d", c)) for c in coords]
+
+
+_coordinates = st.tuples(*[st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))] * 4)
+_scalars = st.one_of(st.floats(), st.integers(), st.sampled_from((0, 0.0, -0.0, 10 ** 400)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(p=_coordinates, q=_coordinates, s=_scalars)
+@example(p=(-0.0, 5e-324, 1e308, 1.0), q=(1e308, -0.0, 5e-324, -1e308), s=1e308)
+@example(p=(1e308, 1e308, 1e308, 1e308), q=(5e-324, 5e-324, -0.0, 0.0), s=5e-324)
+@example(p=(0.0, -0.0, 0.0, -0.0), q=(0.0, 0.0, 0.0, 0.0), s=-0.0)
+@example(p=(5e-324, 0.0, 0.0, 0.0), q=(1.5, -2.0, 0.25, 3.0), s=0)
+@example(p=(1.0, 2.0, 3.0, 4.0), q=(-0.5, 0.5, -0.5, 0.5), s=10 ** 400)
+@example(p=(math.nan, 1.0, -math.inf, 0.0), q=(math.inf, 0.0, -0.0, 1.0), s=math.inf)
+def test_arithmetic_matches_the_frozen_four_slot_quaternion(p, q, s):
+    new = (Quaternion(*p), Quaternion(*q), s)
+    old = (_FourSlot(*p), _FourSlot(*q), s)
+    for name, operation in _OPERATIONS.items():
+        assert _outcome(operation, *new) == _outcome(operation, *old), name
