@@ -6,9 +6,9 @@ quantity). :func:`iterate` works on the entry coordinates that a ``MatH2``
 holds, from input to output, and each record keeps S_n as the ``MatH2`` of
 the coordinates its step computed. Each step computes alpha of S_n once,
 for ``det`` and for the conjugation S_n T S_n^-1 (``qmat._conjugate``,
-bitwise ``S_n @ T @ inverse(S_n)``), and the displacement quantities
-through the coordinate core of :func:`ineq.tau0_t0_upper` (J-flipped in
-lower mode).
+bitwise ``S_n @ T @ inverse(S_n)``), and the coupling and displacement
+quantities through :func:`ineq._displacement` (on the J-flip in lower
+mode).
 Every value of a record must be finite; :func:`iterate` is the one place
 that checks. The closed entry recurrences are recomputed only to
 cross-check the products, which is itself a meaningful test of the
@@ -49,9 +49,8 @@ class IterationStep(_Value):
     K (1 + |b_n c_n|) in diagonal mode, coupling * sqrt(|tau_n| |t_n|) in
     the triangular modes (b-based in lower mode, which is the quantity the
     invariance theorem propagates there). ``entry_norms`` are |a_n|, |b_n|,
-    |c_n|, |d_n|, computed once per step for the coupling, ``bc_norm``, the
-    divergence check and the CSV row; the JSON record carries S itself
-    instead.
+    |c_n|, |d_n|, computed once per step for ``bc_norm``, the divergence
+    check and the CSV row; the JSON record carries S itself instead.
 
     S_n is the ``MatH2`` ``s``, which holds its entry coordinates; tau/t
     are stored as their coordinates (``tau_coords``, ``t_coords``, None
@@ -146,12 +145,12 @@ def csv_row(step: IterationStep, full: bool = False) -> list:
     return row
 
 
-def _record(n: int, m, det: float, t_upper, mode: str,
+def _record(n: int, m, det: float, t, mode: str,
             k: float) -> tuple[IterationStep, float]:
     """The record of S_n from its entry coordinates m, and the norm of its
-    coupling entry. ``t_upper`` is the coordinates of T, J-flipped in lower
-    mode, where the coupling entry and tau/t are read on the flip of S_n
-    (:func:`ineq._j_flip`; on coordinates the reversed entry tuple).
+    coupling entry. ``t`` is the coordinates of T; the coupling entry and
+    tau/t are :func:`ineq._displacement` of the mode (b_n and the J-flip in
+    lower mode, c_n otherwise).
 
     Each value of the record must be finite, one at a time (a sum of finite
     values can overflow): the first one that is not is a ``ValueError``.
@@ -161,16 +160,12 @@ def _record(n: int, m, det: float, t_upper, mode: str,
              math.sqrt(_norm2(c)), math.sqrt(_norm2(d)))
     bc = norms[1] * norms[2]
     checked = [*norms, det, bc]
-    tau = tt = tau_c = t_c = lhs = None
-    cn = norms[1] if mode == "lower" else norms[2]
-    if cn > qmat.NONZERO_TOL:
-        tau, tt = ineq._tau0_t0(m[::-1] if mode == "lower" else m, t_upper)
-        tau_norm, t_norm = math.sqrt(_norm2(tau)), math.sqrt(_norm2(tt))
+    tau_c = t_c = None
+    cn, tau, tt, tau_norm, t_norm, lhs = ineq._displacement(m, t, mode)
+    if tau is not None:
         tau_c = tau_norm * cn
         t_c = t_norm * cn
         checked += (tau_c, t_c)
-        if mode != "diagonal":
-            lhs = cn * math.sqrt(tau_norm * t_norm)
     if mode == "diagonal":
         lhs = k * (1.0 + bc)
     if lhs is not None:
@@ -207,12 +202,11 @@ def iterate(s: MatH2, t: MatH2, n_steps: int, mode: str,
         raise ValueError(f"T does not match mode {mode!r}")
     k = ineq.k_value(t.a, t.d)
     t_coords = t._coords
-    t_upper = t_coords[::-1] if mode == "lower" else t_coords
     trace = IterationTrace(mode=mode)
     current = s._coords
     for n in range(n_steps + 1):
         value = qmat._alpha(current)
-        step, coupling = _record(n, current, math.sqrt(value), t_upper, mode, k)
+        step, coupling = _record(n, current, math.sqrt(value), t_coords, mode, k)
         trace.steps.append(step)
         if mode != "diagonal" and coupling == 0.0:
             trace.truncated_reason = "common fixed point reached"
@@ -271,7 +265,8 @@ def extremal_invariance_check(s: MatH2, t: MatH2, n_steps: int,
                               tol: float = DEFAULT_TOL) -> ineq.TestReport:
     """Check that a pointwise-extremal pair keeps its extremal quantity.
 
-    Dispatches the pointwise test from T's shape (jss / rez / jg / jlt).
+    Dispatches the pointwise test from T's shape (jss / rez / jg / the
+    b-form of jlt).
     If that test does not return EXTREMAL the check is inconclusive.
     Otherwise the sequence is run and each step's extremal quantity is
     compared against the pointwise value under the linearly growing budget
@@ -282,8 +277,7 @@ def extremal_invariance_check(s: MatH2, t: MatH2, n_steps: int,
     """
     name = ineq.auto_select(t, tol)
     # lower mode propagates the b-based quantity (see IterationStep)
-    variant = {"b_variant": True} if name == "jlt" else {}
-    pointwise = ineq.TESTS[name](s, t, tol=tol, **variant)
+    pointwise = (ineq._jlt_b_form if name == "jlt" else ineq.TESTS[name])(s, t, tol)
 
     diag = {
         "pointwise_lhs": pointwise.lhs,

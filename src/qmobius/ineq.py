@@ -27,7 +27,8 @@ from __future__ import annotations
 import enum
 import math
 
-from .quat import Quaternion, ONE, DEFAULT_TOL, _Value, _inv, _mul, _norm2, _q, arg, similar
+from .quat import (Quaternion, ONE, DEFAULT_TOL, _Value, _conj, _inv, _mul, _norm2, _q,
+                   arg, similar)
 from . import qmat
 from .qmat import MatH2
 
@@ -189,25 +190,32 @@ def _tau0_t0(s, t) -> tuple[tuple[float, float, float, float], ...]:
     return (tau0, t0)
 
 
-def _j_flip(m: MatH2) -> MatH2:
-    """J m J = [[d, c], [b, a]] with J = [[0, 1], [1, 0]]: the lower
-    triangle's upper mirror, and the one place that maps one to the other.
+def _displacement(s, t, side: str) -> tuple:
+    """(|coupling|, tau0, t0, |tau0|, |t0|, |coupling| sqrt(|tau0| |t0|)) of
+    the pair with entry coordinates s and t, tau0 and t0 as coordinates; the
+    last five are None when |coupling| is not above ``NONZERO_TOL``.
 
-    J has determinant 1 and swaps the fixed points 0 and infinity, so a
-    lower T = [[lam, 0], [eta, mu]] becomes the upper [[mu, eta], [0, lam]]
-    and b of S becomes its coupling entry. The paper's lower displacement
-    quantities
+    The coupling entry is c of S on any side but ``"lower"``, which reads the
+    J-flip J m J = [[d, c], [b, a]], J = [[0, 1], [1, 0]]: the reversed entry
+    tuple. J has determinant 1 and swaps the fixed points 0 and infinity, so
+    a lower T = [[lam, 0], [eta, mu]] becomes [[mu, eta], [0, lam]] and b of
+    S the coupling entry: the paper's lower displacement quantities
 
         tau0 = mu (-b^-1 a) + eta + (b^-1 a) lam
         t0   = mu (d b^-1)  + eta - (d b^-1) lam
 
-    are :func:`tau0_t0_upper` of (J S J, J T J): same products, same order.
-    Gates, determinants and the diagonal quantities are read on the pair
-    as given; only the coupling and displacement quantities on its flip.
-    On entry coordinates the flip is the reversed tuple, which is also how
-    ``dynamics.iterate`` flips S_n and T.
+    are :func:`tau0_t0_upper` of (J S J, J T J), same products, same order.
+    Gates, determinants and the diagonal quantities read the pair as given.
     """
-    return qmat._from_coords(m._coords[::-1])
+    if side == "lower":
+        s, t = s[::-1], t[::-1]
+    coupling = math.sqrt(_norm2(s[2]))
+    if not coupling > qmat.NONZERO_TOL:
+        return (coupling, None, None, None, None, None)
+    tau0, t0 = _tau0_t0(s, t)
+    tau0_norm, t0_norm = math.sqrt(_norm2(tau0)), math.sqrt(_norm2(t0))
+    return (coupling, tau0, t0, tau0_norm, t0_norm,
+            coupling * math.sqrt(tau0_norm * t0_norm))
 
 
 def _pair_gates(s: MatH2, t: MatH2, tol: float, shapes: tuple[str, ...],
@@ -222,10 +230,14 @@ def _pair_gates(s: MatH2, t: MatH2, tol: float, shapes: tuple[str, ...],
     return ok, diag
 
 
-def _coupling_ok(norm: float, tol: float) -> bool:
+def _coupling_ok(norm: float, tol: float, diag: dict[str, float], flag: str) -> bool:
     """A coupling entry is nonzero above tol and above ``NONZERO_TOL`` (where
-    tau0/t0 become undefined); a zero one means S and T share a fixed point."""
-    return norm > max(tol, qmat.NONZERO_TOL)
+    tau0/t0 become undefined); a zero one means S and T share a fixed point,
+    a failed gate that sets ``diag[flag]`` (``b_zero`` or ``c_zero``) to 1."""
+    if norm > max(tol, qmat.NONZERO_TOL):
+        return True
+    diag[flag] = 1.0
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +257,9 @@ def _diagonal_gates(s: MatH2, t: MatH2, tol: float) -> tuple[bool, dict[str, flo
         "K": k_value(lam, mu),
         "lambda_similar_mu": 1.0 if similar(lam, mu, tol) else 0.0,
     })
-    for flag, norm in (("b_zero", b_norm), ("c_zero", c_norm)):
-        if not _coupling_ok(norm, tol):
-            diag[flag] = 1.0
-            ok = False
-    return ok, diag
+    b_ok = _coupling_ok(b_norm, tol, diag, "b_zero")
+    c_ok = _coupling_ok(c_norm, tol, diag, "c_zero")
+    return ok and b_ok and c_ok, diag
 
 
 def jss_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestReport:
@@ -303,9 +313,10 @@ def hyperbolic_commutator_test(a: MatH2, b: MatH2,
     """Strictly hyperbolic commutator test |delta_A^2 - 4| + |delta_[A,B] - 2| >= 1.
 
     Requires A in the normal form diag(k, 1/k) with k real, |k| != 1, and
-    B in Sigma with c != 0. The theorem additionally assumes the commutator
-    is strictly hyperbolic, which is not algorithmically checkable here;
-    the report carries ``commutator_hyperbolicity_unverified`` = 1 always.
+    B in Sigma with c != 0 (flag ``c_zero``). The theorem additionally
+    assumes the commutator is strictly hyperbolic, which is not
+    algorithmically checkable here; the report carries
+    ``commutator_hyperbolicity_unverified`` = 1 always.
     delta_[A,B] is the trace of :func:`qmat.commutator` without the matrix,
     bitwise the ``a.re + d.re`` of ``commutator(a, b)``, computed with
     alpha of A and of B, which the determinant gates read too; A singular
@@ -319,7 +330,6 @@ def hyperbolic_commutator_test(a: MatH2, b: MatH2,
     normal_form = (lam.im_norm() <= tol and mu.im_norm() <= tol
                    and abs(k * mu.re - 1.0) <= tol)
     nontrivial = abs(abs(k) - 1.0) > tol and abs(k) > tol
-    ok = ok and normal_form and nontrivial and _coupling_ok(b.c.norm(), tol)
 
     delta_a = k + mu.re
     sigma_b, _ = qmat.parker_short(b)
@@ -335,6 +345,7 @@ def hyperbolic_commutator_test(a: MatH2, b: MatH2,
         "commutator_hyperbolicity_unverified": 1.0,
         "det_B": dets["det_S"],
     }
+    ok = _coupling_ok(b.c.norm(), tol, diag, "c_zero") and ok and normal_form and nontrivial
     return _inequality_report("jh", term_a + term_c, 1.0, ok, diag)
 
 
@@ -352,26 +363,22 @@ def _displacement_test(name: str, s: MatH2, t: MatH2, side: str, re_gate: bool,
     (:func:`_coupling_ok`) is a failed gate with lhs 0 and the ``c_zero``
     (lower triangle: ``b_zero``) flag. ``extra`` goes into diagnostics ahead
     of the displacement norms, whose key order is part of the output. The
-    lower triangle reads its eta, coupling and displacements on the J-flip
-    (:func:`_j_flip`).
+    coupling and displacements are :func:`_displacement` of the side, and
+    eta is the off-diagonal entry of T on that side.
     """
     lam, mu = t.a, t.d
     ok, diag = _pair_gates(s, t, tol, (side, "diagonal"))
     diag["S_value"] = s_value(lam, mu)
     diag["swapped"] = 1.0 if lam.norm() > 1.0 + tol else 0.0
-    if side == "lower":
-        s, t = _j_flip(s), _j_flip(t)
-    diag.update({"eta_norm": t.b.norm(), **(extra or {})})
-    coupling_norm = s.c.norm()
-    coupling_ok = _coupling_ok(coupling_norm, tol)
+    diag.update({"eta_norm": (t.b if side == "upper" else t.c).norm(), **(extra or {})})
+    coupling_norm, _, _, tau0_norm, t0_norm, lhs = _displacement(s._coords, t._coords, side)
+    coupling_ok = _coupling_ok(coupling_norm, tol, diag,
+                               "c_zero" if side == "upper" else "b_zero")
     ok = ok and re_gate and diag["S_value"] <= eps + tol and coupling_ok
     if coupling_ok:
-        tau0, t0 = tau0_t0_upper(s, t)
-        diag["tau0_norm"] = tau0.norm()
-        diag["t0_norm"] = t0.norm()
-        lhs = coupling_norm * math.sqrt(diag["tau0_norm"] * diag["t0_norm"])
+        diag["tau0_norm"] = tau0_norm
+        diag["t0_norm"] = t0_norm
     else:
-        diag["c_zero" if side == "upper" else "b_zero"] = 1.0
         lhs = 0.0
     threshold = displacement_threshold(diag["S_value"], eps)
     return _inequality_report(name, lhs, threshold, ok, diag)
@@ -460,7 +467,7 @@ def waterman_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestReport:
     ok, diag = _pair_gates(s, t, tol, ("upper", "diagonal"))
     diag.update({"im_lambda": im_lam, "eta_norm": eta.norm()})
     c_norm = s.c.norm()
-    c_ok = _coupling_ok(c_norm, tol)
+    c_ok = _coupling_ok(c_norm, tol, diag, "c_zero")
     ok = (ok and (eta - ONE).norm() <= tol
           and (lam - mu).norm() <= tol
           and abs(lam.norm() - 1.0) <= tol
@@ -475,38 +482,39 @@ def waterman_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestReport:
         lhs = (c_norm * math.sqrt(diag["displacement_1"])
                * math.sqrt(diag["displacement_2"]))
     else:
-        diag["c_zero"] = 1.0
         lhs = 0.0
     threshold = displacement_threshold(im_lam, 0.125)
     return _inequality_report("wat", lhs, threshold, ok, diag)
 
 
-def jlt_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL,
-             b_variant: bool = False) -> TestReport:
-    """Lower-triangular generator test, T = [[lam, 0], [eta, mu]].
-
-    Uses the b-based displacement quantities (:func:`_j_flip`) with
-    Re(lam) = Re(mu) = kappa and budget S <= eps, where eps is
-    1/(4 sqrt 2) for kappa != 0 and 1/4 for kappa = 0; the threshold is
-    (1 + sqrt(1 - S/eps)) / 2. With ``b_variant=True`` this is
-    :func:`jg_test` (kappa != 0) or :func:`rez_test` (kappa = 0) of the
-    J-flipped pair; b = 0 is their zero-coupling case (flag ``b_zero``).
-
-    As printed, the left-hand side multiplies by |c| of S although the
-    proof machinery is b-based; ``b_variant=True`` makes the |b| form
-    drive the verdict. Both values are in diagnostics when b != 0.
-    """
+def _jlt_b_form(s: MatH2, t: MatH2, tol: float) -> TestReport:
+    """:func:`jlt_test` with |b| in the lhs: :func:`jg_test` (kappa != 0) or
+    :func:`rez_test` (kappa = 0) of the J-flipped pair, flag ``b_zero`` for
+    b = 0; the quantity the invariance theorem propagates in lower mode."""
     kappa = t.a.re
     eps = EPS_GENERIC if abs(kappa) > tol else EPS_PURE_IMAGINARY
-    report = _displacement_test("jlt", s, t, "lower", abs(kappa - t.d.re) <= tol,
-                                eps, tol, {"kappa": kappa, "eps": eps})
+    return _displacement_test("jlt", s, t, "lower", abs(kappa - t.d.re) <= tol,
+                              eps, tol, {"kappa": kappa, "eps": eps})
+
+
+def jlt_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestReport:
+    """Lower-triangular generator test, T = [[lam, 0], [eta, mu]].
+
+    Uses the b-based displacement quantities (:func:`_displacement`) with
+    Re(lam) = Re(mu) = kappa and budget S <= eps, where eps is
+    1/(4 sqrt 2) for kappa != 0 and 1/4 for kappa = 0; the threshold is
+    (1 + sqrt(1 - S/eps)) / 2.
+
+    As printed, the left-hand side multiplies by |c| of S although the
+    proof machinery is b-based (:func:`_jlt_b_form`, whose report this is
+    when b = 0). Both values are in diagnostics when b != 0.
+    """
+    report = _jlt_b_form(s, t, tol)
     diag = report.diagnostics
     if "b_zero" in diag:
         return report
     lhs_printed = s.c.norm() * math.sqrt(diag["tau0_norm"] * diag["t0_norm"])
     diag.update({"lhs_printed": lhs_printed, "lhs_b_variant": report.lhs})
-    if b_variant:
-        return report
     return _inequality_report("jlt", lhs_printed, report.threshold,
                               report.preconditions_met, diag)
 
@@ -574,8 +582,8 @@ def non_extreme_tau_test(s: MatH2, t: MatH2, side: str = "upper",
     If |tau0 - t0| / (|tau0| |t0|) exceeds |conj(c) d + a conj(c)| the pair
     cannot be extreme. The pair is gated as given; on the lower side the
     displacements and the right-hand side are those of the J-flipped pair
-    (:func:`_j_flip`), as for :func:`jlt_test`, so the right-hand side is
-    |conj(b) a + d conj(b)|. Degenerate displacements (tau0 or t0 ~ 0) are
+    (:func:`_displacement`), as for :func:`jlt_test`, so the right-hand side
+    is |conj(b) a + d conj(b)|. Degenerate displacements (tau0 or t0 ~ 0) are
     reported as inconclusive with a diagnostics flag, and so is a zero
     coupling (:func:`_coupling_ok`, flag ``c_zero``/``b_zero``, failed gate).
     """
@@ -586,16 +594,14 @@ def non_extreme_tau_test(s: MatH2, t: MatH2, side: str = "upper",
     ok = ok and abs(lam.re - mu.re) <= tol
     diag["S_value"] = s_value(lam, mu)
     eps = EPS_GENERIC if abs(lam.re) > tol else EPS_PURE_IMAGINARY
-    if side == "lower":
-        s, t = _j_flip(s), _j_flip(t)
-    e = s.c.conj()
-    rhs = (e * s.d + s.a * e).norm()
-    if not _coupling_ok(s.c.norm(), tol):
-        diag["c_zero" if side == "upper" else "b_zero"] = 1.0
+    a, _, c, d = s._coords if side == "upper" else s._coords[::-1]
+    e = _conj(c)
+    rhs = math.sqrt(_norm2(qmat._prod_sum(e, d, a, e)))
+    coupling, tau0, t0, tau0_norm, t0_norm, _ = _displacement(s._coords, t._coords, side)
+    if not _coupling_ok(coupling, tol, diag, "c_zero" if side == "upper" else "b_zero"):
         return TestReport(f"non_extreme_{side}", 0.0, rhs, -rhs,
                           Verdict.INCONCLUSIVE, False, diag)
-    tau0, t0 = tau0_t0_upper(s, t)
-    tau0_norm, t0_norm, gap = tau0.norm(), t0.norm(), (tau0 - t0).norm()
+    gap = (_q(tau0) - _q(t0)).norm()
     diag.update({"tau0_norm": tau0_norm, "t0_norm": t0_norm,
                  "tau0_minus_t0_norm": gap})
     # the extremal displacement value |c| sqrt(|tau0 t0|) would equal this

@@ -322,6 +322,24 @@ def test_extreme_subcommand(capsys):
     assert payload["invariance"]["diagnostics"]["max_deviation"] < 1e-8
 
 
+@pytest.mark.parametrize("pair", [
+    # S = [[1, 0], [i, 1]], T = [[1, j], [0, 1]] and its J-mirror: Hurwitz
+    # units, so every entry along the trace stays a Hurwitz integer and the
+    # extremal quantity is exactly 1 at every step
+    {"v": 1, "S": matrix_obj(quat_list(1), quat_list(), quat_list(0, 1), quat_list(1)),
+     "T": matrix_obj(quat_list(1), quat_list(0, 0, 1), quat_list(), quat_list(1))},
+    {"v": 1, "S": matrix_obj(quat_list(1), quat_list(0, 1), quat_list(), quat_list(1)),
+     "T": matrix_obj(quat_list(1), quat_list(), quat_list(0, 0, 1), quat_list(1))},
+], ids=["upper", "lower"])
+def test_extreme_invariance_is_exact_on_hurwitz_unit_pairs(capsys, pair):
+    code, out, _ = run(capsys, "extreme", json.dumps(pair), "--steps", "25")
+    assert code == 11
+    invariance = json.loads(out)["invariance"]
+    assert invariance["verdict"] == "extremal"
+    assert invariance["diagnostics"]["max_deviation"] == 0.0
+    assert invariance["diagnostics"]["pointwise_lhs"] == 1.0
+
+
 def test_batch_mode(capsys, tmp_path):
     batch = tmp_path / "pairs.jsonl"
     batch.write_text(json.dumps(EXTREME_PAIR) + "\n"

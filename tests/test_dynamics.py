@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qmobius.quat import Quaternion, ZERO, ONE, J, K, isclose
+from qmobius.quat import DEFAULT_TOL, Quaternion, ZERO, ONE, J, K, isclose
 from qmobius import ineq, dynamics, qmat
 from qmobius.dynamics import (ConvergenceKind, IterationStep, IterationTrace,
                               classify_convergence, csv_header, csv_row,
@@ -374,7 +374,7 @@ def test_invariance_check_stops_where_the_extremal_quantity_is_missing():
     s = qmat.normalize_to_sigma(MatH2(ONE, ONE, ONE, K))
     t = lower_triangular(ONE, J * (1.0 / s.b.norm()), ONE)
     assert ineq.jlt_test(s, t).verdict is Verdict.EXTREMAL
-    assert ineq.jlt_test(s, t, b_variant=True).verdict is Verdict.EXTREMAL
+    assert ineq._jlt_b_form(s, t, DEFAULT_TOL).verdict is Verdict.EXTREMAL
     trace = iterate(s, t, 100, "lower")
     assert trace.truncated_reason == "common fixed point reached"
     assert trace.steps[-1].n == 62

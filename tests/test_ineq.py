@@ -159,9 +159,14 @@ def test_tau0_t0_second_implementation_oracle():
         assert isclose(t0, t_oracle, 1e-12)
         if s.b.norm() < 0.1:
             continue
-        # the lower formulas, which the code reaches through the J-flip
-        flip = ineq._j_flip
-        tau0, t0 = tau0_t0_upper(flip(s), flip(lower_triangular(t.a, t.b, t.d)))
+        # the lower formulas: the lower reading, bitwise the upper reading
+        # of the J-flipped pair
+        t_lower = lower_triangular(t.a, t.b, t.d)
+        lower = ineq._displacement(s._coords, t_lower._coords, "lower")
+        assert (_reading_bits(lower)
+                == _reading_bits(ineq._displacement(_flip(s)._coords,
+                                                    _flip(t_lower)._coords, "upper")))
+        tau0, t0 = Quaternion(*lower[1]), Quaternion(*lower[2])
         binv = s.b.inverse()
         binv_a = mul_oracle(binv, s.a)
         d_binv = mul_oracle(s.d, binv)
@@ -171,15 +176,25 @@ def test_tau0_t0_second_implementation_oracle():
         assert isclose(t0, t_oracle, 1e-12)
 
 
-def _bits(m):
-    return struct.pack("16d", *(x for q in m.entries() for x in q.as_list()))
+def _flip(m):
+    """J m J with J = [[0, 1], [1, 0]]."""
+    return MatH2(m.d, m.c, m.b, m.a)
+
+
+def _reading_bits(reading):
+    """The IEEE bit patterns of a :func:`ineq._displacement` result, None
+    kept: NaN compares unequal to itself, its bits do not."""
+    return tuple(None if v is None
+                 else struct.pack("4d", *v) if isinstance(v, tuple)
+                 else struct.pack("d", v) for v in reading)
 
 
 def test_j_flip_is_conjugation_by_j():
     # J m J with J = [[0, 1], [1, 0]], by the matrix product, on finite
     # matrices: random Sigma elements, large, tiny and zero entries, and
     # signed zeros (the product may drop a zero's sign, == does not see it);
-    # flipping twice gives m back bit for bit
+    # the lower reading of (m, n) is bit for bit the upper reading of
+    # (J m J, J n J)
     j = MatH2(ZERO, ONE, ONE, ZERO)
     rng = random.Random(421)
     matrices = [random_sigma(rng) for _ in range(40)]
@@ -188,20 +203,24 @@ def test_j_flip_is_conjugation_by_j():
     matrices += [real_matrix(1, 0, 1, 1), real_matrix(0, 0, 0, 0),
                  MatH2(Quaternion(-0.0, 1.0, -0.0, 2.0), ZERO,
                        Quaternion(0.0, -0.0, 3.0, -0.0), Quaternion(-1.0))]
-    for m in matrices:
-        flipped = ineq._j_flip(m)
-        assert flipped == j @ m @ j
-        assert flipped.entries() == (m.d, m.c, m.b, m.a)
-        assert _bits(ineq._j_flip(flipped)) == _bits(m)
+    for m, n in zip(matrices, matrices[1:] + matrices[:1]):
+        assert _flip(m) == j @ m @ j
+        for side in ("upper", "lower"):
+            other = "lower" if side == "upper" else "upper"
+            assert (_reading_bits(ineq._displacement(m._coords, n._coords, side))
+                    == _reading_bits(ineq._displacement(_flip(m)._coords,
+                                                        _flip(n)._coords, other)))
 
 
 def test_tau0_t0_domain_errors():
     with pytest.raises(ValueError):
         tau0_t0_upper(real_matrix(1, 1, 0, 1), upper_triangular(ONE, J, ONE))
-    # b = 0 is the lower triangle's shared fixed point, met on the J-flip
-    with pytest.raises(ValueError):
-        tau0_t0_upper(ineq._j_flip(real_matrix(1, 0, 1, 1)),
-                      ineq._j_flip(lower_triangular(ONE, J, ONE)))
+    # c = 0 on the upper side, b = 0 on the lower one (the shared fixed
+    # point, met on the J-flip): no displacement quantities to read
+    for s, t, side in ((real_matrix(1, 1, 0, 1), upper_triangular(ONE, J, ONE), "upper"),
+                       (real_matrix(1, 0, 1, 1), lower_triangular(ONE, J, ONE), "lower")):
+        assert (ineq._displacement(s._coords, t._coords, side)
+                == (0.0, None, None, None, None, None))
 
 
 # --- diagonal tests ---------------------------------------------------------
@@ -500,7 +519,7 @@ def test_jlt_mirror_extreme_example():
     check_report_invariants(printed)
     assert printed.diagnostics["lhs_printed"] == pytest.approx(0.0, abs=1e-15)
     assert printed.diagnostics["lhs_b_variant"] == pytest.approx(1.0, abs=1e-12)
-    b_form = jlt_test(s, t, b_variant=True)
+    b_form = ineq._jlt_b_form(s, t, DEFAULT_TOL)
     assert b_form.verdict is Verdict.EXTREMAL
     assert abs(b_form.margin) < 1e-12
 
@@ -516,19 +535,14 @@ def test_jlt_threshold_branches():
 
 def test_jlt_b_zero_is_a_failed_gate():
     # b = 0: S and T share the fixed point 0, the mirror of jg's c = 0
-    for b_variant in (False, True):
-        report = jlt_test(real_matrix(1, 0, 1, 1), lower_triangular(ONE, J, ONE),
-                          b_variant=b_variant)
+    for form in (jlt_test, ineq._jlt_b_form):
+        report = form(real_matrix(1, 0, 1, 1), lower_triangular(ONE, J, ONE),
+                      DEFAULT_TOL)
         check_report_invariants(report)
         assert not report.preconditions_met
         assert report.verdict is Verdict.INCONCLUSIVE
         assert report.lhs == 0.0
         assert report.diagnostics["b_zero"] == 1.0
-
-
-def _flip(m):
-    """J m J with J = [[0, 1], [1, 0]]."""
-    return MatH2(m.d, m.c, m.b, m.a)
 
 
 _unit_coord = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -559,7 +573,7 @@ def test_property_jlt_is_the_j_flip_of_jg_and_rez(entries, b_zero, kappa, tau,
     t = lower_triangular(Quaternion(kappa) + u * (math.exp(-tau) * sin_x / u.norm()),
                          eta,
                          Quaternion(kappa) + v * (math.exp(tau) * sin_y / v.norm()))
-    mirrored = jlt_test(s, t, b_variant=True)
+    mirrored = ineq._jlt_b_form(s, t, DEFAULT_TOL)
     upper_test = jg_test if abs(kappa) > ineq.DEFAULT_TOL else rez_test
     reference = upper_test(_flip(s), _flip(t))
     assert ((mirrored.lhs, mirrored.threshold, mirrored.verdict,
@@ -610,6 +624,95 @@ def test_hurwitz_shimizu_equality_is_exact_on_units():
         else:
             assert report.margin >= SQRT2 - 1.0, (s, eta)
     assert pairs > 2500 and units > 10
+
+
+def _hurwitz_pairs(rng, count):
+    """Seeded pairs of the Hurwitz group: a word S, and a unipotent upper,
+    a unipotent lower, a diag(unit, unit) generator or a word T."""
+    for _ in range(count):
+        s = hurwitz.word(rng)
+        kind = rng.randrange(4)
+        if kind == 0:
+            t = upper_triangular(ONE, hurwitz.hurwitz_integer(rng), ONE)
+        elif kind == 1:
+            t = lower_triangular(ONE, hurwitz.hurwitz_integer(rng), ONE)
+        elif kind == 2:
+            t = diagonal(rng.choice(hurwitz.UNITS), rng.choice(hurwitz.UNITS))
+        else:
+            t = hurwitz.word(rng)
+        yield s, t
+
+
+# every selector and the b-form of jlt; the printed jlt is left out: its
+# lhs multiplies by |c| of S and reads false obstructions on this group
+# (ROADMAP item 1)
+_SOUND_SELECTORS = {**{name: fn for name, fn in ineq.TESTS.items() if name != "jlt"},
+                    "jlt_b_form": ineq._jlt_b_form}
+_PLUS_MINUS_I = {qmat.identity()._coords, qmat.identity().scaled(-1.0)._coords}
+
+
+def test_hurwitz_pairs_are_never_an_obstruction():
+    # the Hurwitz group is discrete, so an obstruction is false unless the
+    # group is elementary; T = +-I is the one elementary case that the
+    # coupling gates do not catch
+    pairs = 0
+    for s, t in _hurwitz_pairs(random.Random(0), 1100):
+        if t._coords in _PLUS_MINUS_I:
+            continue
+        pairs += 1
+        for name, evaluate in _SOUND_SELECTORS.items():
+            report = evaluate(s, t, DEFAULT_TOL)
+            assert report.verdict is not Verdict.OBSTRUCTION, (name, s, t)
+    assert pairs > 1000
+
+
+def test_hurwitz_verdicts_survive_diagonal_conjugation():
+    # D = diag(r, 1/r) with r > 0 keeps the group discrete and every shape,
+    # and rounds the entries of the conjugated pair: no verdict may move.
+    # wat's normal form [[lam, 1], [0, lam]] is not a shape: D sends eta = 1
+    # to r^2, a failed gate, so its verdict may only fall to inconclusive
+    rng = random.Random(1)
+    for s, t in _hurwitz_pairs(random.Random(0), 1100):
+        r = rng.uniform(0.3, 3.0)
+        d, d_inv = (diagonal(Quaternion(r), Quaternion(1.0 / r)),
+                    diagonal(Quaternion(1.0 / r), Quaternion(r)))
+        s_r, t_r = d @ s @ d_inv, d @ t @ d_inv
+        for name, evaluate in _SOUND_SELECTORS.items():
+            conjugated = evaluate(s_r, t_r, DEFAULT_TOL)
+            if name == "wat" and not conjugated.preconditions_met:
+                assert conjugated.verdict is Verdict.INCONCLUSIVE
+                continue
+            assert (conjugated.verdict
+                    is evaluate(s, t, DEFAULT_TOL).verdict), (name, s, t, r)
+
+
+@pytest.mark.parametrize("names, t, gated, coupled_met", [
+    (("jss", "jssc2", "jss2", "extreme"),
+     diagonal(unit_complex(math.pi / 7), unit_complex(-math.pi / 7)), "bc", True),
+    (("jh",), diagonal(Quaternion(2.0), Quaternion(0.5)), "c", True),
+    (("jg", "rez"), upper_triangular(ONE, J, ONE), "c", True),
+    (("wat",), upper_triangular(ONE, ONE, ONE), "c", True),
+    (("jlt",), lower_triangular(ONE, J, ONE), "b", True),
+    # a diagonal T that fails other gates of these selectors too
+    (("jg", "rez", "wat"), diagonal(I, -I), "c", False),
+    (("jlt",), diagonal(I, -I), "b", False),
+], ids=["diagonal", "jh", "upper", "wat", "lower", "diagonal-c", "diagonal-b"])
+def test_every_selector_flags_a_zero_coupling(names, t, gated, coupled_met):
+    # a coupling entry that is exactly zero is a failed gate with its flag,
+    # whatever the other gates say; with both entries nonzero there is no
+    # flag, and where T passes the other gates, the preconditions hold
+    coupled = real_matrix(1, 1, 1, 2)
+    for name in names:
+        report = ineq.TESTS[name](coupled, t)
+        assert not {"b_zero", "c_zero"} & report.diagnostics.keys(), name
+        assert report.preconditions_met is coupled_met, name
+        for entry in gated:
+            s = real_matrix(1, 0, 1, 1) if entry == "b" else real_matrix(1, 1, 0, 1)
+            report = ineq.TESTS[name](s, t)
+            check_report_invariants(report)
+            assert not report.preconditions_met, (name, entry)
+            assert report.verdict is Verdict.INCONCLUSIVE, (name, entry)
+            assert report.diagnostics[f"{entry}_zero"] == 1.0, (name, entry)
 
 
 def test_every_test_is_invariant_under_diagonal_conjugation():
@@ -892,9 +995,7 @@ def test_report_contract_fuzz():
 
 
 def test_every_selector_takes_the_pair_and_the_structural_tol():
-    # cli._run_selected calls every entry as (s, t, tol=...); the only
-    # other keyword is jlt's b_variant, which dynamics sets
+    # cli._run_selected calls every entry as (s, t, tol=...), and no entry
+    # takes another keyword
     for name, fn in ineq.TESTS.items():
-        params = list(inspect.signature(fn).parameters)
-        expected = ["s", "t", "tol"] + (["b_variant"] if name == "jlt" else [])
-        assert params == expected, name
+        assert list(inspect.signature(fn).parameters) == ["s", "t", "tol"], name

@@ -306,6 +306,15 @@ def _reference_tau0_t0_lower(s: MatH2, t: MatH2) -> tuple:
     return (mu * (-binv_a) + eta + binv_a * lam, mu * d_binv + eta - d_binv * lam)
 
 
+def _lower_reading(s: MatH2, t: MatH2) -> tuple:
+    """tau0, t0 of ``ineq._displacement`` on the lower side, or the
+    reference's ValueError where that reading has none."""
+    _, tau0, t0, *_ = ineq._displacement(s._coords, t._coords, "lower")
+    if tau0 is None:
+        raise ValueError("S and T share a fixed point")
+    return (Quaternion(*tau0), Quaternion(*t0))
+
+
 def _outcome(fn, *args):
     """The result's IEEE bit patterns, or the type of the ValueError raised."""
     try:
@@ -365,8 +374,8 @@ def test_property_kernels_are_bitwise_the_quaternion_formulas(m):
              _reference_alphas_and_commutator_trace, (m, n.scaled(2.0))),
             (ineq.tau0_t0_upper, _reference_tau0_t0_upper, (m, n))):
         assert _outcome(kernel, *args) == _outcome(reference, *args)
-    # the lower formulas are the upper kernel on the J-flipped pair
-    assert (_outcome(ineq.tau0_t0_upper, ineq._j_flip(m), ineq._j_flip(n))
+    # the lower formulas are the lower reading of the pair
+    assert (_outcome(_lower_reading, m, n)
             == _outcome(_reference_tau0_t0_lower, m, n))
 
 
