@@ -162,38 +162,19 @@ def tau0_t0_upper(s: MatH2, t: MatH2) -> tuple[Quaternion, Quaternion]:
     t0   = lam (a c^-1)  + eta - (a c^-1) mu
 
     with a, c, d from S. Factor order matters and is exactly as written.
-    Computed on coordinates (:func:`_tau0_t0`), with |c|^2 once, but bitwise
-    equal to the ``Quaternion`` expressions above (``c.inverse()`` for c^-1).
+    Read from :func:`_displacement`, bitwise the ``Quaternion`` expressions
+    above (``c.inverse()`` for c^-1); |c| not above NONZERO_TOL raises.
     """
-    tau0, t0 = _tau0_t0(s._coords, t._coords)
-    return (_q(tau0), _q(t0))
-
-
-def _tau0_t0(s, t) -> tuple[tuple[float, float, float, float], ...]:
-    """The coordinates of :func:`tau0_t0_upper` from the entry coordinates
-    of S and T."""
-    a, _, c, d = s
-    n = _norm2(c)
-    if math.sqrt(n) <= qmat.NONZERO_TOL:
+    _, tau0, t0, _, _, _ = _displacement(s._coords, t._coords, "upper")
+    if tau0 is None:
         raise ValueError("S and T share a fixed point; pair is elementary-suspect")
-    lam, (ew, ex, ey, ez), _, mu = t
-    cinv = _inv(c, n)
-    cinv_d = _mul(cinv, d)
-    a_cinv = _mul(a, cinv)
-    vw, vx, vy, vz = cinv_d
-    pw, px, py, pz = _mul(lam, (-vw, -vx, -vy, -vz))
-    qw, qx, qy, qz = _mul(cinv_d, mu)
-    tau0 = (pw + ew + qw, px + ex + qx, py + ey + qy, pz + ez + qz)
-    pw, px, py, pz = _mul(lam, a_cinv)
-    qw, qx, qy, qz = _mul(a_cinv, mu)
-    t0 = (pw + ew - qw, px + ex - qx, py + ey - qy, pz + ez - qz)
-    return (tau0, t0)
+    return (_q(tau0), _q(t0))
 
 
 def _displacement(s, t, side: str) -> tuple:
     """(|coupling|, tau0, t0, |tau0|, |t0|, |coupling| sqrt(|tau0| |t0|)) of
-    the pair with entry coordinates s and t, tau0 and t0 as coordinates; the
-    last five are None when |coupling| is not above ``NONZERO_TOL``.
+    the pair with entry coordinates s and t, from one |coupling|^2 (for the
+    cutoff and c^-1); the last five are None unless |coupling| > NONZERO_TOL.
 
     The coupling entry is c of S on any side but ``"lower"``, which reads the
     J-flip J m J = [[d, c], [b, a]], J = [[0, 1], [1, 0]]: the reversed entry
@@ -209,10 +190,22 @@ def _displacement(s, t, side: str) -> tuple:
     """
     if side == "lower":
         s, t = s[::-1], t[::-1]
-    coupling = math.sqrt(_norm2(s[2]))
+    a, _, c, d = s
+    n = _norm2(c)
+    coupling = math.sqrt(n)
     if not coupling > qmat.NONZERO_TOL:
         return (coupling, None, None, None, None, None)
-    tau0, t0 = _tau0_t0(s, t)
+    lam, (ew, ex, ey, ez), _, mu = t
+    cinv = _inv(c, n)
+    cinv_d = _mul(cinv, d)
+    a_cinv = _mul(a, cinv)
+    vw, vx, vy, vz = cinv_d
+    pw, px, py, pz = _mul(lam, (-vw, -vx, -vy, -vz))
+    qw, qx, qy, qz = _mul(cinv_d, mu)
+    tau0 = (pw + ew + qw, px + ex + qx, py + ey + qy, pz + ez + qz)
+    pw, px, py, pz = _mul(lam, a_cinv)
+    qw, qx, qy, qz = _mul(a_cinv, mu)
+    t0 = (pw + ew - qw, px + ex - qx, py + ey - qy, pz + ez - qz)
     tau0_norm, t0_norm = math.sqrt(_norm2(tau0)), math.sqrt(_norm2(t0))
     return (coupling, tau0, t0, tau0_norm, t0_norm,
             coupling * math.sqrt(tau0_norm * t0_norm))

@@ -566,6 +566,36 @@ def test_batch_jh_singular_matrix_exit_code(capsys, tmp_path):
     assert err == "error: line 1: singular matrix\n"
 
 
+_PATH_RUNS = [("test",), ("test", "--batch"), ("iterate",), ("extreme",),
+              ("invariants",), ("classify",)]
+
+
+@pytest.mark.parametrize("target", ["missing", "directory"])
+@pytest.mark.parametrize("argv", _PATH_RUNS, ids=["-".join(a) for a in _PATH_RUNS])
+def test_unreadable_input_path_is_one_error_line(capsys, tmp_path, argv, target):
+    path = str(tmp_path / "absent.json" if target == "missing" else tmp_path)
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert (code, out) == (2, "")
+    assert_one_error_line(err, f"cannot read {path}: ")
+
+
+@pytest.mark.parametrize("text", ["[]", "[1, 2]"])
+@pytest.mark.parametrize("command", ["test", "iterate", "extreme"])
+def test_inline_pair_that_is_not_an_object_is_usage_error(capsys, command, text):
+    code, out, err = run(capsys, command, text)
+    assert (code, out) == (2, "")
+    assert_one_error_line(err, "pair must be an object")
+
+
+@pytest.mark.parametrize("line", ["[1]", "1", '"x"', "null"])
+def test_batch_line_that_is_not_an_object_names_its_line(capsys, tmp_path, line):
+    batch = write_batch(tmp_path, json.dumps(EXTREME_PAIR), line)
+    code, out, err = run(capsys, "test", batch, "--batch")
+    assert code == 2
+    assert [json.loads(report)["line"] for report in out.splitlines()] == [1]
+    assert_one_error_line(err, "line 2: pair must be an object")
+
+
 def test_batch_malformed_json_line(capsys, tmp_path):
     # the reports before the failing line are out; the lines after it are
     # never screened

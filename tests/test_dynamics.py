@@ -14,7 +14,8 @@ from qmobius.dynamics import (ConvergenceKind, IterationStep, IterationTrace,
                               recurrence_deviation, verify_recurrence)
 from qmobius.ineq import Verdict, k_value
 from qmobius.qmat import MatH2, diagonal, identity, lower_triangular, upper_triangular
-from conftest import random_sigma, random_elliptic_entry
+from conftest import (random_elliptic_entry, random_quaternion, random_sigma,
+                      random_unit_imaginary)
 import hurwitz
 
 SQRT2 = math.sqrt(2.0)
@@ -382,6 +383,34 @@ def test_invariance_check_stops_where_the_extremal_quantity_is_missing():
     assert report.verdict is Verdict.INCONCLUSIVE
     assert report.diagnostics["missing_extremal_quantity_at"] == 57.0
     assert report.diagnostics["truncated"] == 1.0
+
+
+def test_iterate_records_the_selectors_lhs_bit_for_bit():
+    # extremal_invariance_check compares each step's extremal quantity with
+    # the pointwise selector's lhs, so at step 0 the two must be one number
+    # wherever the selector's coupling gate passed, as it does on random
+    # Sigma elements: jss on a diagonal T, jg and rez on upper T of their
+    # shapes, jlt's b-form on a lower T of either shape
+    rng = random.Random(524)
+    for _ in range(300):
+        s = random_sigma(rng)
+        r, angle = rng.uniform(0.5, 2.0), rng.uniform(0.05, 1.5)
+        t_diag = diagonal(random_elliptic_entry(rng, rng.uniform(0.05, 1.5)) * r,
+                          random_elliptic_entry(rng, rng.uniform(0.05, 1.5)) * (1.0 / r))
+        generic = (random_elliptic_entry(rng, angle), random_quaternion(rng),
+                   random_elliptic_entry(rng, angle))
+        pure = (random_unit_imaginary(rng), random_quaternion(rng),
+                random_unit_imaginary(rng))
+        for select, t, mode in ((ineq.jss_test, t_diag, "diagonal"),
+                                (ineq.jg_test, upper_triangular(*generic), "upper"),
+                                (ineq.rez_test, upper_triangular(*pure), "upper"),
+                                (ineq._jlt_b_form, lower_triangular(*generic), "lower"),
+                                (ineq._jlt_b_form, lower_triangular(*pure), "lower")):
+            report = select(s, t, DEFAULT_TOL)
+            assert "b_zero" not in report.diagnostics
+            assert "c_zero" not in report.diagnostics
+            lhs = iterate(s, t, 1, mode).steps[0].extremal_lhs
+            assert lhs.hex() == report.lhs.hex(), (select.__name__, mode)
 
 
 def test_csv_helpers():

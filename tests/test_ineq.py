@@ -221,6 +221,25 @@ def test_tau0_t0_domain_errors():
                        (real_matrix(1, 0, 1, 1), lower_triangular(ONE, J, ONE), "lower")):
         assert (ineq._displacement(s._coords, t._coords, side)
                 == (0.0, None, None, None, None, None))
+    # one cutoff, at its boundary: a coupling whose norm reads NONZERO_TOL is
+    # zero, the next float above it is not, for tau0_t0_upper as for
+    # _displacement; the lower side reads b through the J-flip; a NaN
+    # coupling is never a reading
+    t = upper_triangular(unit_complex(0.3), Quaternion(0.5, 0, 1, 0), unit_complex(-0.2))
+    above = math.nextafter(qmat.NONZERO_TOL, math.inf)
+    for c in (qmat.NONZERO_TOL, above, math.nan):
+        s = MatH2(Quaternion(2, 1), ONE, Quaternion(c), Quaternion(1, 0, 0.5))
+        for m, n, side in ((s, t, "upper"), (_flip(s), _flip(t), "lower")):
+            reading = ineq._displacement(m._coords, n._coords, side)
+            if c == above:
+                assert reading[0] == above
+                tau0, t0 = tau0_t0_upper(s, t)
+                assert _reading_bits(reading[1:3]) == _reading_bits((tau0._c, t0._c))
+                continue
+            assert reading[1:] == (None,) * 5
+            assert reading[0] == c or math.isnan(c)
+            with pytest.raises(ValueError, match="share a fixed point"):
+                tau0_t0_upper(s, t)
 
 
 # --- diagonal tests ---------------------------------------------------------
