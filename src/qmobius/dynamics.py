@@ -145,37 +145,6 @@ def csv_row(step: IterationStep, full: bool = False) -> list:
     return row
 
 
-def _record(n: int, m, det: float, t, mode: str,
-            k: float) -> tuple[IterationStep, float]:
-    """The record of S_n from its entry coordinates m, and the norm of its
-    coupling entry. ``t`` is the coordinates of T; the coupling entry and
-    tau/t are :func:`ineq._displacement` of the mode (b_n and the J-flip in
-    lower mode, c_n otherwise).
-
-    Each value of the record must be finite, one at a time (a sum of finite
-    values can overflow): the first one that is not is a ``ValueError``.
-    """
-    a, b, c, d = m
-    norms = (math.sqrt(_norm2(a)), math.sqrt(_norm2(b)),
-             math.sqrt(_norm2(c)), math.sqrt(_norm2(d)))
-    bc = norms[1] * norms[2]
-    checked = [*norms, det, bc]
-    tau_c = t_c = None
-    cn, tau, tt, tau_norm, t_norm, lhs = ineq._displacement(m, t, mode)
-    if tau is not None:
-        tau_c = tau_norm * cn
-        t_c = t_norm * cn
-        checked += (tau_c, t_c)
-    if mode == "diagonal":
-        lhs = k * (1.0 + bc)
-    if lhs is not None:
-        checked.append(lhs)
-    if not all(map(math.isfinite, checked)):
-        raise ValueError(NOT_FINITE)
-    return IterationStep(n, qmat._from_coords(m), det, norms, tau, tt, tau_c, t_c,
-                         lhs), cn
-
-
 def iterate(s: MatH2, t: MatH2, n_steps: int, mode: str,
             tol: float = DEFAULT_TOL) -> IterationTrace:
     """Run the sequence for n_steps, recording statistics at every index.
@@ -187,8 +156,9 @@ def iterate(s: MatH2, t: MatH2, n_steps: int, mode: str,
     beyond ``DIVERGENCE_CUTOFF`` also truncate (reason "divergence cutoff
     exceeded") since further products only overflow, and so does an S_n
     that :func:`qmat.nonsingular_alpha` rejects (reason "numerical
-    blow-up"). A record holding a non-finite value is a ``ValueError``
-    (:data:`NOT_FINITE`), never a trace.
+    blow-up"). Each value of a record is checked for finiteness one at a
+    time (a sum of finite values can overflow): the first that is not
+    finite is a ``ValueError`` (:data:`NOT_FINITE`), never a trace.
 
     S_n stays entry coordinates from step to step: alpha is computed once
     per step, for ``det`` and for the conjugation, which has the bits of
@@ -206,12 +176,31 @@ def iterate(s: MatH2, t: MatH2, n_steps: int, mode: str,
     current = s._coords
     for n in range(n_steps + 1):
         value = qmat._alpha(current)
-        step, coupling = _record(n, current, math.sqrt(value), t_coords, mode, k)
-        trace.steps.append(step)
+        det = math.sqrt(value)
+        a, b, c, d = current
+        norms = (math.sqrt(_norm2(a)), math.sqrt(_norm2(b)),
+                 math.sqrt(_norm2(c)), math.sqrt(_norm2(d)))
+        bc = norms[1] * norms[2]
+        checked = [*norms, det, bc]
+        tau_c = t_c = None
+        coupling, tau, tt, tau_norm, t_norm, lhs = ineq._displacement(
+            current, t_coords, mode)
+        if tau is not None:
+            tau_c = tau_norm * coupling
+            t_c = t_norm * coupling
+            checked += (tau_c, t_c)
+        if mode == "diagonal":
+            lhs = k * (1.0 + bc)
+        if lhs is not None:
+            checked.append(lhs)
+        if not all(map(math.isfinite, checked)):
+            raise ValueError(NOT_FINITE)
+        trace.steps.append(IterationStep(n, qmat._from_coords(current), det, norms,
+                                         tau, tt, tau_c, t_c, lhs))
         if mode != "diagonal" and coupling == 0.0:
             trace.truncated_reason = "common fixed point reached"
             break
-        if max(step.entry_norms) > DIVERGENCE_CUTOFF:
+        if max(norms) > DIVERGENCE_CUTOFF:
             trace.truncated_reason = "divergence cutoff exceeded"
             break
         if n < n_steps:
@@ -275,6 +264,8 @@ def extremal_invariance_check(s: MatH2, t: MatH2, n_steps: int,
     A trace record with a non-finite value is :func:`iterate`'s
     ``ValueError``, never a deviation that compares false.
     """
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
     name = ineq.auto_select(t, tol)
     # lower mode propagates the b-based quantity (see IterationStep)
     pointwise = (ineq._jlt_b_form if name == "jlt" else ineq.TESTS[name])(s, t, tol)

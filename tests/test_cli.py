@@ -771,6 +771,27 @@ def test_readme_pair_extreme_over_sixty_steps(capsys):
     assert invariance["lhs"] == 0.0
 
 
+# angle sum pi/3 + 3e-8: jss reads equality, the cotangent criterion reads
+# not extreme (see test_extremality_criteria_not_extreme_overrides_jss_equality)
+_half = (math.pi / 3 + 3e-8) / 2
+NEAR_SIXTH_TURN_PAIR = {
+    "v": 1,
+    "S": matrix_obj(quat_list(1), quat_list(1e-5), quat_list(1e-5),
+                    quat_list(1 + 1e-10)),
+    "T": matrix_obj(quat_list(math.cos(_half), math.sin(_half)), quat_list(),
+                    quat_list(), quat_list(math.cos(_half), -math.sin(_half))),
+}
+
+
+def test_extreme_selector_reads_not_extreme_past_jss_equality(capsys):
+    code, out, err = run(capsys, "test", json.dumps(NEAR_SIXTH_TURN_PAIR),
+                         "--select", "extreme")
+    assert (code, err) == (12, "")
+    payload = json.loads(out)
+    assert payload["verdict"] == "not_extreme"
+    assert payload["diagnostics"]["inconsistency"] == 1.0
+
+
 @pytest.mark.parametrize("argv", [
     ("test", json.dumps(OVERFLOW_PAIR)),
     ("test", json.dumps(OVERFLOW_PAIR), "--format", "text"),

@@ -338,6 +338,18 @@ def test_invariance_check_gate_fails_on_obstruction_pair():
     assert report.diagnostics["pointwise_extremal"] == 0.0
 
 
+@pytest.mark.parametrize("n_steps", [0, -1])
+@pytest.mark.parametrize("pair", [
+    (EXTREME_S, EXTREME_T),
+    # jss reads this pair not extremal, so the check never reaches iterate
+    (MatH2(ONE, Quaternion(0.1), Quaternion(0.1), Quaternion(1.01)),
+     diagonal(Quaternion(0.9, 0.43), Quaternion(0.9, -0.43))),
+], ids=["extreme", "not_extremal"])
+def test_invariance_check_rejects_a_horizon_below_one(pair, n_steps):
+    with pytest.raises(ValueError, match="n_steps must be >= 1"):
+        extremal_invariance_check(*pair, n_steps)
+
+
 def test_invariance_check_diagonal_equality_drifts_without_discreteness():
     # pointwise equality alone does not propagate: the budget is exceeded
     # and the check honestly refuses the extremal verdict

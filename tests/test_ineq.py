@@ -849,6 +849,22 @@ def test_extremality_criteria_non_elliptic_equality_never_certified():
     assert report.diagnostics["non_elliptic_equality"] == 1.0
 
 
+def test_extremality_criteria_not_extreme_overrides_jss_equality():
+    # angle sum just above pi/3: jss reads the pair extremal, but the
+    # cotangent criterion is negative, so |ad| - 1 exceeds it and the pair
+    # is not extreme; the disagreement is flagged as an inconsistency
+    half = (math.pi / 3 + 3e-8) / 2
+    t = diagonal(unit_complex(half), unit_complex(-half))
+    s = MatH2(ONE, Quaternion(1e-5), Quaternion(1e-5), Quaternion(1 + 1e-10))
+    assert jss_test(s, t).verdict is Verdict.EXTREMAL
+    report = extremality_criteria(s, t)
+    check_report_invariants(report)
+    assert report.verdict is Verdict.NOT_EXTREME
+    assert report.diagnostics["inconsistency"] == 1.0
+    assert report.diagnostics["cot_criterion"] < 0.0
+    assert report.diagnostics["order_bound"] == 6.0
+
+
 def test_extremality_criteria_angle_inconsistency():
     t = diagonal(unit_complex(math.pi / 6), unit_complex(-math.pi / 6))
     # non-elementary, |bc| = eps^2 and K = 1: equality with angle sum pi/3
