@@ -256,7 +256,8 @@ def extremal_invariance_check(s: MatH2, t: MatH2, n_steps: int,
 
     Dispatches the pointwise test from T's shape (jss / rez / jg / the
     b-form of jlt).
-    If that test does not return EXTREMAL the check is inconclusive.
+    Inconclusive if that test is not EXTREMAL or, for a diagonal T, if
+    :func:`ineq.extremality_criteria` is NOT_EXTREME (``pointwise_not_extreme``).
     Otherwise the sequence is run and each step's extremal quantity is
     compared against the pointwise value under the linearly growing budget
     tol * (1 + n). The passing verdict is EXTREMAL in the sense of
@@ -276,7 +277,9 @@ def extremal_invariance_check(s: MatH2, t: MatH2, n_steps: int,
         "n_steps": float(n_steps),
     }
     budget = tol * (1.0 + n_steps)
-    if pointwise.verdict is not ineq.Verdict.EXTREMAL:
+    if name == "jss" and ineq.extremality_criteria(s, t, tol).verdict is ineq.Verdict.NOT_EXTREME:
+        diag["pointwise_not_extreme"] = 1.0
+    if pointwise.verdict is not ineq.Verdict.EXTREMAL or "pointwise_not_extreme" in diag:
         diag["pointwise_extremal"] = 0.0
         return ineq.TestReport("extremal_invariance", 0.0, budget, -budget,
                                ineq.Verdict.INCONCLUSIVE, False, diag)

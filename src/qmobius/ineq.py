@@ -27,8 +27,8 @@ from __future__ import annotations
 import enum
 import math
 
-from .quat import (Quaternion, ONE, DEFAULT_TOL, _Value, _conj, _inv, _mul, _norm2, _q,
-                   arg, similar)
+from .quat import (Quaternion, ONE, DEFAULT_TOL, _Value, _arg, _conj, _im_norm, _inv,
+                   _mul, _norm, _norm2, _q, _re_mul, _similar, _sub, arg)
 from . import qmat
 from .qmat import MatH2
 
@@ -109,8 +109,12 @@ def k_value(lam: Quaternion, mu: Quaternion) -> float:
     The square of the largest distance between the similarity classes of
     lam and mu; the driving constant of every diagonal-generator test.
     """
-    dr = lam.re - mu.re
-    di = lam.im_norm() + mu.im_norm()
+    return _k_value(lam._c, mu._c)
+
+
+def _k_value(lam, mu) -> float:
+    dr = lam[0] - mu[0]
+    di = _im_norm(lam) + _im_norm(mu)
     return dr * dr + di * di
 
 
@@ -137,7 +141,11 @@ def beta_t(lam: Quaternion, mu: Quaternion) -> float:
 
 def s_value(lam: Quaternion, mu: Quaternion) -> float:
     """|mu| (|Im lam| + |Im mu|), with |mu| the larger of the two norms."""
-    return max(lam.norm(), mu.norm()) * (lam.im_norm() + mu.im_norm())
+    return _s_value(lam._c, mu._c)
+
+
+def _s_value(lam, mu) -> float:
+    return max(_norm(lam), _norm(mu)) * (_im_norm(lam) + _im_norm(mu))
 
 
 def _power(base: float, exponent) -> float:
@@ -242,13 +250,13 @@ def _diagonal_gates(s: MatH2, t: MatH2, tol: float) -> tuple[bool, dict[str, flo
     S both nonzero (:func:`_coupling_ok`). A zero one fixes 0 or infinity,
     which the diagonal T fixes too, so the pair is elementary: a failed gate
     with the ``b_zero`` / ``c_zero`` flag."""
-    lam, mu = t.a, t.d
+    lam, _, _, mu = t._coords
     ok, diag = _pair_gates(s, t, tol, ("diagonal",))
-    b_norm, c_norm = s.b.norm(), s.c.norm()
+    b_norm, c_norm = _norm(s._coords[1]), _norm(s._coords[2])
     diag.update({
         "bc_norm": b_norm * c_norm,
-        "K": k_value(lam, mu),
-        "lambda_similar_mu": 1.0 if similar(lam, mu, tol) else 0.0,
+        "K": _k_value(lam, mu),
+        "lambda_similar_mu": 1.0 if _similar(lam, mu, tol) else 0.0,
     })
     b_ok = _coupling_ok(b_norm, tol, diag, "b_zero")
     c_ok = _coupling_ok(c_norm, tol, diag, "c_zero")
@@ -291,7 +299,7 @@ def jss2_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestReport:
     """
     ok, diag = _diagonal_gates(s, t, tol)
     bt = diag["K"]  # beta(T) is K in closed form (beta_t)
-    big = max(t.a.norm(), t.d.norm())
+    big = max(_norm(t._coords[0]), _norm(t._coords[3]))
     bc_norm = diag["bc_norm"]
     # an overflowed |bc| has no floor; it stays the (non-finite) exponent
     k_exp = math.floor(1.0 + bc_norm) + 1 if math.isfinite(bc_norm) else bc_norm
@@ -315,17 +323,18 @@ def hyperbolic_commutator_test(a: MatH2, b: MatH2,
     alpha of A and of B, which the determinant gates read too; A singular
     or overflowing is reported before B.
     """
-    lam, mu = a.a, a.d
-    k = lam.re
+    lam, _, _, mu = a._coords
+    _, b_b, b_c, _ = b._coords
+    k = lam[0]
     alpha_a, alpha_b, delta_comm = qmat._alphas_and_commutator_trace(a, b)
     ok, dets = _pair_gates(b, a, tol, ("diagonal",),
                            (math.sqrt(alpha_b), math.sqrt(alpha_a)))
-    normal_form = (lam.im_norm() <= tol and mu.im_norm() <= tol
-                   and abs(k * mu.re - 1.0) <= tol)
+    normal_form = (_im_norm(lam) <= tol and _im_norm(mu) <= tol
+                   and abs(k * mu[0] - 1.0) <= tol)
     nontrivial = abs(abs(k) - 1.0) > tol and abs(k) > tol
 
-    delta_a = k + mu.re
-    sigma_b, _ = qmat.parker_short(b)
+    delta_a = k + mu[0]
+    sigma_b, _ = qmat._parker_short(b._coords)
     term_a = abs(delta_a * delta_a - 4.0)
     term_c = abs(delta_comm - 2.0)
     diag = {
@@ -334,11 +343,11 @@ def hyperbolic_commutator_test(a: MatH2, b: MatH2,
         "delta_commutator": delta_comm,
         "term_A": term_a,
         "term_commutator": term_c,
-        "re_b_sigma_c": (b.b * sigma_b.conj() * b.c).re,
+        "re_b_sigma_c": _re_mul(_mul(b_b, _conj(sigma_b)), b_c),
         "commutator_hyperbolicity_unverified": 1.0,
         "det_B": dets["det_S"],
     }
-    ok = _coupling_ok(b.c.norm(), tol, diag, "c_zero") and ok and normal_form and nontrivial
+    ok = _coupling_ok(_norm(b_c), tol, diag, "c_zero") and ok and normal_form and nontrivial
     return _inequality_report("jh", term_a + term_c, 1.0, ok, diag)
 
 
@@ -359,11 +368,11 @@ def _displacement_test(name: str, s: MatH2, t: MatH2, side: str, re_gate: bool,
     coupling and displacements are :func:`_displacement` of the side, and
     eta is the off-diagonal entry of T on that side.
     """
-    lam, mu = t.a, t.d
+    lam, b, c, mu = t._coords
     ok, diag = _pair_gates(s, t, tol, (side, "diagonal"))
-    diag["S_value"] = s_value(lam, mu)
-    diag["swapped"] = 1.0 if lam.norm() > 1.0 + tol else 0.0
-    diag.update({"eta_norm": (t.b if side == "upper" else t.c).norm(), **(extra or {})})
+    diag["S_value"] = _s_value(lam, mu)
+    diag["swapped"] = 1.0 if _norm(lam) > 1.0 + tol else 0.0
+    diag.update({"eta_norm": _norm(b if side == "upper" else c), **(extra or {})})
     coupling_norm, _, _, tau0_norm, t0_norm, lhs = _displacement(s._coords, t._coords, side)
     coupling_ok = _coupling_ok(coupling_norm, tol, diag,
                                "c_zero" if side == "upper" else "b_zero")
@@ -387,8 +396,8 @@ def jg_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestReport:
     exchanges the triangle corners; a needed flip is recorded in
     diagnostics["swapped"] and leaves all evaluated quantities unchanged.
     """
-    lam, mu = t.a, t.d
-    re_gate = abs(lam.re - mu.re) <= tol and abs(lam.re) > tol
+    lam, _, _, mu = t._coords
+    re_gate = abs(lam[0] - mu[0]) <= tol and abs(lam[0]) > tol
     return _displacement_test("jg", s, t, "upper", re_gate, EPS_GENERIC, tol)
 
 
@@ -400,10 +409,10 @@ def rez_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestReport:
     lam = mu (zero imaginary parts, S = 0) is accepted as the continuous
     degenerate limit; the unipotent translation pair lands here.
     """
-    lam, mu = t.a, t.d
-    re_gate = ((abs(lam.re) <= tol and abs(mu.re) <= tol)
-               or (lam.im_norm() <= tol and mu.im_norm() <= tol
-                   and abs(lam.re - mu.re) <= tol))
+    lam, _, _, mu = t._coords
+    re_gate = ((abs(lam[0]) <= tol and abs(mu[0]) <= tol)
+               or (_im_norm(lam) <= tol and _im_norm(mu) <= tol
+                   and abs(lam[0] - mu[0]) <= tol))
     return _displacement_test("rez", s, t, "upper", re_gate, EPS_PURE_IMAGINARY, tol)
 
 
@@ -417,24 +426,21 @@ def eta_normalized_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestRep
     the two coincide outright. Gates and diagnostics are those of
     :func:`jg_test`; this route is kept as its oracle.
     """
-    eta = t.b
-    if eta.norm() <= tol:
+    eta = t._coords[1]
+    if _norm(eta) <= tol:
         raise ValueError("eta-normalized test requires eta != 0")
     base = jg_test(s, t, tol=tol)
     diag = base.diagnostics
     eta_norm = diag["eta_norm"]
-    s_prime = diag["S_value"] / (eta_norm * eta_norm)
-    diag["S_prime"] = s_prime
+    s_prime = diag["S_prime"] = diag["S_value"] / (eta_norm * eta_norm)
     if "c_zero" in diag:
         lhs = 0.0
     else:
-        tau0, t0 = tau0_t0_upper(s, t)
-        eta_inv = eta.inverse()
-        tau0p = tau0 * eta_inv
-        t0p = t0 * eta_inv
-        diag["tau0_prime_norm"] = tau0p.norm()
-        diag["t0_prime_norm"] = t0p.norm()
-        lhs = s.c.norm() * math.sqrt(tau0p.norm() * t0p.norm())
+        c_norm, tau0, t0, *_ = _displacement(s._coords, t._coords, "upper")
+        eta_inv = _inv(eta, _norm2(eta))
+        tau0p = diag["tau0_prime_norm"] = _norm(_mul(tau0, eta_inv))
+        t0p = diag["t0_prime_norm"] = _norm(_mul(t0, eta_inv))
+        lhs = c_norm * math.sqrt(tau0p * t0p)
     disc = 1.0 - 4.0 * _SQRT2 * eta_norm * eta_norm * s_prime
     threshold = (1.0 + math.sqrt(disc if disc > 0.0 else 0.0)) / (2.0 * eta_norm)
     return _inequality_report("eta_normalized", lhs, threshold,
@@ -455,23 +461,25 @@ def waterman_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestReport:
     lam^-1, so the left-hand sides agree when |lam| = 1.
     """
     from . import moebius       # the one evaluator that acts on points
-    lam, eta, mu = t.a, t.b, t.d
-    im_lam = lam.im_norm()
+    lam, eta, _, mu = t._coords
+    a, _, c, d = s._coords
+    im_lam = _im_norm(lam)
     ok, diag = _pair_gates(s, t, tol, ("upper", "diagonal"))
-    diag.update({"im_lambda": im_lam, "eta_norm": eta.norm()})
-    c_norm = s.c.norm()
+    diag.update({"im_lambda": im_lam, "eta_norm": _norm(eta)})
+    c_norm = _norm(c)
     c_ok = _coupling_ok(c_norm, tol, diag, "c_zero")
-    ok = (ok and (eta - ONE).norm() <= tol
-          and (lam - mu).norm() <= tol
-          and abs(lam.norm() - 1.0) <= tol
+    ok = (ok and _norm(_sub(eta, ONE._c)) <= tol
+          and _norm(_sub(lam, mu)) <= tol
+          and abs(_norm(lam) - 1.0) <= tol
           and im_lam <= 0.125 + tol and c_ok)
     if c_ok:
-        cinv = s.c.inverse()
-        points = {"displacement_1": s.a * cinv, "displacement_2": -(cinv * s.d)}
+        cinv = _inv(c, _norm2(c))
+        w, x, y, z = _mul(cinv, d)
+        points = {"displacement_1": _mul(a, cinv), "displacement_2": (-w, -x, -y, -z)}
         for key, p in points.items():
-            q = moebius.apply(t, p)
+            q = moebius._apply(t._coords, p)
             # a point that T sends to infinity is displaced infinitely far
-            diag[key] = math.inf if q is moebius.INFINITY else (q - p).norm()
+            diag[key] = math.inf if q is moebius.INFINITY else _norm(_sub(q, p))
         lhs = (c_norm * math.sqrt(diag["displacement_1"])
                * math.sqrt(diag["displacement_2"]))
     else:
@@ -484,9 +492,9 @@ def _jlt_b_form(s: MatH2, t: MatH2, tol: float) -> TestReport:
     """:func:`jlt_test` with |b| in the lhs: :func:`jg_test` (kappa != 0) or
     :func:`rez_test` (kappa = 0) of the J-flipped pair, flag ``b_zero`` for
     b = 0; the quantity the invariance theorem propagates in lower mode."""
-    kappa = t.a.re
+    kappa, mu_re = t._coords[0][0], t._coords[3][0]
     eps = EPS_GENERIC if abs(kappa) > tol else EPS_PURE_IMAGINARY
-    return _displacement_test("jlt", s, t, "lower", abs(kappa - t.d.re) <= tol,
+    return _displacement_test("jlt", s, t, "lower", abs(kappa - mu_re) <= tol,
                               eps, tol, {"kappa": kappa, "eps": eps})
 
 
@@ -506,7 +514,7 @@ def jlt_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestReport:
     diag = report.diagnostics
     if "b_zero" in diag:
         return report
-    lhs_printed = s.c.norm() * math.sqrt(diag["tau0_norm"] * diag["t0_norm"])
+    lhs_printed = _norm(s._coords[2]) * math.sqrt(diag["tau0_norm"] * diag["t0_norm"])
     diag.update({"lhs_printed": lhs_printed, "lhs_b_variant": report.lhs})
     return _inequality_report("jlt", lhs_printed, report.threshold,
                               report.preconditions_met, diag)
@@ -529,15 +537,15 @@ def extremality_criteria(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestRe
     extreme (NOT_EXTREME).
     """
     base = jss_test(s, t, tol=tol)
-    lam, mu = t.a, t.d
+    lam, _, _, mu = t._coords
     diag = dict(base.diagnostics)
-    elliptic = (abs(lam.norm() - 1.0) <= tol and abs(mu.norm() - 1.0) <= tol)
+    elliptic = (abs(_norm(lam) - 1.0) <= tol and abs(_norm(mu) - 1.0) <= tol)
     diag["elliptic"] = 1.0 if elliptic else 0.0
 
     angle_sum = None
     not_extreme = False
-    if lam.norm() > 0.0 and mu.norm() > 0.0:
-        angle_sum = arg(lam) + arg(mu)
+    if _norm(lam) > 0.0 and _norm(mu) > 0.0:
+        angle_sum = _arg(lam) + _arg(mu)
         diag["angle_sum"] = angle_sum
         if angle_sum > tol:
             bound = 2.0 * math.pi / angle_sum     # inf for a subnormal angle sum
@@ -545,7 +553,7 @@ def extremality_criteria(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestRe
             if elliptic:
                 half = angle_sum / 2.0
                 cot_criterion = _power(math.cos(half) / math.sin(half), 2) - 3.0
-                ad_dev = abs(s.a.norm() * s.d.norm() - 1.0)
+                ad_dev = abs(_norm(s._coords[0]) * _norm(s._coords[3]) - 1.0)
                 diag.update({"cot_criterion": cot_criterion, "ad_deviation": ad_dev})
                 not_extreme = ad_dev > cot_criterion + EXTREMAL_TOL
 
@@ -582,19 +590,18 @@ def non_extreme_tau_test(s: MatH2, t: MatH2, side: str = "upper",
     """
     if side not in ("upper", "lower"):
         raise ValueError("side must be 'upper' or 'lower'")
-    lam, mu = t.a, t.d
+    lam, _, _, mu = t._coords
     ok, diag = _pair_gates(s, t, tol, (side, "diagonal"))
-    ok = ok and abs(lam.re - mu.re) <= tol
-    diag["S_value"] = s_value(lam, mu)
-    eps = EPS_GENERIC if abs(lam.re) > tol else EPS_PURE_IMAGINARY
+    ok = ok and abs(lam[0] - mu[0]) <= tol
+    diag["S_value"] = _s_value(lam, mu)
+    eps = EPS_GENERIC if abs(lam[0]) > tol else EPS_PURE_IMAGINARY
     a, _, c, d = s._coords if side == "upper" else s._coords[::-1]
-    e = _conj(c)
-    rhs = math.sqrt(_norm2(qmat._prod_sum(e, d, a, e)))
+    rhs = _norm(qmat._prod_sum(_conj(c), d, a, _conj(c)))
     coupling, tau0, t0, tau0_norm, t0_norm, _ = _displacement(s._coords, t._coords, side)
     if not _coupling_ok(coupling, tol, diag, "c_zero" if side == "upper" else "b_zero"):
         return TestReport(f"non_extreme_{side}", 0.0, rhs, -rhs,
                           Verdict.INCONCLUSIVE, False, diag)
-    gap = (_q(tau0) - _q(t0)).norm()
+    gap = _norm(_sub(tau0, t0))
     diag.update({"tau0_norm": tau0_norm, "t0_norm": t0_norm,
                  "tau0_minus_t0_norm": gap})
     # the extremal displacement value |c| sqrt(|tau0 t0|) would equal this
@@ -642,9 +649,9 @@ def auto_select(t: MatH2, tol: float = DEFAULT_TOL) -> str:
     if kind == "diagonal":
         return "jss"
     if kind == "upper":
-        lam, mu = t.a, t.d
-        pure = ((abs(lam.re) <= tol and abs(mu.re) <= tol)
-                or (lam.im_norm() <= tol and mu.im_norm() <= tol))
+        lam, _, _, mu = t._coords
+        pure = ((abs(lam[0]) <= tol and abs(mu[0]) <= tol)
+                or (_im_norm(lam) <= tol and _im_norm(mu) <= tol))
         return "rez" if pure else "jg"
     if kind == "lower":
         return "jlt"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 
-from .quat import Quaternion, ZERO, DEFAULT_TOL
+from .quat import Quaternion, ZERO, DEFAULT_TOL, _add, _inv, _mul, _norm, _norm2, _q
 from . import qmat
 from .qmat import MatH2, NONZERO_TOL
 
@@ -42,15 +42,22 @@ def apply(m: MatH2, z: ExtQuaternion) -> ExtQuaternion:
     has no finite pole). Infinity maps to a c^-1 otherwise. A singular or
     overflowing m is an error (:func:`qmat.nonsingular_alpha`).
     """
-    qmat.nonsingular_alpha(m)
-    fixes_infinity = m.c.norm() <= NONZERO_TOL
+    w = _apply(m._coords, z if z is INFINITY else z._c)
+    return w if w is INFINITY else _q(w)
+
+
+def _apply(m, z):
+    """:func:`apply` on coordinates; INFINITY in and out stays itself."""
+    qmat._nonsingular(qmat._alpha(m))
+    a, b, c, d = m
+    fixes_infinity = _norm(c) <= NONZERO_TOL
     if z is INFINITY:
-        return INFINITY if fixes_infinity else m.a * m.c.inverse()
-    denom = m.c * z + m.d
-    pole_tol = 0.0 if fixes_infinity else NONZERO_TOL * (1.0 + z.norm())
-    if denom.norm() <= pole_tol:
+        return INFINITY if fixes_infinity else _mul(a, _inv(c, _norm2(c)))
+    denom = _add(_mul(c, z), d)
+    pole_tol = 0.0 if fixes_infinity else NONZERO_TOL * (1.0 + _norm(z))
+    if _norm(denom) <= pole_tol:
         return INFINITY
-    return (m.a * z + m.b) * denom.inverse()
+    return _mul(_add(_mul(a, z), b), _inv(denom, _norm2(denom)))
 
 
 class IsometryClass(enum.Enum):

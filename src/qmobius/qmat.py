@@ -7,20 +7,18 @@ Parker-Short quantities (sigma, tau). The group of determinant-1 matrices
 (called Sigma throughout) acts by isometries on hyperbolic 5-space; its
 boundary action lives in :mod:`qmobius.moebius`.
 
-The hot path is three coordinate kernels: ``_alpha`` (behind
-:func:`alpha`, :func:`det` and :func:`nonsingular_alpha`), ``_conjugate``
-and ``_alphas_and_commutator_trace``; ``MatH2 @`` and :func:`inverse` run
-on the same coordinates. A :class:`MatH2` holds its entry coordinates,
-which the kernels read and return as they are; each result coordinate is
-the float expression of the ``Quaternion`` formula in its docstring,
-evaluated in the same order: the results are bitwise equal to that
-formula's, error types included. The quaternion formulas (``_mul``,
-``_re_mul``, ``_norm2``, ``_conj``) are those of :mod:`qmobius.quat`, which
-``Quaternion`` arithmetic evaluates too; the matrix ones are written once
-here (``_prod_sum``, ``_inverse_entry``), and the kernels share their
-coordinate tuples. ``_conjugate``, the conjugation
-step m t m^-1 given m's alpha (``dynamics.iterate`` computes it once per
-step), is bitwise ``m @ t @ inverse(m)``, and
+The hot path is coordinate kernels: ``_alpha`` (behind :func:`alpha`,
+:func:`det` and :func:`nonsingular_alpha`), ``_conjugate``,
+``_alphas_and_commutator_trace`` and ``_parker_short`` (behind
+:func:`parker_short`); ``MatH2 @`` and :func:`inverse` run on the same
+coordinates, which a :class:`MatH2` holds and the kernels read and return
+as they are. Each result coordinate is the float expression of the
+``Quaternion`` formula in its docstring, in the same order, so results and
+error types are bitwise those of the formula. The quaternion formulas
+(``_mul``, ``_add``, ``_norm2``...) are those of :mod:`qmobius.quat`; the
+matrix ones are written once here (``_prod_sum``, ``_inverse_entry``).
+``_conjugate``, the step m t m^-1 given m's alpha (``dynamics.iterate``
+computes it once per step), is bitwise ``m @ t @ inverse(m)``, and
 ``_alphas_and_commutator_trace`` evaluates only the real parts of the
 diagonal of :func:`commutator` (a, b), bitwise its ``a.re + d.re``,
 returning the two alphas it computes on the way (``ineq`` ``jh`` gates on
@@ -32,7 +30,7 @@ from __future__ import annotations
 import math
 
 from .quat import (Quaternion, ZERO, ONE, DEFAULT_TOL, _Frozen, _checked_coords,
-                   _conj, _mul, _new, _norm2, _q, _re_mul)
+                   _add, _conj, _inv, _mul, _new, _norm, _norm2, _q, _re_mul, _sub)
 
 # Norm threshold under which an entry is treated as zero when dispatching
 # between algebraic case formulas. Dispatch must be deterministic under
@@ -381,18 +379,23 @@ def parker_short(m: MatH2) -> tuple[Quaternion, Quaternion]:
     Four-case dispatch on which entries vanish (norm <= NONZERO_TOL):
     c != 0; c = 0, b != 0; b = c = 0 with a != d; and b = c = 0, a = d.
     """
-    a, b, c, d = m.entries()
-    if c.norm() > NONZERO_TOL:
-        core = c * a * c.inverse()
-        return (core * d - c * b, core + d)
-    if b.norm() > NONZERO_TOL:
-        core = b * d * b.inverse()
-        return (core * a, core + a)
-    diff = d - a
-    if diff.norm() > NONZERO_TOL:
-        core = diff * a * diff.inverse()
-        return (core * d, core + d)
-    return (a * a.conj(), a + a.conj())
+    return tuple(map(_q, _parker_short(m._coords)))
+
+
+def _parker_short(m) -> tuple[tuple[float, float, float, float], ...]:
+    """(sigma, tau) of :func:`parker_short` on m's entry coordinates."""
+    a, b, c, d = m
+    if _norm(c) > NONZERO_TOL:
+        core = _mul(_mul(c, a), _inv(c, _norm2(c)))
+        return (_sub(_mul(core, d), _mul(c, b)), _add(core, d))
+    if _norm(b) > NONZERO_TOL:
+        core = _mul(_mul(b, d), _inv(b, _norm2(b)))
+        return (_mul(core, a), _add(core, a))
+    diff = _sub(d, a)
+    if _norm(diff) > NONZERO_TOL:
+        core = _mul(_mul(diff, a), _inv(diff, _norm2(diff)))
+        return (_mul(core, d), _add(core, d))
+    return (_mul(a, _conj(a)), _add(a, _conj(a)))
 
 
 class InvariantSet(_Frozen):

@@ -6,9 +6,8 @@ comparisons against tolerances are the caller's job, with ``DEFAULT_TOL``
 as the library-wide default for unit-scale data.
 
 A :class:`Quaternion` holds one coordinate tuple (w, x, y, z). Each formula
-(``_mul``, ``_re_mul``, ``_norm2``, ``_conj``, ``_inv``) is written once, on
-coordinate tuples: the ``Quaternion`` methods and the kernels of ``qmat``,
-``ineq`` and ``dynamics`` evaluate the same expressions, bit for bit.
+(``_mul``, ``_add``, ``_sub``, ``_norm``, ``_inv``...) is written once, on coordinate
+tuples: ``Quaternion`` and the other modules' kernels evaluate it bit for bit.
 """
 
 from __future__ import annotations
@@ -112,31 +111,28 @@ class Quaternion(_Frozen):
         return _norm2(self._c)
 
     def norm(self) -> float:
-        return math.sqrt(_norm2(self._c))
+        return _norm(self._c)
 
     def im_norm(self) -> float:
-        _, x, y, z = self._c
-        return math.sqrt(x * x + y * y + z * z)
+        return _im_norm(self._c)
 
     __abs__ = norm
 
     def __add__(self, other) -> "Quaternion":
-        pw, px, py, pz = self._c
         if isinstance(other, Quaternion):
-            qw, qx, qy, qz = other._c
-            return _q((pw + qw, px + qx, py + qy, pz + qz))
+            return _q(_add(self._c, other._c))
         if isinstance(other, (int, float)):
+            pw, px, py, pz = self._c
             return _q((pw + other, px, py, pz))
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Quaternion":
-        pw, px, py, pz = self._c
         if isinstance(other, Quaternion):
-            qw, qx, qy, qz = other._c
-            return _q((pw - qw, px - qx, py - qy, pz - qz))
+            return _q(_sub(self._c, other._c))
         if isinstance(other, (int, float)):
+            pw, px, py, pz = self._c
             return _q((pw - other, px, py, pz))
         return NotImplemented
 
@@ -222,9 +218,25 @@ def _re_mul(p, q) -> float:
     return pw * qw - px * qx - py * qy - pz * qz
 
 
+def _add(p, q) -> tuple[float, float, float, float]:
+    return (p[0] + q[0], p[1] + q[1], p[2] + q[2], p[3] + q[3])
+
+
+def _sub(p, q) -> tuple[float, float, float, float]:
+    return (p[0] - q[0], p[1] - q[1], p[2] - q[2], p[3] - q[3])
+
+
 def _norm2(p) -> float:
     w, x, y, z = p
     return w * w + x * x + y * y + z * z
+
+
+def _norm(p) -> float:
+    return math.sqrt(_norm2(p))
+
+
+def _im_norm(p) -> float:
+    return math.sqrt(p[1] * p[1] + p[2] * p[2] + p[3] * p[3])
 
 
 def _conj(p) -> tuple[float, float, float, float]:
@@ -271,9 +283,13 @@ def similar(p: Quaternion, q: Quaternion, tol: float = DEFAULT_TOL) -> bool:
     Two quaternions are conjugate exactly when their real parts and norms
     agree; this is a tolerance predicate, not an exact test.
     """
+    return _similar(p._c, q._c, tol)
+
+
+def _similar(p, q, tol: float) -> bool:
     if tol < 0:
         raise ValueError("tol must be non-negative")
-    return abs(p.re - q.re) <= tol and abs(p.norm() - q.norm()) <= tol
+    return abs(p[0] - q[0]) <= tol and abs(_norm(p) - _norm(q)) <= tol
 
 
 def arg(q: Quaternion) -> float:
@@ -282,9 +298,13 @@ def arg(q: Quaternion) -> float:
     Built from atan2(|Im q|, Re q) rather than acos to stay accurate near
     0 and pi. Undefined at q = 0.
     """
-    if q.norm2() == 0.0:
+    return _arg(q._c)
+
+
+def _arg(p) -> float:
+    if _norm2(p) == 0.0:
         raise ValueError("argument of zero quaternion is undefined")
-    return math.atan2(q.im_norm(), q.re)
+    return math.atan2(_im_norm(p), p[0])
 
 
 def complex_representative(q: Quaternion) -> tuple[float, float]:

@@ -792,6 +792,22 @@ def test_extreme_selector_reads_not_extreme_past_jss_equality(capsys):
     assert payload["diagnostics"]["inconsistency"] == 1.0
 
 
+def test_extreme_exit_agrees_with_a_pointwise_not_extreme(capsys):
+    # jss reads equality; the invariance check must not run the sequence
+    # and exit 11 (extremal) under the printed not_extreme block
+    code, out, err = run(capsys, "extreme", json.dumps(NEAR_SIXTH_TURN_PAIR),
+                         "--steps", "25")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["pointwise"]["verdict"] == "not_extreme"
+    invariance = payload["invariance"]
+    assert (invariance["verdict"], invariance["preconditions_met"]) == ("inconclusive", False)
+    assert invariance["diagnostics"] == {
+        "pointwise_lhs": payload["pointwise"]["lhs"],
+        "pointwise_threshold": 1.0, "n_steps": 25.0,
+        "pointwise_not_extreme": 1.0, "pointwise_extremal": 0.0}
+
+
 @pytest.mark.parametrize("argv", [
     ("test", json.dumps(OVERFLOW_PAIR)),
     ("test", json.dumps(OVERFLOW_PAIR), "--format", "text"),

@@ -338,6 +338,22 @@ def test_invariance_check_gate_fails_on_obstruction_pair():
     assert report.diagnostics["pointwise_extremal"] == 0.0
 
 
+def test_invariance_check_is_inconclusive_past_a_pointwise_not_extreme():
+    # jss reads equality (margin 5.2e-8) and extremality_criteria reads
+    # NOT_EXTREME: the sequence is not run
+    half = (math.pi / 3 + 3e-8) / 2
+    s = MatH2(ONE, Quaternion(1e-5), Quaternion(1e-5), Quaternion(1 + 1e-10))
+    t = diagonal(Quaternion(math.cos(half), math.sin(half)),
+                 Quaternion(math.cos(half), -math.sin(half)))
+    assert ineq.jss_test(s, t).verdict is Verdict.EXTREMAL
+    assert ineq.extremality_criteria(s, t).verdict is Verdict.NOT_EXTREME
+    report = extremal_invariance_check(s, t, 25)
+    assert report.verdict is Verdict.INCONCLUSIVE and not report.preconditions_met
+    assert report.diagnostics["pointwise_not_extreme"] == 1.0
+    assert report.diagnostics["pointwise_extremal"] == 0.0
+    assert "max_deviation" not in report.diagnostics
+
+
 @pytest.mark.parametrize("n_steps", [0, -1])
 @pytest.mark.parametrize("pair", [
     (EXTREME_S, EXTREME_T),

@@ -7,9 +7,10 @@ same first stderr line as when the corpus was generated.
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
-from qmobius import cli
+from qmobius import cli, quat
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -29,3 +30,40 @@ def test_golden_corpus_replays_identically(monkeypatch):
             mismatched.append(rec["name"])
     assert len(records) == 176
     assert mismatched == []
+
+
+def test_test_batch_builds_no_quaternion(tmp_path):
+    """Every selector reads the pair on coordinates from JSON decode to
+    report: no ``test --batch`` line of a golden pair builds a Quaternion,
+    through the public constructor or through ``quat._q``."""
+    constructors = {quat._q.__code__, quat.Quaternion.__init__.__code__}
+    built = []
+
+    def probe(frame, event, arg):
+        if event == "call" and frame.f_code in constructors:
+            built.append(frame.f_code.co_name)
+
+    def run(argv):
+        out = io.StringIO()
+        sys.setprofile(probe)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                cli.main(argv)
+        finally:
+            sys.setprofile(None)
+        return out.getvalue().splitlines()
+
+    run(["invariants", json.dumps({"a": [1, 0, 0, 0], "b": [0, 0, 0, 0],
+                                   "c": [0, 0, 0, 0], "d": [1, 0, 0, 0]})])
+    assert built, "the probe sees a construction"    # parker_short's sigma, tau
+    built.clear()
+    pairs = (GOLDEN / "pairs.jsonl").read_text().splitlines()
+    reports = 0
+    for select in cli.SELECTORS:
+        for number, pair in enumerate(pairs):
+            # one file per pair: a batch stops at its first failing line
+            path = tmp_path / f"{select}-{number}.jsonl"
+            path.write_text(pair + "\n")
+            reports += len(run(["test", str(path), "--batch", "--select", select]))
+    assert reports == len(cli.SELECTORS) * len(pairs) - 1     # auto: the full T
+    assert built == []

@@ -237,7 +237,9 @@ def test_property_det_is_multiplicative(m1, m2):
 # the same formulas composed from Quaternion arithmetic; the kernels must
 # agree with them bit for bit, error types included. So must the kernels
 # that skip part of a result: the conjugation given alpha (as iterate runs
-# it), and the commutator's trace with the two alphas jh gates on.
+# it), and the commutator's trace with the two alphas jh gates on. So must
+# the coordinate reads of the test path: Parker-Short, the Moebius action
+# that wat measures, and the eta-normalized oracle of jg.
 
 def _reference_matmul(m: MatH2, n: MatH2) -> MatH2:
     return MatH2(m.a * n.a + m.b * n.c, m.a * n.b + m.b * n.d,
@@ -306,6 +308,58 @@ def _reference_tau0_t0_lower(s: MatH2, t: MatH2) -> tuple:
     return (mu * (-binv_a) + eta + binv_a * lam, mu * d_binv + eta - d_binv * lam)
 
 
+def _reference_parker_short(m: MatH2) -> tuple:
+    a, b, c, d = m.entries()
+    if c.norm() > qmat.NONZERO_TOL:
+        core = c * a * c.inverse()
+        return (core * d - c * b, core + d)
+    if b.norm() > qmat.NONZERO_TOL:
+        core = b * d * b.inverse()
+        return (core * a, core + a)
+    diff = d - a
+    if diff.norm() > qmat.NONZERO_TOL:
+        core = diff * a * diff.inverse()
+        return (core * d, core + d)
+    return (a * a.conj(), a + a.conj())
+
+
+def _reference_apply(m: MatH2, z):
+    qmat.nonsingular_alpha(m)
+    fixes_infinity = m.c.norm() <= qmat.NONZERO_TOL
+    if z is moebius.INFINITY:
+        return moebius.INFINITY if fixes_infinity else m.a * m.c.inverse()
+    denom = m.c * z + m.d
+    pole_tol = 0.0 if fixes_infinity else qmat.NONZERO_TOL * (1.0 + z.norm())
+    if denom.norm() <= pole_tol:
+        return moebius.INFINITY
+    return (m.a * z + m.b) * denom.inverse()
+
+
+def _reference_eta_normalized(s: MatH2, t: MatH2, tol: float = 1e-9) -> ineq.TestReport:
+    eta = t.b
+    if eta.norm() <= tol:
+        raise ValueError("eta-normalized test requires eta != 0")
+    base = ineq.jg_test(s, t, tol=tol)
+    diag = base.diagnostics
+    eta_norm = diag["eta_norm"]
+    s_prime = diag["S_value"] / (eta_norm * eta_norm)
+    diag["S_prime"] = s_prime
+    if "c_zero" in diag:
+        lhs = 0.0
+    else:
+        tau0, t0 = _reference_tau0_t0_upper(s, t)
+        eta_inv = eta.inverse()
+        tau0p = tau0 * eta_inv
+        t0p = t0 * eta_inv
+        diag["tau0_prime_norm"] = tau0p.norm()
+        diag["t0_prime_norm"] = t0p.norm()
+        lhs = s.c.norm() * math.sqrt(tau0p.norm() * t0p.norm())
+    disc = 1.0 - 4.0 * math.sqrt(2.0) * eta_norm * eta_norm * s_prime
+    threshold = (1.0 + math.sqrt(disc if disc > 0.0 else 0.0)) / (2.0 * eta_norm)
+    return ineq._inequality_report("eta_normalized", lhs, threshold,
+                                   base.preconditions_met, diag)
+
+
 def _lower_reading(s: MatH2, t: MatH2) -> tuple:
     """tau0, t0 of ``ineq._displacement`` on the lower side, or the
     reference's ValueError where that reading has none."""
@@ -316,13 +370,20 @@ def _lower_reading(s: MatH2, t: MatH2) -> tuple:
 
 
 def _outcome(fn, *args):
-    """The result's IEEE bit patterns, or the type of the ValueError raised."""
+    """The result's IEEE bit patterns (INFINITY as itself), or the type of
+    the ValueError raised."""
     try:
         result = fn(*args)
     except ValueError as exc:
         return type(exc)
     if isinstance(result, float):
         return struct.pack("d", result)
+    if result is moebius.INFINITY:
+        return result
+    if isinstance(result, ineq.TestReport):      # repr keeps every float bit
+        return repr(result.to_dict())
+    if isinstance(result, Quaternion):
+        result = (result,)
     entries = result.entries() if isinstance(result, MatH2) else result
     return b"".join(struct.pack("4d", *e.as_list()) if isinstance(e, Quaternion)
                     else struct.pack("d", e) for e in entries)
@@ -358,6 +419,7 @@ def test_property_kernels_are_bitwise_the_quaternion_formulas(m):
     # the second factor reuses m's draws with its entries in other places,
     # which keeps alpha; doubled (exactly), it has 16 times m's alpha
     n = MatH2(m.d, m.c, m.b, m.a)
+    upper = MatH2(n.a, n.b, ZERO, n.d)
     for kernel, reference, args in (
             (MatH2.__matmul__, _reference_matmul, (m, n)),
             (MatH2.__matmul__, _reference_matmul, (n, m)),
@@ -372,8 +434,22 @@ def test_property_kernels_are_bitwise_the_quaternion_formulas(m):
              _reference_alphas_and_commutator_trace, (n, m)),
             (qmat._alphas_and_commutator_trace,
              _reference_alphas_and_commutator_trace, (m, n.scaled(2.0))),
-            (ineq.tau0_t0_upper, _reference_tau0_t0_upper, (m, n))):
+            (ineq.tau0_t0_upper, _reference_tau0_t0_upper, (m, n)),
+            (ineq.eta_normalized_test, _reference_eta_normalized, (m, n)),
+            (ineq.eta_normalized_test, _reference_eta_normalized, (m, upper))):
         assert _outcome(kernel, *args) == _outcome(reference, *args)
+    # Parker-Short: c != 0; c = 0, b != 0; b = c = 0, a != d; b = c = 0, a = d
+    for matrix in (m, MatH2(m.a, m.b, ZERO, m.d), MatH2(m.a, ZERO, ZERO, m.d),
+                   MatH2(m.a, ZERO, ZERO, m.a)):
+        assert (_outcome(qmat.parker_short, matrix)
+                == _outcome(_reference_parker_short, matrix))
+    # apply: a finite point, infinity, the pole -c^-1 d, and c = 0
+    c_zero = MatH2(m.a, m.b, ZERO, m.d)
+    cases = [(m, n.a), (m, moebius.INFINITY), (c_zero, n.a), (c_zero, moebius.INFINITY)]
+    if m.c.norm() > qmat.NONZERO_TOL:
+        cases.append((m, -(m.c.inverse() * m.d)))
+    for matrix, z in cases:
+        assert _outcome(moebius.apply, matrix, z) == _outcome(_reference_apply, matrix, z)
     # the lower formulas are the lower reading of the pair
     assert (_outcome(_lower_reading, m, n)
             == _outcome(_reference_tau0_t0_lower, m, n))
