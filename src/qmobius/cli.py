@@ -153,14 +153,15 @@ def cmd_invariants(args) -> int:
         "in_sigma": in_sigma,
         **qmat.invariant_set(m).to_dict(),
     }
+    if args.normalize and not in_sigma:
+        normalized = qmat.normalize_to_sigma(m)
+        payload["normalized"] = normalized.to_dict()
+        payload["normalized_invariants"] = qmat.invariant_set(normalized).to_dict()
+    _emit(payload, args.format)
     if not in_sigma:
+        # after the payload: one that overflows is a lone error line
         print("warning: matrix is not in the determinant-1 group",
               file=sys.stderr)
-        if args.normalize:
-            normalized = qmat.normalize_to_sigma(m)
-            payload["normalized"] = normalized.to_dict()
-            payload["normalized_invariants"] = qmat.invariant_set(normalized).to_dict()
-    _emit(payload, args.format)
     return EXIT_OK
 
 

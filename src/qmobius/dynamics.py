@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .quat import Quaternion, DEFAULT_TOL, _Value, _norm2, _q
+from .quat import Quaternion, DEFAULT_TOL, _Value, _norm, _q
 from . import qmat, ineq
 from .qmat import MODES, NOT_FINITE, MatH2
 
@@ -170,16 +170,14 @@ def iterate(s: MatH2, t: MatH2, n_steps: int, mode: str,
         raise ValueError(f"mode must be one of {MODES}")
     if qmat.shape(t, tol) not in (mode, "diagonal"):
         raise ValueError(f"T does not match mode {mode!r}")
-    k = ineq.k_value(t.a, t.d)
     t_coords = t._coords
+    k = ineq._k_value(t_coords[0], t_coords[3])
     trace = IterationTrace(mode=mode)
     current = s._coords
     for n in range(n_steps + 1):
         value = qmat._alpha(current)
         det = math.sqrt(value)
-        a, b, c, d = current
-        norms = (math.sqrt(_norm2(a)), math.sqrt(_norm2(b)),
-                 math.sqrt(_norm2(c)), math.sqrt(_norm2(d)))
+        norms = tuple(map(_norm, current))
         bc = norms[1] * norms[2]
         checked = [*norms, det, bc]
         tau_c = t_c = None

@@ -27,8 +27,8 @@ from __future__ import annotations
 import enum
 import math
 
-from .quat import (Quaternion, ONE, DEFAULT_TOL, _Value, _arg, _conj, _im_norm, _inv,
-                   _mul, _norm, _norm2, _q, _re_mul, _similar, _sub, arg)
+from .quat import (Quaternion, ONE, DEFAULT_TOL, _Value, _add, _arg, _conj, _im_norm,
+                   _inv, _mul, _neg, _norm, _norm2, _q, _re_mul, _similar, _sub, arg)
 from . import qmat
 from .qmat import MatH2
 
@@ -203,18 +203,13 @@ def _displacement(s, t, side: str) -> tuple:
     coupling = math.sqrt(n)
     if not coupling > qmat.NONZERO_TOL:
         return (coupling, None, None, None, None, None)
-    lam, (ew, ex, ey, ez), _, mu = t
+    lam, eta, _, mu = t
     cinv = _inv(c, n)
     cinv_d = _mul(cinv, d)
     a_cinv = _mul(a, cinv)
-    vw, vx, vy, vz = cinv_d
-    pw, px, py, pz = _mul(lam, (-vw, -vx, -vy, -vz))
-    qw, qx, qy, qz = _mul(cinv_d, mu)
-    tau0 = (pw + ew + qw, px + ex + qx, py + ey + qy, pz + ez + qz)
-    pw, px, py, pz = _mul(lam, a_cinv)
-    qw, qx, qy, qz = _mul(a_cinv, mu)
-    t0 = (pw + ew - qw, px + ex - qx, py + ey - qy, pz + ez - qz)
-    tau0_norm, t0_norm = math.sqrt(_norm2(tau0)), math.sqrt(_norm2(t0))
+    tau0 = _add(_add(_mul(lam, _neg(cinv_d)), eta), _mul(cinv_d, mu))
+    t0 = _sub(_add(_mul(lam, a_cinv), eta), _mul(a_cinv, mu))
+    tau0_norm, t0_norm = _norm(tau0), _norm(t0)
     return (coupling, tau0, t0, tau0_norm, t0_norm,
             coupling * math.sqrt(tau0_norm * t0_norm))
 
@@ -474,8 +469,7 @@ def waterman_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestReport:
           and im_lam <= 0.125 + tol and c_ok)
     if c_ok:
         cinv = _inv(c, _norm2(c))
-        w, x, y, z = _mul(cinv, d)
-        points = {"displacement_1": _mul(a, cinv), "displacement_2": (-w, -x, -y, -z)}
+        points = {"displacement_1": _mul(a, cinv), "displacement_2": _neg(_mul(cinv, d))}
         for key, p in points.items():
             q = moebius._apply(t._coords, p)
             # a point that T sends to infinity is displaced infinitely far

@@ -14,9 +14,9 @@ The hot path is coordinate kernels: ``_alpha`` (behind :func:`alpha`,
 coordinates, which a :class:`MatH2` holds and the kernels read and return
 as they are. Each result coordinate is the float expression of the
 ``Quaternion`` formula in its docstring, in the same order, so results and
-error types are bitwise those of the formula. The quaternion formulas
-(``_mul``, ``_add``, ``_norm2``...) are those of :mod:`qmobius.quat`; the
-matrix ones are written once here (``_prod_sum``, ``_inverse_entry``).
+error types are bitwise those of the formula. Quaternion formulas are
+called from :mod:`qmobius.quat` (``_mul``, ``_add``, ``_norm``...), never
+respelled; matrix ones are written once here (``_prod_sum``, ``_inverse_entry``).
 ``_conjugate``, the step m t m^-1 given m's alpha (``dynamics.iterate``
 computes it once per step), is bitwise ``m @ t @ inverse(m)``, and
 ``_alphas_and_commutator_trace`` evaluates only the real parts of the
@@ -98,9 +98,7 @@ _set_coords = MatH2._coords.__set__
 
 def _prod_sum(p, q, r, s) -> tuple[float, float, float, float]:
     """Coordinates of p q + r s: one entry of a matrix product."""
-    pw, px, py, pz = _mul(p, q)
-    rw, rx, ry, rz = _mul(r, s)
-    return (pw + rw, px + rx, py + ry, pz + rz)
+    return _add(_mul(p, q), _mul(r, s))
 
 
 def _product(m, n) -> tuple[tuple[float, float, float, float], ...]:
@@ -139,8 +137,8 @@ def shape(m: MatH2, tol: float) -> str:
     """The triangle of m: "diagonal", "upper", "lower" or "full" by which
     off-diagonal entries have norm <= tol. Every shape gate asks this."""
     _, b, c, _ = m._coords
-    b_zero = math.sqrt(_norm2(b)) <= tol
-    if math.sqrt(_norm2(c)) <= tol:
+    b_zero = _norm(b) <= tol
+    if _norm(c) <= tol:
         return "diagonal" if b_zero else "upper"
     return "lower" if b_zero else "full"
 

@@ -6,8 +6,8 @@ comparisons against tolerances are the caller's job, with ``DEFAULT_TOL``
 as the library-wide default for unit-scale data.
 
 A :class:`Quaternion` holds one coordinate tuple (w, x, y, z). Each formula
-(``_mul``, ``_add``, ``_sub``, ``_norm``, ``_inv``...) is written once, on coordinate
-tuples: ``Quaternion`` and the other modules' kernels evaluate it bit for bit.
+(``_mul``, ``_add``, ``_sub``, ``_neg``, ``_norm``, ``_inv``...) is written once,
+on coordinate tuples; ``Quaternion`` and every other module's kernels call it.
 """
 
 from __future__ import annotations
@@ -140,8 +140,7 @@ class Quaternion(_Frozen):
         return (-self).__add__(other)
 
     def __neg__(self) -> "Quaternion":
-        w, x, y, z = self._c
-        return _q((-w, -x, -y, -z))
+        return _q(_neg(self._c))
 
     def __mul__(self, other) -> "Quaternion":
         if isinstance(other, Quaternion):
@@ -224,6 +223,11 @@ def _add(p, q) -> tuple[float, float, float, float]:
 
 def _sub(p, q) -> tuple[float, float, float, float]:
     return (p[0] - q[0], p[1] - q[1], p[2] - q[2], p[3] - q[3])
+
+
+def _neg(p) -> tuple[float, float, float, float]:
+    w, x, y, z = p
+    return (-w, -x, -y, -z)
 
 
 def _norm2(p) -> float:

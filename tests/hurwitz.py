@@ -58,6 +58,28 @@ def word(rng: random.Random) -> MatH2:
     return m
 
 
+def pairs(rng: random.Random, count: int):
+    """Seeded pairs of the Hurwitz group: a word S, and a unipotent upper,
+    a unipotent lower, a diag(unit, unit) generator or a word T."""
+    for _ in range(count):
+        s = word(rng)
+        kind = rng.randrange(4)
+        if kind == 0:
+            t = upper_triangular(ONE, hurwitz_integer(rng), ONE)
+        elif kind == 1:
+            t = lower_triangular(ONE, hurwitz_integer(rng), ONE)
+        elif kind == 2:
+            t = diagonal(rng.choice(UNITS), rng.choice(UNITS))
+        else:
+            t = word(rng)
+        yield s, t
+
+
+# the entry coordinates of +-I: the one elementary T of these pairs that the
+# coupling gates do not catch
+PLUS_MINUS_I = {identity()._coords, identity().scaled(-1.0)._coords}
+
+
 def is_hurwitz(coords) -> bool:
     """Whether four coordinates are all integers or all half-integers."""
     doubled = [2.0 * x for x in coords]

@@ -1,9 +1,11 @@
+import collections
 import contextlib
 import csv
 import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -15,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from qmobius import cli, dynamics, ineq, qmat
 from qmobius.qmat import MatH2
 from qmobius.quat import DEFAULT_TOL, Quaternion
+import hurwitz
 
 
 def quat_list(w=0.0, x=0.0, y=0.0, z=0.0):
@@ -149,6 +152,20 @@ def test_invariants_normalize(capsys):
     assert "not in the determinant-1 group" in err
     payload = json.loads(out)
     assert payload["normalized"]["a"] == [1.0, 0.0, 0.0, 0.0]
+
+
+def test_invariants_normalize_overflow_is_one_error_line(capsys):
+    # det is about 2e-12, so normalizing scales c = 1e154 by about 7e5 and
+    # the normalized invariants overflow: the warning must not precede the
+    # error, which is the run's one stderr line
+    matrix = json.dumps(matrix_obj(
+        [-0.6861030287919738, 1.994237659373887, -1.6634739786318162,
+         -1.7014261408623645],
+        quat_list(), quat_list(1e154), quat_list(5e-13)))
+    code, out, err = run(capsys, "invariants", matrix, "--normalize")
+    assert code == 2
+    assert out == ""
+    assert_one_error_line(err, "not finite")
 
 
 def test_malformed_json_is_usage_error(capsys):
@@ -806,6 +823,69 @@ def test_extreme_exit_agrees_with_a_pointwise_not_extreme(capsys):
         "pointwise_lhs": payload["pointwise"]["lhs"],
         "pointwise_threshold": 1.0, "n_steps": 25.0,
         "pointwise_not_extreme": 1.0, "pointwise_extremal": 0.0}
+
+
+def _near_sixth_turn_pairs(rng, count):
+    """Seeded elliptic pairs around NEAR_SIXTH_TURN_PAIR: angle sum pi/3 +
+    delta near jss's equality, T rotating about a random imaginary axis, and
+    S = [[1, b], [c, 1 + bc]] with small b, c."""
+    for _ in range(count):
+        half = (math.pi / 3 + rng.uniform(-2e-8, 8e-8)) / 2
+        axis = [rng.gauss(0.0, 1.0) for _ in range(3)]
+        scale = math.sin(half) / math.sqrt(sum(x * x for x in axis))
+        b, c = rng.uniform(1e-6, 2e-5), rng.uniform(1e-6, 2e-5)
+        yield {"v": 1,
+               "S": matrix_obj(quat_list(1), quat_list(b), quat_list(c),
+                               quat_list(1 + b * c)),
+               "T": matrix_obj(quat_list(math.cos(half), *(x * scale for x in axis)),
+                               quat_list(), quat_list(),
+                               quat_list(math.cos(half), *(-x * scale for x in axis)))}
+
+
+def test_cli_exits_agree_with_every_printed_block(capsys):
+    # the exit-code audit, through cli.main on every selector and extreme:
+    # on Hurwitz pairs (a discrete group) no run is an obstruction (exit 10)
+    # unless T = +-I, and on those and on near-equality elliptic pairs every
+    # test exit is VERDICT_EXIT of the printed verdict, and extreme never
+    # exits 11 under a printed pointwise not_extreme
+    discrete = [({"v": 1, "S": s.to_dict(), "T": t.to_dict()},
+                 t._coords not in hurwitz.PLUS_MINUS_I)
+                for s, t in hurwitz.pairs(random.Random(0), 250)]
+    near = [NEAR_SIXTH_TURN_PAIR, *_near_sixth_turn_pairs(random.Random(2), 8)]
+    wrong, errors = [], collections.Counter()
+    # printed jlt obstructions, left to ROADMAP item 1: jlt's printed lhs
+    # multiplies by |c| of S, false on this group (auto sends a lower T there)
+    item_1 = {"test --select jlt": 0, "test --select auto": 0}
+    for number, (pair, obstruction_is_false) in enumerate(
+            [*discrete, *((pair, False) for pair in near)]):
+        text = json.dumps(pair)
+        runs = [("test", text, "--select", select) for select in cli.SELECTORS]
+        for argv in [*runs, ("extreme", text, "--steps", "25")]:
+            code, out, err = run(capsys, *argv)
+            name = " ".join((argv[0], *argv[2:]))
+            if code == cli.EXIT_USAGE:
+                errors[name, err.rstrip()] += 1
+                continue
+            payload = json.loads(out)
+            printed = payload["invariance"] if argv[0] == "extreme" else payload
+            if code != cli.VERDICT_EXIT[ineq.Verdict(printed["verdict"])]:
+                wrong.append((number, name, "exit", code))
+            if code == 10 and obstruction_is_false:
+                if printed["test_name"] == "jlt":
+                    item_1[name] += 1
+                else:
+                    wrong.append((number, name, "obstruction"))
+            if code == 11 and payload.get("pointwise", {}).get("verdict") == "not_extreme":
+                wrong.append((number, name, "extremal under not_extreme"))
+    assert wrong == []
+    # a full T fits no test shape; wat reads the displacement of a point that
+    # a full T sends to infinity as inf, a report that is not finite
+    misfit = "error: T matches no test shape (neither triangle is zero)"
+    assert errors == {("test --select auto", misfit): 37,
+                      ("extreme --steps 25", misfit): 37,
+                      ("test --select wat", "error: " + qmat.NOT_FINITE): 5}
+    # item 1's fix makes these 0; the exclusion goes with it
+    assert item_1 == {"test --select jlt": 10, "test --select auto": 10}
 
 
 @pytest.mark.parametrize("argv", [

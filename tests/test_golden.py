@@ -10,7 +10,7 @@ import json
 import sys
 from pathlib import Path
 
-from qmobius import cli, quat
+from qmobius import cli, qmat, quat
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -35,7 +35,8 @@ def test_golden_corpus_replays_identically(monkeypatch):
 def test_test_batch_builds_no_quaternion(tmp_path):
     """Every selector reads the pair on coordinates from JSON decode to
     report: no ``test --batch`` line of a golden pair builds a Quaternion,
-    through the public constructor or through ``quat._q``."""
+    through the public constructor or through ``quat._q``, and neither does
+    ``iterate`` (each mode, and JSON) or ``extreme`` on a golden pair."""
     constructors = {quat._q.__code__, quat.Quaternion.__init__.__code__}
     built = []
 
@@ -66,4 +67,11 @@ def test_test_batch_builds_no_quaternion(tmp_path):
             path.write_text(pair + "\n")
             reports += len(run(["test", str(path), "--batch", "--select", select]))
     assert reports == len(cli.SELECTORS) * len(pairs) - 1     # auto: the full T
+    traces = 0
+    for pair in pairs:
+        for extra in (*(["--mode", mode] for mode in ("auto", *qmat.MODES)),
+                      ["--format", "json"]):
+            traces += bool(run(["iterate", pair, "--steps", "5", *extra]))
+        traces += bool(run(["extreme", pair, "--steps", "5"]))
+    assert traces == 36         # of 45: the rest are a T that misfits the mode
     assert built == []

@@ -645,29 +645,11 @@ def test_hurwitz_shimizu_equality_is_exact_on_units():
     assert pairs > 2500 and units > 10
 
 
-def _hurwitz_pairs(rng, count):
-    """Seeded pairs of the Hurwitz group: a word S, and a unipotent upper,
-    a unipotent lower, a diag(unit, unit) generator or a word T."""
-    for _ in range(count):
-        s = hurwitz.word(rng)
-        kind = rng.randrange(4)
-        if kind == 0:
-            t = upper_triangular(ONE, hurwitz.hurwitz_integer(rng), ONE)
-        elif kind == 1:
-            t = lower_triangular(ONE, hurwitz.hurwitz_integer(rng), ONE)
-        elif kind == 2:
-            t = diagonal(rng.choice(hurwitz.UNITS), rng.choice(hurwitz.UNITS))
-        else:
-            t = hurwitz.word(rng)
-        yield s, t
-
-
 # every selector and the b-form of jlt; the printed jlt is left out: its
 # lhs multiplies by |c| of S and reads false obstructions on this group
 # (ROADMAP item 1)
 _SOUND_SELECTORS = {**{name: fn for name, fn in ineq.TESTS.items() if name != "jlt"},
                     "jlt_b_form": ineq._jlt_b_form}
-_PLUS_MINUS_I = {qmat.identity()._coords, qmat.identity().scaled(-1.0)._coords}
 
 
 def test_hurwitz_pairs_are_never_an_obstruction():
@@ -675,8 +657,8 @@ def test_hurwitz_pairs_are_never_an_obstruction():
     # group is elementary; T = +-I is the one elementary case that the
     # coupling gates do not catch
     pairs = 0
-    for s, t in _hurwitz_pairs(random.Random(0), 1100):
-        if t._coords in _PLUS_MINUS_I:
+    for s, t in hurwitz.pairs(random.Random(0), 1100):
+        if t._coords in hurwitz.PLUS_MINUS_I:
             continue
         pairs += 1
         for name, evaluate in _SOUND_SELECTORS.items():
@@ -691,7 +673,7 @@ def test_hurwitz_verdicts_survive_diagonal_conjugation():
     # wat's normal form [[lam, 1], [0, lam]] is not a shape: D sends eta = 1
     # to r^2, a failed gate, so its verdict may only fall to inconclusive
     rng = random.Random(1)
-    for s, t in _hurwitz_pairs(random.Random(0), 1100):
+    for s, t in hurwitz.pairs(random.Random(0), 1100):
         r = rng.uniform(0.3, 3.0)
         d, d_inv = (diagonal(Quaternion(r), Quaternion(1.0 / r)),
                     diagonal(Quaternion(1.0 / r), Quaternion(r)))

@@ -89,6 +89,36 @@ def test_every_private_name_is_read_in_the_package():
     assert [name for name in defined if name.split(".")[1] not in read] == []
 
 
+def _respelled_formula(node) -> bool:
+    """Whether node spells a formula of ``quat`` inline: |q| as
+    ``math.sqrt(_norm2(...))``, or p + q, p - q, -q or the Hamilton product
+    as a 4-tuple of unary minus or binary +/- terms."""
+    if isinstance(node, ast.Call):
+        func, args = node.func, node.args
+        return (isinstance(func, ast.Attribute) and func.attr == "sqrt"
+                and isinstance(func.value, ast.Name) and func.value.id == "math"
+                and len(args) == 1 and isinstance(args[0], ast.Call)
+                and isinstance(args[0].func, ast.Name) and args[0].func.id == "_norm2")
+    return (isinstance(node, ast.Tuple) and len(node.elts) == 4
+            and all((isinstance(e, ast.UnaryOp) and isinstance(e.op, ast.USub))
+                    or (isinstance(e, ast.BinOp) and isinstance(e.op, (ast.Add, ast.Sub)))
+                    for e in node.elts))
+
+
+def test_every_quaternion_formula_is_spelled_once():
+    # p + q, p - q, -q and |q| are written in quat alone; every other module
+    # calls them there, so a scalar type that enters quat enters everywhere
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(qmobius.__file__).parent.glob("*.py"))
+             if path.name != "quat.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if _respelled_formula(node)]
+    assert found == []
+    quat = Path(qmobius.__file__).with_name("quat.py")
+    # _mul, _add, _sub, _neg and _norm, each once
+    assert sum(map(_respelled_formula, ast.walk(ast.parse(quat.read_text())))) == 5
+
+
 # two processes, each running two commands in turn: what each command
 # loads on top of import qmobius.cli and the command before it
 _PAIR = json.dumps({"S": {"a": [1, 0, 0, 0], "b": [0, 0, 0, 0], "c": [1, 0, 0, 0],
