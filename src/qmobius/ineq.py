@@ -27,8 +27,8 @@ from __future__ import annotations
 import enum
 import math
 
-from .quat import (Quaternion, ONE, DEFAULT_TOL, _Value, _add, _arg, _conj, _im_norm,
-                   _inv, _mul, _neg, _norm, _norm2, _q, _re_mul, _similar, _sub, arg)
+from .quat import (Quaternion, ONE, ZERO, DEFAULT_TOL, _Value, _add, _arg, _conj,
+                   _im_norm, _inv, _mul, _neg, _norm, _norm2, _q, _re_mul, _similar, _sub, arg)
 from . import qmat
 from .qmat import MatH2
 
@@ -446,16 +446,17 @@ def waterman_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestReport:
     """Parabolic generator test for T = [[lam, 1], [0, lam]], |lam| = 1.
 
     Measures the Moebius displacements of the two points a c^-1 and
-    -c^-1 d under T:
+    -c^-1 d under the triangle T0 = [[lam, eta], [0, mu]] that the shape
+    gate accepts, T0(z) - z = (lam z + eta) mu^-1 - z:
 
-        |c| sqrt(|T(ac^-1) - ac^-1|) sqrt(|T(-c^-1 d) + c^-1 d|)
+        |c| sqrt(|T0(ac^-1) - ac^-1|) sqrt(|T0(-c^-1 d) + c^-1 d|)
             >= (1 + sqrt(1 - 8 |Im lam|)) / 2
 
-    requiring |Im lam| <= 1/8. Bridges to :func:`rez_test`: each
-    displacement is the corresponding displacement quantity times
-    lam^-1, so the left-hand sides agree when |lam| = 1.
+    requiring |Im lam| <= 1/8. A lower or full T gets no points and lhs 0,
+    as a zero coupling does; a singular triangle is an error. Bridges to
+    :func:`rez_test`: each displacement is the corresponding displacement
+    quantity times mu^-1, so the left-hand sides agree when |lam| = 1.
     """
-    from . import moebius       # the one evaluator that acts on points
     lam, eta, _, mu = t._coords
     a, _, c, d = s._coords
     im_lam = _im_norm(lam)
@@ -467,13 +468,13 @@ def waterman_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestReport:
           and _norm(_sub(lam, mu)) <= tol
           and abs(_norm(lam) - 1.0) <= tol
           and im_lam <= 0.125 + tol and c_ok)
-    if c_ok:
+    if c_ok and qmat.shape(t, tol) in ("upper", "diagonal"):
+        qmat._nonsingular(qmat._alpha((lam, eta, ZERO._c, mu)))
         cinv = _inv(c, _norm2(c))
+        mu_inv = _inv(mu, _norm2(mu))
         points = {"displacement_1": _mul(a, cinv), "displacement_2": _neg(_mul(cinv, d))}
         for key, p in points.items():
-            q = moebius._apply(t._coords, p)
-            # a point that T sends to infinity is displaced infinitely far
-            diag[key] = math.inf if q is moebius.INFINITY else _norm(_sub(q, p))
+            diag[key] = _norm(_sub(_mul(_add(_mul(lam, p), eta), mu_inv), p))
         lhs = (c_norm * math.sqrt(diag["displacement_1"])
                * math.sqrt(diag["displacement_2"]))
     else:

@@ -42,22 +42,17 @@ def apply(m: MatH2, z: ExtQuaternion) -> ExtQuaternion:
     has no finite pole). Infinity maps to a c^-1 otherwise. A singular or
     overflowing m is an error (:func:`qmat.nonsingular_alpha`).
     """
-    w = _apply(m._coords, z if z is INFINITY else z._c)
-    return w if w is INFINITY else _q(w)
-
-
-def _apply(m, z):
-    """:func:`apply` on coordinates; INFINITY in and out stays itself."""
-    qmat._nonsingular(qmat._alpha(m))
-    a, b, c, d = m
+    qmat.nonsingular_alpha(m)
+    a, b, c, d = m._coords
     fixes_infinity = _norm(c) <= NONZERO_TOL
     if z is INFINITY:
-        return INFINITY if fixes_infinity else _mul(a, _inv(c, _norm2(c)))
+        return INFINITY if fixes_infinity else _q(_mul(a, _inv(c, _norm2(c))))
+    z = z._c
     denom = _add(_mul(c, z), d)
     pole_tol = 0.0 if fixes_infinity else NONZERO_TOL * (1.0 + _norm(z))
     if _norm(denom) <= pole_tol:
         return INFINITY
-    return _mul(_add(_mul(a, z), b), _inv(denom, _norm2(denom)))
+    return _q(_mul(_add(_mul(a, z), b), _inv(denom, _norm2(denom))))
 
 
 class IsometryClass(enum.Enum):

@@ -94,8 +94,9 @@ TINY_ANGLE_PAIR = {
                     quat_list(1, -5e-155)),
 }
 
-# |T.c| = 1e-10 is zero to the shape gate but a genuine pole: T sends S's
-# displacement point a c^-1 = -1e10 to infinity
+# |T.c| = 1e-10 is zero to the shape gate, though the whole T sends S's
+# displacement point a c^-1 = -1e10 to infinity; wat, like rez, reads T's
+# triangle [[1, 1], [0, 1]], which moves each point by 1
 WAT_POLE_PAIR = {
     "v": 1,
     "S": matrix_obj(quat_list(-1000), quat_list(), quat_list(1e-7), quat_list(-1e-3)),
@@ -450,14 +451,37 @@ FAR_POINTS_PAIR = {
 
 
 def test_wat_far_displacement_points_agree_with_rez(capsys):
-    payloads = {}
-    for name in ("wat", "rez"):
-        code, out, err = run(capsys, "test", json.dumps(FAR_POINTS_PAIR),
-                             "--select", name)
-        assert (code, err) == (10, "")
-        payloads[name] = json.loads(out)
-    assert payloads["wat"]["lhs"] == pytest.approx(1e-8, rel=1e-12)
-    assert payloads["wat"]["verdict"] == payloads["rez"]["verdict"] == "obstruction"
+    for pair, lhs in ((FAR_POINTS_PAIR, 1e-8), (WAT_POLE_PAIR, 1e-7)):
+        payloads = {}
+        for name in ("wat", "rez"):
+            code, out, err = run(capsys, "test", json.dumps(pair), "--select", name)
+            assert (code, err) == (10, "")
+            payloads[name] = json.loads(out)
+        assert payloads["wat"]["lhs"] == pytest.approx(lhs, rel=1e-12)
+        assert payloads["wat"]["verdict"] == payloads["rez"]["verdict"] == "obstruction"
+
+
+# a Hurwitz pair with a full T, whose pole 0 is S's displacement point a c^-1
+WAT_FULL_PAIR = {
+    "v": 1,
+    "S": {"a": [0, 0, 0, 0], "b": [1, 0, 0, 0], "c": [0.5, -0.5, -0.5, -0.5],
+          "d": [-2, -1, 0, 2]},
+    "T": {"a": [0, -1, 3, -3], "b": [1, 0, 0, 0], "c": [-1, 0, 0, 0],
+          "d": [0, 0, 0, 0]},
+}
+
+
+def test_wat_reads_no_points_off_an_upper_or_diagonal_t(capsys):
+    # a lower or full T fails wat's shape gate and gets no displacement
+    # points, so it is never acted by: a failed gate, even when singular
+    singular_lower = {"v": 1, "S": EXTREME_PAIR["S"],
+                      "T": matrix_obj(quat_list(1), quat_list(), quat_list(1), quat_list())}
+    for pair in (WAT_FULL_PAIR, singular_lower):
+        code, out, err = run(capsys, "test", json.dumps(pair), "--select", "wat")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["verdict"], payload["lhs"]) == ("inconclusive", 0.0)
+        assert not {"displacement_1", "displacement_2"} & payload["diagnostics"].keys()
 
 
 def test_wat_singular_t_exit_code(capsys):
@@ -878,12 +902,10 @@ def test_cli_exits_agree_with_every_printed_block(capsys):
             if code == 11 and payload.get("pointwise", {}).get("verdict") == "not_extreme":
                 wrong.append((number, name, "extremal under not_extreme"))
     assert wrong == []
-    # a full T fits no test shape; wat reads the displacement of a point that
-    # a full T sends to infinity as inf, a report that is not finite
+    # a full T fits no test shape; wat reads it as a failed gate
     misfit = "error: T matches no test shape (neither triangle is zero)"
     assert errors == {("test --select auto", misfit): 37,
-                      ("extreme --steps 25", misfit): 37,
-                      ("test --select wat", "error: " + qmat.NOT_FINITE): 5}
+                      ("extreme --steps 25", misfit): 37}
     # item 1's fix makes these 0; the exclusion goes with it
     assert item_1 == {"test --select jlt": 10, "test --select auto": 10}
 
@@ -896,7 +918,6 @@ def test_cli_exits_agree_with_every_printed_block(capsys):
     # alpha = inf - inf: the determinant overflows, the matrix is not singular
     ("invariants", json.dumps(OVERFLOW_PAIR["S"])),
     ("classify", json.dumps(OVERFLOW_PAIR["S"])),
-    ("test", json.dumps(WAT_POLE_PAIR), "--select", "wat"),
     # |b||c| = inf has no floor; L^k overflows
     ("test", json.dumps(OVERFLOW_PAIR), "--select", "jss2"),
     ("test", json.dumps(JSS2_POWER_PAIR), "--select", "jss2"),
@@ -905,7 +926,7 @@ def test_cli_exits_agree_with_every_printed_block(capsys):
     *[("iterate", json.dumps(pair), *fmt) for pair in ITERATE_OVERFLOWS.values()
       for fmt in (("--full",), ("--format", "json"))],
 ], ids=["test_json", "test_text", "iterate_json", "iterate_csv", "invariants",
-        "classify", "wat_pole", "jss2_bc_norm", "jss2_power", "extreme_cot",
+        "classify", "jss2_bc_norm", "jss2_power", "extreme_cot",
         "test_extreme_cot",
         *[f"iterate_{name}_{fmt}" for name in ITERATE_OVERFLOWS
           for fmt in ("csv", "json")]])

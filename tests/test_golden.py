@@ -1,7 +1,8 @@
 """Replay the golden corpus of command-line runs (see tests/golden/generate.py).
 
-Every record must give byte-identical stdout, the same exit code and the
-same first stderr line as when the corpus was generated.
+Every record is replayed through ``generate.record``, the run that wrote
+it, and must give byte-identical stdout, the same exit code and the same
+first stderr line as when the corpus was generated.
 """
 
 import contextlib
@@ -11,6 +12,7 @@ import sys
 from pathlib import Path
 
 from qmobius import cli, qmat, quat
+from golden.generate import record
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -19,15 +21,8 @@ def test_golden_corpus_replays_identically(monkeypatch):
     monkeypatch.chdir(GOLDEN)          # batch runs name the corpus file relatively
     records = [json.loads(line)
                for line in (GOLDEN / "expected.jsonl").read_text().splitlines()]
-    mismatched = []
-    for rec in records:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(rec["argv"])
-        lines = err.getvalue().splitlines()
-        got = (code, lines[0] if lines else "", out.getvalue())
-        if got != (rec["exit"], rec["stderr_first"], rec["stdout"]):
-            mismatched.append(rec["name"])
+    mismatched = [rec["name"] for rec in records
+                  if record(rec["name"], rec["argv"]) != rec]
     assert len(records) == 176
     assert mismatched == []
 

@@ -120,16 +120,17 @@ def test_every_quaternion_formula_is_spelled_once():
 
 
 # two processes, each running two commands in turn: what each command
-# loads on top of import qmobius.cli and the command before it
+# loads on top of import qmobius.cli and the command before it; no selector
+# acts by a matrix, so test --select wat loads nothing
 _PAIR = json.dumps({"S": {"a": [1, 0, 0, 0], "b": [0, 0, 0, 0], "c": [1, 0, 0, 0],
                           "d": [1, 0, 0, 0]},
                     "T": {"a": [1, 0, 0, 0], "b": [0, 0, 1, 0], "c": [0, 0, 0, 0],
                           "d": [1, 0, 0, 0]}})
 _RUNS = [
-    [(["iterate", _PAIR, "--steps", "1"], "dynamics"),
-     (["classify", json.dumps(json.loads(_PAIR)["T"])], "moebius")],
-    [(["extreme", _PAIR, "--steps", "1"], "dynamics"),
-     (["test", _PAIR, "--select", "wat"], "moebius")],
+    [(["iterate", _PAIR, "--steps", "1"], ["dynamics"]),
+     (["classify", json.dumps(json.loads(_PAIR)["T"])], ["moebius"])],
+    [(["test", _PAIR, "--select", "wat"], []),
+     (["extreme", _PAIR, "--steps", "1"], ["dynamics"])],
 ]
 _PROBE = """
 import json, sys
@@ -165,8 +166,8 @@ def test_cli_import_loads_no_dataclasses():
         expected = [["qmobius"],
                     ["qmobius", "qmobius.cli", "qmobius.ineq", "qmobius.qmat",
                      "qmobius.quat"]]
-        for argv, module in run:
-            expected.append(sorted([*expected[-1], f"qmobius.{module}"]))
+        for argv, modules in run:
+            expected.append(sorted([*expected[-1], *(f"qmobius.{m}" for m in modules)]))
         assert seen == expected, [argv[0] for argv, _ in run]
 
 
