@@ -252,10 +252,8 @@ def extremal_invariance_check(s: MatH2, t: MatH2, n_steps: int,
                               tol: float = DEFAULT_TOL) -> ineq.TestReport:
     """Check that a pointwise-extremal pair keeps its extremal quantity.
 
-    Dispatches the pointwise test from T's shape (jss / rez / jg / the
-    b-form of jlt).
-    Inconclusive if that test is not EXTREMAL or, for a diagonal T, if
-    :func:`ineq.extremality_criteria` is NOT_EXTREME (``pointwise_not_extreme``).
+    Dispatches the pointwise test from T's shape: extreme, rez/jg or the
+    b-form of jlt. Inconclusive if that test is not EXTREMAL.
     Otherwise the sequence is run and each step's extremal quantity is
     compared against the pointwise value under the linearly growing budget
     tol * (1 + n). The passing verdict is EXTREMAL in the sense of
@@ -266,7 +264,9 @@ def extremal_invariance_check(s: MatH2, t: MatH2, n_steps: int,
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     name = ineq.auto_select(t, tol)
-    # lower mode propagates the b-based quantity (see IterationStep)
+    # lower mode propagates the b-based quantity (see IterationStep); a
+    # diagonal T reads the extreme selector, jss with its equality criteria
+    name = "extreme" if name == "jss" else name
     pointwise = (ineq._jlt_b_form if name == "jlt" else ineq.TESTS[name])(s, t, tol)
 
     diag = {
@@ -275,9 +275,7 @@ def extremal_invariance_check(s: MatH2, t: MatH2, n_steps: int,
         "n_steps": float(n_steps),
     }
     budget = tol * (1.0 + n_steps)
-    if name == "jss" and ineq.extremality_criteria(s, t, tol).verdict is ineq.Verdict.NOT_EXTREME:
-        diag["pointwise_not_extreme"] = 1.0
-    if pointwise.verdict is not ineq.Verdict.EXTREMAL or "pointwise_not_extreme" in diag:
+    if pointwise.verdict is not ineq.Verdict.EXTREMAL:
         diag["pointwise_extremal"] = 0.0
         return ineq.TestReport("extremal_invariance", 0.0, budget, -budget,
                                ineq.Verdict.INCONCLUSIVE, False, diag)

@@ -60,6 +60,20 @@ def random_elliptic_entry(rng: random.Random, angle: float) -> Quaternion:
     return Quaternion(math.cos(angle)) + axis * math.sin(angle)
 
 
+def near_sixth_turn_pairs(rng: random.Random, count: int):
+    """Seeded elliptic pairs near jss's equality: angle sum pi/3 + delta,
+    T rotating about a random imaginary axis, and S = [[1, b], [c, 1 + bc]]
+    with small b, c."""
+    for _ in range(count):
+        half = (math.pi / 3 + rng.uniform(-2e-8, 8e-8)) / 2
+        axis = [rng.gauss(0.0, 1.0) for _ in range(3)]
+        scale = math.sin(half) / math.sqrt(sum(x * x for x in axis))
+        b, c = rng.uniform(1e-6, 2e-5), rng.uniform(1e-6, 2e-5)
+        yield (MatH2(Quaternion(1.0), Quaternion(b), Quaternion(c), Quaternion(1 + b * c)),
+               qmat.diagonal(Quaternion(math.cos(half), *(x * scale for x in axis)),
+                             Quaternion(math.cos(half), *(-x * scale for x in axis))))
+
+
 def mul_oracle(p: Quaternion, q: Quaternion) -> Quaternion:
     """Quaternion product via the complex-pair route (z1 + w1 j)(z2 + w2 j)."""
     z1, w1 = complex(p.w, p.x), complex(p.y, p.z)

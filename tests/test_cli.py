@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from qmobius import cli, dynamics, ineq, qmat
 from qmobius.qmat import MatH2
 from qmobius.quat import DEFAULT_TOL, Quaternion
+from conftest import near_sixth_turn_pairs
 import hurwitz
 
 
@@ -846,36 +847,70 @@ def test_extreme_exit_agrees_with_a_pointwise_not_extreme(capsys):
     assert invariance["diagnostics"] == {
         "pointwise_lhs": payload["pointwise"]["lhs"],
         "pointwise_threshold": 1.0, "n_steps": 25.0,
-        "pointwise_not_extreme": 1.0, "pointwise_extremal": 0.0}
+        "pointwise_extremal": 0.0}
 
 
-def _near_sixth_turn_pairs(rng, count):
-    """Seeded elliptic pairs around NEAR_SIXTH_TURN_PAIR: angle sum pi/3 +
-    delta near jss's equality, T rotating about a random imaginary axis, and
-    S = [[1, b], [c, 1 + bc]] with small b, c."""
-    for _ in range(count):
-        half = (math.pi / 3 + rng.uniform(-2e-8, 8e-8)) / 2
-        axis = [rng.gauss(0.0, 1.0) for _ in range(3)]
-        scale = math.sin(half) / math.sqrt(sum(x * x for x in axis))
-        b, c = rng.uniform(1e-6, 2e-5), rng.uniform(1e-6, 2e-5)
-        yield {"v": 1,
-               "S": matrix_obj(quat_list(1), quat_list(b), quat_list(c),
-                               quat_list(1 + b * c)),
-               "T": matrix_obj(quat_list(math.cos(half), *(x * scale for x in axis)),
-                               quat_list(), quat_list(),
-                               quat_list(math.cos(half), *(-x * scale for x in axis)))}
+# angle sum exactly pi/3: jss reads equality, extremality_criteria reads
+# inconsistency (see test_extremality_criteria_angle_inconsistency)
+SIXTH_TURN_PAIR = {
+    "v": 1,
+    "S": matrix_obj(quat_list(1), quat_list(1e-4), quat_list(1e-4),
+                    quat_list(1 + 1e-8)),
+    "T": matrix_obj(quat_list(math.cos(math.pi / 6), math.sin(math.pi / 6)),
+                    quat_list(), quat_list(),
+                    quat_list(math.cos(math.pi / 6), -math.sin(math.pi / 6))),
+}
+
+# T = diag(r e^(i/2), e^(-i/2) / r) with r = 1 + 2e-9 is off the unit sphere
+# by more than tol, and S = [[1, b], [b, 1 + b^2]] sits at jss's equality
+# K (1 + b^2) = 1: extremality_criteria reads non_elliptic_equality
+_r = 1 + 2e-9
+_lam = Quaternion(_r * math.cos(0.5), _r * math.sin(0.5))
+_mu = Quaternion(math.cos(0.5) / _r, -math.sin(0.5) / _r)
+_b = math.sqrt(1 / ineq.k_value(_lam, _mu) - 1)
+NEAR_ELLIPTIC_EQUALITY_PAIR = {
+    "v": 1,
+    "S": matrix_obj(quat_list(1), quat_list(_b), quat_list(_b), quat_list(1 + _b * _b)),
+    "T": matrix_obj(_lam.as_list(), quat_list(), quat_list(), _mu.as_list()),
+}
+
+
+@pytest.mark.parametrize("pair, flag", [
+    (SIXTH_TURN_PAIR, "inconsistency"),
+    (NEAR_ELLIPTIC_EQUALITY_PAIR, "non_elliptic_equality"),
+], ids=["sixth_turn", "near_elliptic"])
+def test_extreme_exit_agrees_with_a_pointwise_inconclusive(capsys, pair, flag):
+    # jss reads equality (exit 11), the extreme selector declines it: the
+    # invariance check runs no sequence and exits 0, not 11 (extremal)
+    text = json.dumps(pair)
+    assert run(capsys, "test", text, "--select", "jss")[0] == 11
+    assert run(capsys, "test", text, "--select", "extreme")[0] == 0
+    code, out, err = run(capsys, "extreme", text, "--steps", "25")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["pointwise"]["verdict"] == "inconclusive"
+    assert payload["pointwise"]["diagnostics"][flag] == 1.0
+    invariance = payload["invariance"]
+    assert (invariance["verdict"], invariance["preconditions_met"]) == ("inconclusive", False)
+    assert invariance["diagnostics"] == {
+        "pointwise_lhs": payload["pointwise"]["lhs"],
+        "pointwise_threshold": 1.0, "n_steps": 25.0, "pointwise_extremal": 0.0}
 
 
 def test_cli_exits_agree_with_every_printed_block(capsys):
     # the exit-code audit, through cli.main on every selector and extreme:
     # on Hurwitz pairs (a discrete group) no run is an obstruction (exit 10)
     # unless T = +-I, and on those and on near-equality elliptic pairs every
-    # test exit is VERDICT_EXIT of the printed verdict, and extreme never
-    # exits 11 under a printed pointwise not_extreme
+    # test exit is VERDICT_EXIT of the printed verdict, and extreme exits 11
+    # only when its printed pointwise block, if it prints one, reads extremal
+    # (near[2] and near[4], angle sums pi/3 + 1.08e-8 and pi/3 + 6.8e-9, read
+    # jss's equality past pi/3: an inconclusive block, not a not_extreme one)
     discrete = [({"v": 1, "S": s.to_dict(), "T": t.to_dict()},
                  t._coords not in hurwitz.PLUS_MINUS_I)
                 for s, t in hurwitz.pairs(random.Random(0), 250)]
-    near = [NEAR_SIXTH_TURN_PAIR, *_near_sixth_turn_pairs(random.Random(2), 8)]
+    near = [NEAR_SIXTH_TURN_PAIR,
+            *({"v": 1, "S": s.to_dict(), "T": t.to_dict()}
+              for s, t in near_sixth_turn_pairs(random.Random(2), 8))]
     wrong, errors = [], collections.Counter()
     # printed jlt obstructions, left to ROADMAP item 1: jlt's printed lhs
     # multiplies by |c| of S, false on this group (auto sends a lower T there)
@@ -899,8 +934,8 @@ def test_cli_exits_agree_with_every_printed_block(capsys):
                     item_1[name] += 1
                 else:
                     wrong.append((number, name, "obstruction"))
-            if code == 11 and payload.get("pointwise", {}).get("verdict") == "not_extreme":
-                wrong.append((number, name, "extremal under not_extreme"))
+            if code == 11 and "pointwise" in payload and payload["pointwise"]["verdict"] != "extremal":
+                wrong.append((number, name, "extremal under a non-extremal pointwise block"))
     assert wrong == []
     # a full T fits no test shape; wat reads it as a failed gate
     misfit = "error: T matches no test shape (neither triangle is zero)"

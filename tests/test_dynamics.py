@@ -14,8 +14,8 @@ from qmobius.dynamics import (ConvergenceKind, IterationStep, IterationTrace,
                               recurrence_deviation, verify_recurrence)
 from qmobius.ineq import Verdict, k_value
 from qmobius.qmat import MatH2, diagonal, identity, lower_triangular, upper_triangular
-from conftest import (random_elliptic_entry, random_quaternion, random_sigma,
-                      random_unit_imaginary)
+from conftest import (near_sixth_turn_pairs, random_elliptic_entry,
+                      random_quaternion, random_sigma, random_unit_imaginary)
 import hurwitz
 
 SQRT2 = math.sqrt(2.0)
@@ -339,8 +339,9 @@ def test_invariance_check_gate_fails_on_obstruction_pair():
 
 
 def test_invariance_check_is_inconclusive_past_a_pointwise_not_extreme():
-    # jss reads equality (margin 5.2e-8) and extremality_criteria reads
-    # NOT_EXTREME: the sequence is not run
+    # jss reads equality (margin 5.2e-8) and extremality_criteria, the
+    # pointwise test on a diagonal T, reads NOT_EXTREME: the sequence is not
+    # run, and the report carries no flag beyond pointwise_extremal
     half = (math.pi / 3 + 3e-8) / 2
     s = MatH2(ONE, Quaternion(1e-5), Quaternion(1e-5), Quaternion(1 + 1e-10))
     t = diagonal(Quaternion(math.cos(half), math.sin(half)),
@@ -349,9 +350,22 @@ def test_invariance_check_is_inconclusive_past_a_pointwise_not_extreme():
     assert ineq.extremality_criteria(s, t).verdict is Verdict.NOT_EXTREME
     report = extremal_invariance_check(s, t, 25)
     assert report.verdict is Verdict.INCONCLUSIVE and not report.preconditions_met
-    assert report.diagnostics["pointwise_not_extreme"] == 1.0
+    assert "pointwise_not_extreme" not in report.diagnostics
     assert report.diagnostics["pointwise_extremal"] == 0.0
     assert "max_deviation" not in report.diagnostics
+
+
+def test_invariance_check_reads_extremal_only_under_the_extreme_selector():
+    # around angle sum pi/3 jss's equality and the paper's criteria part
+    # ways: a pair the check reads extremal is extremal under both
+    outcomes = set()
+    for s, t in near_sixth_turn_pairs(random.Random(2), 40):
+        extremal = extremal_invariance_check(s, t, 25).verdict is Verdict.EXTREMAL
+        criteria = ineq.extremality_criteria(s, t).verdict is Verdict.EXTREMAL
+        outcomes.add((ineq.jss_test(s, t).verdict is Verdict.EXTREMAL, criteria, extremal))
+        assert criteria or not extremal
+    # the seeds reach a jss equality that the criteria decline, and one they keep
+    assert {(True, False, False), (True, True, True)} <= outcomes
 
 
 @pytest.mark.parametrize("n_steps", [0, -1])
@@ -385,15 +399,20 @@ def test_invariance_check_diagonal_equality_drifts_without_discreteness():
 
 def test_invariance_check_truncated_trace_is_inconclusive():
     # jss-extremal with margin 0, but T is loxodromic: the entries grow past
-    # the divergence cutoff at step 85, before the horizon
+    # the divergence cutoff at step 85, before the horizon. Equality with a
+    # non-elliptic T is not extremal under extremality_criteria, so the
+    # check returns before the sequence (the truncated flag is pinned by
+    # test_invariance_check_stops_where_the_extremal_quantity_is_missing)
     s = MatH2(ONE, ONE, Quaternion(0.44), Quaternion(1.44))
     t = diagonal(Quaternion(1.5), Quaternion(1.0 / 1.5))
     assert ineq.jss_test(s, t).verdict is Verdict.EXTREMAL
+    assert ineq.extremality_criteria(s, t).diagnostics["non_elliptic_equality"] == 1.0
     assert iterate(s, t, 100, "diagonal").truncated_reason == "divergence cutoff exceeded"
     report = extremal_invariance_check(s, t, 100)
-    assert report.verdict is Verdict.INCONCLUSIVE
-    assert report.diagnostics["truncated"] == 1.0
-    assert "missing_extremal_quantity_at" not in report.diagnostics
+    assert report.verdict is Verdict.INCONCLUSIVE and not report.preconditions_met
+    assert report.diagnostics["pointwise_extremal"] == 0.0
+    for key in ("max_deviation", "truncated", "missing_extremal_quantity_at"):
+        assert key not in report.diagnostics
 
 
 def test_invariance_check_stops_where_the_extremal_quantity_is_missing():
