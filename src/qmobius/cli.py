@@ -16,8 +16,9 @@ a pair is ``{"v": 1, "S": {...}, "T": {...}}``.
 Exit codes: 0 inconclusive, 10 obstruction, 11 extremal, 12 not extreme,
 2 usage or malformed input (including malformed or too deeply nested JSON,
 a non-finite coordinate or an integer too large for a float, a T that
-matches no test shape or iterate mode, ``--steps`` < 1, and a failed write
-to stdout or ``--output``), 3 singular matrix (``invariants``,
+matches no test shape or iterate mode, ``--steps`` < 1, ``--batch`` with
+``--format text``, and a failed write to stdout or ``--output``), 3
+singular matrix (``invariants``,
 ``classify``, and any command whose evaluation must invert or act by a
 singular matrix, such as ``test --select jh``), 141 stdout closed early by
 its reader (e.g. piped into ``head``; 128 + SIGPIPE). A result that
@@ -330,6 +331,9 @@ def main(argv=None) -> int:
                              f"MAX_TOL = {MAX_TOL:g}, got {args.tol}")
         if getattr(args, "steps", 1) < 1:
             raise ValueError(f"--steps must be >= 1, got {args.steps}")
+        if getattr(args, "batch", False) and args.format != "json":
+            raise ValueError("--batch writes JSON lines only, "
+                             f"got --format {args.format}")
         code = args.func(args)
         sys.stdout.flush()
         return code

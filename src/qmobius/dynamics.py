@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .quat import Quaternion, DEFAULT_TOL, _Value, _norm, _q
+from .quat import Quaternion, DEFAULT_TOL, _Value, _norm
 from . import qmat, ineq
 from .qmat import MODES, NOT_FINITE, MatH2
 
@@ -78,11 +78,11 @@ class IterationStep(_Value):
 
     @property
     def tau(self) -> Quaternion | None:
-        return None if self.tau_coords is None else _q(self.tau_coords)
+        return None if self.tau_coords is None else Quaternion(*self.tau_coords)
 
     @property
     def t(self) -> Quaternion | None:
-        return None if self.t_coords is None else _q(self.t_coords)
+        return None if self.t_coords is None else Quaternion(*self.t_coords)
 
     @property
     def bc_norm(self) -> float:

@@ -28,7 +28,7 @@ import enum
 import math
 
 from .quat import (Quaternion, ONE, ZERO, DEFAULT_TOL, _Value, _add, _arg, _conj,
-                   _im_norm, _inv, _mul, _neg, _norm, _norm2, _q, _re_mul, _similar, _sub, arg)
+                   _im_norm, _inv, _mul, _neg, _norm, _norm2, _re_mul, _similar, _sub, arg)
 from . import qmat
 from .qmat import MatH2
 
@@ -176,7 +176,7 @@ def tau0_t0_upper(s: MatH2, t: MatH2) -> tuple[Quaternion, Quaternion]:
     _, tau0, t0, _, _, _ = _displacement(s._coords, t._coords, "upper")
     if tau0 is None:
         raise ValueError("S and T share a fixed point; pair is elementary-suspect")
-    return (_q(tau0), _q(t0))
+    return (Quaternion(*tau0), Quaternion(*t0))
 
 
 def _displacement(s, t, side: str) -> tuple:

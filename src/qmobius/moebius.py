@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 
-from .quat import Quaternion, ZERO, DEFAULT_TOL, _add, _inv, _mul, _norm, _norm2, _q
+from .quat import Quaternion, ZERO, DEFAULT_TOL, _add, _inv, _mul, _norm, _norm2
 from . import qmat
 from .qmat import MatH2, NONZERO_TOL
 
@@ -46,13 +46,13 @@ def apply(m: MatH2, z: ExtQuaternion) -> ExtQuaternion:
     a, b, c, d = m._coords
     fixes_infinity = _norm(c) <= NONZERO_TOL
     if z is INFINITY:
-        return INFINITY if fixes_infinity else _q(_mul(a, _inv(c, _norm2(c))))
+        return INFINITY if fixes_infinity else Quaternion(*_mul(a, _inv(c, _norm2(c))))
     z = z._c
     denom = _add(_mul(c, z), d)
     pole_tol = 0.0 if fixes_infinity else NONZERO_TOL * (1.0 + _norm(z))
     if _norm(denom) <= pole_tol:
         return INFINITY
-    return _q(_mul(_add(_mul(a, z), b), _inv(denom, _norm2(denom))))
+    return Quaternion(*_mul(_add(_mul(a, z), b), _inv(denom, _norm2(denom))))
 
 
 class IsometryClass(enum.Enum):
@@ -98,11 +98,15 @@ def classify_normal_form(m: MatH2, tol: float = DEFAULT_TOL) -> IsometryClass:
 def fixed_points_normal_form(m: MatH2, tol: float = DEFAULT_TOL):
     """Boundary fixed points of a triangular normal form.
 
-    Diagonal non-identity matrices fix {0, infinity}; the parabolic normal
-    form fixes only infinity; the identity fixes everything (ALL_POINTS
-    sentinel). Other upper-triangular matrices still fix infinity, and only
-    that point is reported (a second finite fixed point may exist but is
-    not computed). Non-triangular input is a domain error.
+    Diagonal non-identity matrices diag(lam, mu) fix 0 and infinity, the two
+    points reported; when lam and mu are similar (equal real parts and
+    norms), as in every elliptic diag(e^(i theta), e^(-i theta)), they also
+    fix the set {Z : lam Z = Z mu}, a real plane for nonreal lam, which is
+    not reported. The parabolic normal form fixes only infinity; the
+    identity fixes everything (ALL_POINTS sentinel). Other upper-triangular
+    matrices still fix infinity, and only that point is reported (a second
+    finite fixed point may exist but is not computed). Non-triangular input
+    is a domain error.
     """
     kind = qmat.shape(m, tol)
     if kind not in ("upper", "diagonal"):

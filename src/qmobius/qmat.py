@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 
 from .quat import (Quaternion, ZERO, ONE, DEFAULT_TOL, _Frozen, _checked_coords,
-                   _add, _conj, _inv, _mul, _new, _norm, _norm2, _q, _re_mul, _sub)
+                   _add, _conj, _inv, _mul, _new, _norm, _norm2, _re_mul, _sub)
 
 # Norm threshold under which an entry is treated as zero when dispatching
 # between algebraic case formulas. Dispatch must be deterministic under
@@ -52,7 +52,7 @@ class SingularMatrixError(ValueError):
 
 def _entry(i: int) -> property:
     """The read property of entry i: a ``Quaternion`` of its coordinates."""
-    return property(lambda m: _q(m._coords[i]))
+    return property(lambda m: Quaternion(*m._coords[i]))
 
 
 class MatH2(_Frozen):
@@ -377,7 +377,7 @@ def parker_short(m: MatH2) -> tuple[Quaternion, Quaternion]:
     Four-case dispatch on which entries vanish (norm <= NONZERO_TOL):
     c != 0; c = 0, b != 0; b = c = 0 with a != d; and b = c = 0, a = d.
     """
-    return tuple(map(_q, _parker_short(m._coords)))
+    return tuple(Quaternion(*e) for e in _parker_short(m._coords))
 
 
 def _parker_short(m) -> tuple[tuple[float, float, float, float], ...]:

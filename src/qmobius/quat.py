@@ -102,10 +102,10 @@ class Quaternion(_Frozen):
 
     def im(self) -> "Quaternion":
         _, x, y, z = self._c
-        return _q((0.0, x, y, z))
+        return Quaternion(0.0, x, y, z)
 
     def conj(self) -> "Quaternion":
-        return _q(_conj(self._c))
+        return Quaternion(*_conj(self._c))
 
     def norm2(self) -> float:
         return _norm2(self._c)
@@ -120,34 +120,34 @@ class Quaternion(_Frozen):
 
     def __add__(self, other) -> "Quaternion":
         if isinstance(other, Quaternion):
-            return _q(_add(self._c, other._c))
+            return Quaternion(*_add(self._c, other._c))
         if isinstance(other, (int, float)):
             pw, px, py, pz = self._c
-            return _q((pw + other, px, py, pz))
+            return Quaternion(pw + other, px, py, pz)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Quaternion":
         if isinstance(other, Quaternion):
-            return _q(_sub(self._c, other._c))
+            return Quaternion(*_sub(self._c, other._c))
         if isinstance(other, (int, float)):
             pw, px, py, pz = self._c
-            return _q((pw - other, px, py, pz))
+            return Quaternion(pw - other, px, py, pz)
         return NotImplemented
 
     def __rsub__(self, other) -> "Quaternion":
         return (-self).__add__(other)
 
     def __neg__(self) -> "Quaternion":
-        return _q(_neg(self._c))
+        return Quaternion(*_neg(self._c))
 
     def __mul__(self, other) -> "Quaternion":
         if isinstance(other, Quaternion):
-            return _q(_mul(self._c, other._c))
+            return Quaternion(*_mul(self._c, other._c))
         if isinstance(other, (int, float)):
             w, x, y, z = self._c
-            return _q((w * other, x * other, y * other, z * other))
+            return Quaternion(w * other, x * other, y * other, z * other)
         return NotImplemented
 
     def __rmul__(self, other) -> "Quaternion":
@@ -157,7 +157,7 @@ class Quaternion(_Frozen):
     def __truediv__(self, other) -> "Quaternion":
         if isinstance(other, (int, float)):
             w, x, y, z = self._c
-            return _q((w / other, x / other, y / other, z / other))
+            return Quaternion(w / other, x / other, y / other, z / other)
         # q1 / q2 is ambiguous in a noncommutative ring; be explicit:
         # p * q.inverse() or q.inverse() * p.
         return NotImplemented
@@ -167,7 +167,7 @@ class Quaternion(_Frozen):
         n2 = _norm2(self._c)
         if n2 == 0.0:
             raise ZeroDivisionError("non-invertible quaternion")
-        return _q(_inv(self._c, n2))
+        return Quaternion(*_inv(self._c, n2))
 
     def as_list(self) -> list[float]:
         """JSON-friendly [w, x, y, z] encoding."""
@@ -176,7 +176,7 @@ class Quaternion(_Frozen):
     @classmethod
     def from_list(cls, coords) -> "Quaternion":
         """Decode [w, x, y, z] (see :func:`_checked_coords`)."""
-        return _q(_checked_coords(coords))
+        return Quaternion(*_checked_coords(coords))
 
     def __repr__(self) -> str:
         return "Quaternion({!r}, {!r}, {!r}, {!r})".format(*self._c)
@@ -185,19 +185,6 @@ class Quaternion(_Frozen):
 Quaternion._astuple = Quaternion._c
 _new = object.__new__
 _set_c = Quaternion._c.__set__
-
-
-def _q(c: tuple[float, float, float, float]) -> Quaternion:
-    """Build a Quaternion from a tuple of coordinates that are already floats.
-
-    Arithmetic results are floats by construction, so the public
-    constructor (``__init__`` and its ``float()`` coercion) is skipped; the
-    slot descriptor writes past the frozen ``__setattr__``, as ``__init__``
-    does. Equality, hashing and immutability are those of any other instance.
-    """
-    q = _new(Quaternion)
-    _set_c(q, c)
-    return q
 
 
 def _mul(p, q) -> tuple[float, float, float, float]:

@@ -370,6 +370,16 @@ def test_batch_mode(capsys, tmp_path):
     assert lines[0]["line"] == 1
 
 
+def test_batch_format_text_is_a_usage_error(capsys, tmp_path):
+    # --batch writes JSON lines only; --format text is refused before any
+    # input is read, so a missing file is not the error named
+    for path in (write_batch(tmp_path, json.dumps(EXTREME_PAIR)),
+                 str(tmp_path / "missing.jsonl")):
+        code, out, err = run(capsys, "test", path, "--batch", "--format", "text")
+        assert (code, out) == (2, "")
+        assert_one_error_line(err, "--batch", "--format text")
+
+
 def test_pair_file_input_wat(capsys, tmp_path):
     unipotent = {
         "v": 1,

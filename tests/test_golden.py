@@ -30,13 +30,14 @@ def test_golden_corpus_replays_identically(monkeypatch):
 def test_test_batch_builds_no_quaternion(tmp_path):
     """Every selector reads the pair on coordinates from JSON decode to
     report: no ``test --batch`` line of a golden pair builds a Quaternion,
-    through the public constructor or through ``quat._q``, and neither does
-    ``iterate`` (each mode, and JSON) or ``extreme`` on a golden pair."""
-    constructors = {quat._q.__code__, quat.Quaternion.__init__.__code__}
+    and neither does ``iterate`` (each mode, and JSON) or ``extreme`` on a
+    golden pair. Every Quaternion is built through ``Quaternion.__init__``,
+    so the probe watches that alone."""
+    constructor = quat.Quaternion.__init__.__code__
     built = []
 
     def probe(frame, event, arg):
-        if event == "call" and frame.f_code in constructors:
+        if event == "call" and frame.f_code is constructor:
             built.append(frame.f_code.co_name)
 
     def run(argv):

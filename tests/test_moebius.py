@@ -126,6 +126,11 @@ def test_fixed_points():
         == [ZERO, INFINITY]
     assert fixed_points_normal_form(upper_triangular(I, ONE, I)) == [INFINITY]
     assert fixed_points_normal_form(identity()) is ALL_POINTS
+    # similar diagonal entries: the plane {Z : lam Z = Z mu}, here spanned by
+    # j and k, is fixed as well, and the listing stays the two points
+    elliptic = diagonal(unit_complex(math.pi / 7), unit_complex(-math.pi / 7))
+    assert fixed_points_normal_form(elliptic) == [ZERO, INFINITY]
+    assert apply(elliptic, J) == J
     with pytest.raises(ValueError):
         fixed_points_normal_form(MatH2(ZERO, ONE, ONE, ZERO))
 

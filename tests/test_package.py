@@ -119,6 +119,30 @@ def test_every_quaternion_formula_is_spelled_once():
     assert sum(map(_respelled_formula, ast.walk(ast.parse(quat.read_text())))) == 5
 
 
+def _builds_past_init(node) -> bool:
+    """Whether node is ``_new(Quaternion)`` or ``object.__new__(Quaternion)``:
+    a Quaternion made without ``Quaternion.__init__``."""
+    if not (isinstance(node, ast.Call) and len(node.args) == 1
+            and isinstance(node.args[0], ast.Name) and node.args[0].id == "Quaternion"):
+        return False
+    func = node.func
+    return ((isinstance(func, ast.Name) and func.id == "_new")
+            or (isinstance(func, ast.Attribute) and func.attr == "__new__"
+                and isinstance(func.value, ast.Name) and func.value.id == "object"))
+
+
+def test_every_quaternion_is_built_through_its_constructor():
+    # one construction path: every coordinate goes through float(), and a
+    # probe of Quaternion.__init__ sees every Quaternion the package builds
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(qmobius.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if _builds_past_init(node)]
+    assert found == []
+    assert _builds_past_init(ast.parse("_new(Quaternion)", mode="eval").body)
+    assert _builds_past_init(ast.parse("object.__new__(Quaternion)", mode="eval").body)
+
+
 # two processes, each running two commands in turn: what each command
 # loads on top of import qmobius.cli and the command before it; no selector
 # acts by a matrix, so test --select wat loads nothing

@@ -8,7 +8,7 @@ from math import isfinite
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qmobius.quat import Quaternion, ZERO, ONE, I, J, _q, isclose
+from qmobius.quat import Quaternion, ZERO, ONE, I, J, isclose
 from qmobius import ineq, moebius, qmat
 from qmobius.qmat import MatH2, diagonal, identity
 from conftest import random_invertible, random_sigma, random_quaternion
@@ -628,7 +628,7 @@ def _frozen_from_list(coords) -> Quaternion:
             w, x, y, z = float(w), float(x), float(y), float(z)
             # each one: a sum of finite values can overflow
             if isfinite(w) and isfinite(x) and isfinite(y) and isfinite(z):
-                return _q((w, x, y, z))
+                return Quaternion(w, x, y, z)
     except OverflowError:           # an int beyond float range
         pass
     raise ValueError("quaternion coordinates must be finite numbers, "
