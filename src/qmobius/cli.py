@@ -42,9 +42,9 @@ from __future__ import annotations
 # A process that writes no bytecode compiles each layer from source; done
 # first, the compiler's short-lived memory is freed before argparse and json
 # load and they reuse it, where otherwise it would stack on top of them, so
-# peak RSS is lower. dynamics and moebius are imported by the commands that
-# run them.
-from . import ineq, qmat
+# peak RSS is lower. dynamics, ineq and moebius are imported by the commands
+# that run them.
+from . import qmat
 from .qmat import MatH2
 from .quat import DEFAULT_TOL
 
@@ -65,14 +65,13 @@ EXIT_BROKEN_PIPE = 141      # 128 + SIGPIPE, as a shell reports it
 # tol, so a larger one would let a full or singular T pass as a triangle.
 MAX_TOL = 1e-6
 
-VERDICT_EXIT = {
-    ineq.Verdict.INCONCLUSIVE: 0,
-    ineq.Verdict.OBSTRUCTION: 10,
-    ineq.Verdict.EXTREMAL: 11,
-    ineq.Verdict.NOT_EXTREME: 12,
-}
+# the exit code of each printed verdict, and the --select choices: "auto"
+# and the keys of ineq.TESTS. Literals, so that parsing the command line
+# does not import ineq; tests/test_cli.py holds them to ineq.
+VERDICT_EXIT = {"inconclusive": 0, "obstruction": 10, "extremal": 11,
+                "not_extreme": 12}
 
-SELECTORS = ("auto", *ineq.TESTS)
+SELECTORS = ("auto", "jss", "jss2", "jssc2", "jh", "jg", "rez", "wat", "jlt", "extreme")
 
 
 def _read_file(path: str, read):
@@ -134,10 +133,17 @@ def _emit(payload: dict, fmt: str) -> None:
         print("\n".join(f"{key} = {_dumps(value)}" for key, value in payload.items()))
 
 
-def _run_selected(name: str, s: MatH2, t: MatH2, tol: float) -> ineq.TestReport:
-    if name == "auto":
-        name = ineq.auto_select(t, tol)
-    return ineq.TESTS[name](s, t, tol=tol)
+def _evaluator(name: str):
+    """The report of ``--select NAME`` on a pair, as a function of (s, t,
+    tol); auto picks the test by T's shape. ineq is imported here, once per
+    command, not once per --batch line: each import statement runs the
+    import machinery again."""
+    from . import ineq
+
+    def evaluate(s: MatH2, t: MatH2, tol: float) -> ineq.TestReport:
+        selected = ineq.auto_select(t, tol) if name == "auto" else name
+        return ineq.TESTS[selected](s, t, tol=tol)
+    return evaluate
 
 
 def _load_nonsingular(source: str) -> tuple[MatH2, float]:
@@ -181,15 +187,16 @@ def cmd_classify(args) -> int:
 
 
 def cmd_test(args) -> int:
+    evaluate = _evaluator(args.select)
     if args.batch:
-        return _run_batch(args)
+        return _run_batch(args, evaluate)
     s, t = _parse_pair(_load_json(args.pair))
-    report = _run_selected(args.select, s, t, args.tol)
+    report = evaluate(s, t, args.tol)
     _emit(report.to_dict(), args.format)
-    return VERDICT_EXIT[report.verdict]
+    return VERDICT_EXIT[report.verdict.value]
 
 
-def _run_batch(args) -> int:
+def _run_batch(args, evaluate) -> int:
     """One report per line, read and written one line at a time. Text mode
     ends each physical line at a translated newline, and splitlines() splits
     it at the other separators: the lines of the whole text's splitlines()."""
@@ -201,7 +208,7 @@ def _run_batch(args) -> int:
             continue
         try:
             s, t = _parse_pair(_decode(line))
-            report = _run_selected(args.select, s, t, args.tol)
+            report = evaluate(s, t, args.tol)
             text = _dumps({"line": number, **report.to_dict()})
         except ValueError as exc:
             raise type(exc)(f"line {number}: {exc}") from exc
@@ -221,6 +228,7 @@ def cmd_iterate(args) -> int:
     s, t = _parse_pair(_load_json(args.pair))
     mode = args.mode
     if mode == "auto":
+        from . import ineq
         ineq.auto_select(t, args.tol)      # a full T is an error here too
         mode = qmat.shape(t, args.tol)
     # finite (iterate's rule) and whole before --output is opened
@@ -252,7 +260,7 @@ def cmd_iterate(args) -> int:
 
 
 def cmd_extreme(args) -> int:
-    from . import dynamics
+    from . import dynamics, ineq
     s, t = _parse_pair(_load_json(args.pair))
     payload = {}
     if qmat.shape(t, args.tol) == "diagonal":
@@ -260,7 +268,7 @@ def cmd_extreme(args) -> int:
     invariance = dynamics.extremal_invariance_check(s, t, args.steps, tol=args.tol)
     payload["invariance"] = invariance.to_dict()
     _emit(payload, args.format)
-    return VERDICT_EXIT[invariance.verdict]
+    return VERDICT_EXIT[invariance.verdict.value]
 
 
 def build_parser() -> argparse.ArgumentParser:

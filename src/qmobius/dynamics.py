@@ -7,7 +7,7 @@ holds, from input to output, and each record keeps S_n as the ``MatH2`` of
 the coordinates its step computed. Each step computes alpha of S_n once,
 for ``det`` and for the conjugation S_n T S_n^-1 (``qmat._conjugate``,
 bitwise ``S_n @ T @ inverse(S_n)``), and the coupling and displacement
-quantities through :func:`ineq._displacement` (on the J-flip in lower
+quantities through :func:`qmat._displacement` (on the J-flip in lower
 mode).
 Every value of a record must be finite; :func:`iterate` is the one place
 that checks. The closed entry recurrences are recomputed only to
@@ -24,7 +24,7 @@ import enum
 import math
 
 from .quat import Quaternion, DEFAULT_TOL, _Value, _norm
-from . import qmat, ineq
+from . import qmat
 from .qmat import MODES, NOT_FINITE, MatH2
 
 DIVERGENCE_CUTOFF = 1e8
@@ -171,7 +171,7 @@ def iterate(s: MatH2, t: MatH2, n_steps: int, mode: str,
     if qmat.shape(t, tol) not in (mode, "diagonal"):
         raise ValueError(f"T does not match mode {mode!r}")
     t_coords = t._coords
-    k = ineq._k_value(t_coords[0], t_coords[3])
+    k = qmat._k_value(t_coords[0], t_coords[3])
     trace = IterationTrace(mode=mode)
     current = s._coords
     for n in range(n_steps + 1):
@@ -181,7 +181,7 @@ def iterate(s: MatH2, t: MatH2, n_steps: int, mode: str,
         bc = norms[1] * norms[2]
         checked = [*norms, det, bc]
         tau_c = t_c = None
-        coupling, tau, tt, tau_norm, t_norm, lhs = ineq._displacement(
+        coupling, tau, tt, tau_norm, t_norm, lhs = qmat._displacement(
             current, t_coords, mode)
         if tau is not None:
             tau_c = tau_norm * coupling
@@ -261,6 +261,7 @@ def extremal_invariance_check(s: MatH2, t: MatH2, n_steps: int,
     A trace record with a non-finite value is :func:`iterate`'s
     ``ValueError``, never a deviation that compares false.
     """
+    from . import ineq
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     name = ineq.auto_select(t, tol)

@@ -30,7 +30,7 @@ import math
 from .quat import (Quaternion, ONE, ZERO, DEFAULT_TOL, _Value, _add, _arg, _conj,
                    _im_norm, _inv, _mul, _neg, _norm, _norm2, _re_mul, _similar, _sub, arg)
 from . import qmat
-from .qmat import MatH2
+from .qmat import MatH2, _displacement, _k_value
 
 # An extremal verdict means an exact equality held; the fixed slack is
 # wider than arithmetic rounding but far below any interesting margin.
@@ -112,12 +112,6 @@ def k_value(lam: Quaternion, mu: Quaternion) -> float:
     return _k_value(lam._c, mu._c)
 
 
-def _k_value(lam, mu) -> float:
-    dr = lam[0] - mu[0]
-    di = _im_norm(lam) + _im_norm(mu)
-    return dr * dr + di * di
-
-
 def kellerhals_form(lam: Quaternion, mu: Quaternion) -> float:
     """2(cosh(tau) - cos(alpha + beta)) with tau = 2 log max(|lam|, |mu|).
 
@@ -170,48 +164,13 @@ def tau0_t0_upper(s: MatH2, t: MatH2) -> tuple[Quaternion, Quaternion]:
     t0   = lam (a c^-1)  + eta - (a c^-1) mu
 
     with a, c, d from S. Factor order matters and is exactly as written.
-    Read from :func:`_displacement`, bitwise the ``Quaternion`` expressions
+    Read from :func:`qmat._displacement`, bitwise the ``Quaternion`` expressions
     above (``c.inverse()`` for c^-1); |c| not above NONZERO_TOL raises.
     """
     _, tau0, t0, _, _, _ = _displacement(s._coords, t._coords, "upper")
     if tau0 is None:
         raise ValueError("S and T share a fixed point; pair is elementary-suspect")
     return (Quaternion(*tau0), Quaternion(*t0))
-
-
-def _displacement(s, t, side: str) -> tuple:
-    """(|coupling|, tau0, t0, |tau0|, |t0|, |coupling| sqrt(|tau0| |t0|)) of
-    the pair with entry coordinates s and t, from one |coupling|^2 (for the
-    cutoff and c^-1); the last five are None unless |coupling| > NONZERO_TOL.
-
-    The coupling entry is c of S on any side but ``"lower"``, which reads the
-    J-flip J m J = [[d, c], [b, a]], J = [[0, 1], [1, 0]]: the reversed entry
-    tuple. J has determinant 1 and swaps the fixed points 0 and infinity, so
-    a lower T = [[lam, 0], [eta, mu]] becomes [[mu, eta], [0, lam]] and b of
-    S the coupling entry: the paper's lower displacement quantities
-
-        tau0 = mu (-b^-1 a) + eta + (b^-1 a) lam
-        t0   = mu (d b^-1)  + eta - (d b^-1) lam
-
-    are :func:`tau0_t0_upper` of (J S J, J T J), same products, same order.
-    Gates, determinants and the diagonal quantities read the pair as given.
-    """
-    if side == "lower":
-        s, t = s[::-1], t[::-1]
-    a, _, c, d = s
-    n = _norm2(c)
-    coupling = math.sqrt(n)
-    if not coupling > qmat.NONZERO_TOL:
-        return (coupling, None, None, None, None, None)
-    lam, eta, _, mu = t
-    cinv = _inv(c, n)
-    cinv_d = _mul(cinv, d)
-    a_cinv = _mul(a, cinv)
-    tau0 = _add(_add(_mul(lam, _neg(cinv_d)), eta), _mul(cinv_d, mu))
-    t0 = _sub(_add(_mul(lam, a_cinv), eta), _mul(a_cinv, mu))
-    tau0_norm, t0_norm = _norm(tau0), _norm(t0)
-    return (coupling, tau0, t0, tau0_norm, t0_norm,
-            coupling * math.sqrt(tau0_norm * t0_norm))
 
 
 def _pair_gates(s: MatH2, t: MatH2, tol: float, shapes: tuple[str, ...],

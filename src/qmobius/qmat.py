@@ -9,14 +9,16 @@ boundary action lives in :mod:`qmobius.moebius`.
 
 The hot path is coordinate kernels: ``_alpha`` (behind :func:`alpha`,
 :func:`det` and :func:`nonsingular_alpha`), ``_conjugate``,
-``_alphas_and_commutator_trace`` and ``_parker_short`` (behind
-:func:`parker_short`); ``MatH2 @`` and :func:`inverse` run on the same
-coordinates, which a :class:`MatH2` holds and the kernels read and return
-as they are. Each result coordinate is the float expression of the
-``Quaternion`` formula in its docstring, in the same order, so results and
-error types are bitwise those of the formula. Quaternion formulas are
-called from :mod:`qmobius.quat` (``_mul``, ``_add``, ``_norm``...), never
-respelled; matrix ones are written once here (``_prod_sum``, ``_inverse_entry``).
+``_alphas_and_commutator_trace``, ``_parker_short`` (behind
+:func:`parker_short`), and the two readings of a pair that ``ineq`` and
+``dynamics.iterate`` share, ``_k_value`` and ``_displacement`` (the
+coupling entry and tau0/t0 of a triangle); ``MatH2 @`` and
+:func:`inverse` run on the same coordinates, which a :class:`MatH2` holds
+and the kernels read and return as they are. Each result coordinate is the
+float expression of the ``Quaternion`` formula in its docstring, in the
+same order, so results and error types are bitwise those of the formula.
+Quaternion formulas are called from :mod:`qmobius.quat` (``_mul``,
+``_add``, ``_norm``...), never respelled; matrix ones are written once here (``_prod_sum``, ``_inverse_entry``).
 ``_conjugate``, the step m t m^-1 given m's alpha (``dynamics.iterate``
 computes it once per step), is bitwise ``m @ t @ inverse(m)``, and
 ``_alphas_and_commutator_trace`` evaluates only the real parts of the
@@ -30,7 +32,8 @@ from __future__ import annotations
 import math
 
 from .quat import (Quaternion, ZERO, ONE, DEFAULT_TOL, _Frozen, _checked_coords,
-                   _add, _conj, _inv, _mul, _new, _norm, _norm2, _re_mul, _sub)
+                   _add, _conj, _im_norm, _inv, _mul, _neg, _new, _norm, _norm2,
+                   _re_mul, _sub)
 
 # Norm threshold under which an entry is treated as zero when dispatching
 # between algebraic case formulas. Dispatch must be deterministic under
@@ -328,6 +331,48 @@ def _conjugate(m, t, value: float) -> tuple[tuple[float, float, float, float], .
     """Entry coordinates of m t m^-1 from those of m and t, given m's alpha
     ``value`` (checked by the caller): bitwise ``m @ t @ inverse(m)``."""
     return _product(_product(m, t), _inverse_coords(m, value))
+
+
+def _k_value(lam, mu) -> float:
+    """:func:`ineq.k_value` of the diagonal entries with coordinates lam and mu."""
+    dr = lam[0] - mu[0]
+    di = _im_norm(lam) + _im_norm(mu)
+    return dr * dr + di * di
+
+
+def _displacement(s, t, side: str) -> tuple:
+    """(|coupling|, tau0, t0, |tau0|, |t0|, |coupling| sqrt(|tau0| |t0|)) of
+    the pair with entry coordinates s and t, from one |coupling|^2 (for the
+    cutoff and c^-1); the last five are None unless |coupling| > NONZERO_TOL.
+
+    The coupling entry is c of S on any side but ``"lower"``, which reads the
+    J-flip J m J = [[d, c], [b, a]], J = [[0, 1], [1, 0]]: the reversed entry
+    tuple. J has determinant 1 and swaps the fixed points 0 and infinity, so
+    a lower T = [[lam, 0], [eta, mu]] becomes [[mu, eta], [0, lam]] and b of
+    S the coupling entry: the paper's lower displacement quantities
+
+        tau0 = mu (-b^-1 a) + eta + (b^-1 a) lam
+        t0   = mu (d b^-1)  + eta - (d b^-1) lam
+
+    are :func:`ineq.tau0_t0_upper` of (J S J, J T J), same products, same order.
+    Gates, determinants and the diagonal quantities read the pair as given.
+    """
+    if side == "lower":
+        s, t = s[::-1], t[::-1]
+    a, _, c, d = s
+    n = _norm2(c)
+    coupling = math.sqrt(n)
+    if not coupling > NONZERO_TOL:
+        return (coupling, None, None, None, None, None)
+    lam, eta, _, mu = t
+    cinv = _inv(c, n)
+    cinv_d = _mul(cinv, d)
+    a_cinv = _mul(a, cinv)
+    tau0 = _add(_add(_mul(lam, _neg(cinv_d)), eta), _mul(cinv_d, mu))
+    t0 = _sub(_add(_mul(lam, a_cinv), eta), _mul(a_cinv, mu))
+    tau0_norm, t0_norm = _norm(tau0), _norm(t0)
+    return (coupling, tau0, t0, tau0_norm, t0_norm,
+            coupling * math.sqrt(tau0_norm * t0_norm))
 
 
 def commutator(a: MatH2, b: MatH2) -> MatH2:

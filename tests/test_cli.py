@@ -113,6 +113,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_selectors_and_verdict_exits_are_those_of_ineq():
+    # cli spells both as literals, so that parsing the command line imports
+    # no ineq; a selector or verdict added to ineq alone fails here
+    assert cli.SELECTORS == ("auto", *ineq.TESTS)
+    assert cli.VERDICT_EXIT == {ineq.Verdict.INCONCLUSIVE.value: 0,
+                                ineq.Verdict.OBSTRUCTION.value: 10,
+                                ineq.Verdict.EXTREMAL.value: 11,
+                                ineq.Verdict.NOT_EXTREME.value: 12}
+    assert set(cli.VERDICT_EXIT) == {verdict.value for verdict in ineq.Verdict}
+
+
 def test_invariants_text(capsys):
     matrix = json.dumps(matrix_obj(quat_list(2), quat_list(), quat_list(),
                                    quat_list(0.5)))
@@ -937,7 +948,7 @@ def test_cli_exits_agree_with_every_printed_block(capsys):
                 continue
             payload = json.loads(out)
             printed = payload["invariance"] if argv[0] == "extreme" else payload
-            if code != cli.VERDICT_EXIT[ineq.Verdict(printed["verdict"])]:
+            if code != cli.VERDICT_EXIT[printed["verdict"]]:
                 wrong.append((number, name, "exit", code))
             if code == 10 and obstruction_is_false:
                 if printed["test_name"] == "jlt":

@@ -1012,7 +1012,7 @@ def test_report_contract_fuzz():
 
 
 def test_every_selector_takes_the_pair_and_the_structural_tol():
-    # cli._run_selected calls every entry as (s, t, tol=...), and no entry
+    # cli._evaluator calls every entry as (s, t, tol=...), and no entry
     # takes another keyword
     for name, fn in ineq.TESTS.items():
         assert list(inspect.signature(fn).parameters) == ["s", "t", "tol"], name

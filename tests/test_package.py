@@ -143,18 +143,22 @@ def test_every_quaternion_is_built_through_its_constructor():
     assert _builds_past_init(ast.parse("object.__new__(Quaternion)", mode="eval").body)
 
 
-# two processes, each running two commands in turn: what each command
-# loads on top of import qmobius.cli and the command before it; no selector
-# acts by a matrix, so test --select wat loads nothing
+# three processes, each running its commands in turn: what each command
+# loads on top of import qmobius.cli and the commands before it. Only the
+# commands that evaluate a test load ineq: iterate in an explicit mode and
+# invariants do not, and iterate --mode auto, test and extreme do
 _PAIR = json.dumps({"S": {"a": [1, 0, 0, 0], "b": [0, 0, 0, 0], "c": [1, 0, 0, 0],
                           "d": [1, 0, 0, 0]},
                     "T": {"a": [1, 0, 0, 0], "b": [0, 0, 1, 0], "c": [0, 0, 0, 0],
                           "d": [1, 0, 0, 0]}})
+_T = json.dumps(json.loads(_PAIR)["T"])
 _RUNS = [
-    [(["iterate", _PAIR, "--steps", "1"], ["dynamics"]),
-     (["classify", json.dumps(json.loads(_PAIR)["T"])], ["moebius"])],
-    [(["test", _PAIR, "--select", "wat"], []),
-     (["extreme", _PAIR, "--steps", "1"], ["dynamics"])],
+    [(["iterate", _PAIR, "--steps", "1", "--mode", "upper"], ["dynamics"]),
+     (["invariants", _T], []),
+     (["classify", _T], ["moebius"]),
+     (["iterate", _PAIR, "--steps", "1", "--mode", "auto"], ["ineq"])],
+    [(["test", _PAIR, "--select", "wat"], ["ineq"])],
+    [(["extreme", _PAIR, "--steps", "1"], ["dynamics", "ineq"])],
 ]
 _PROBE = """
 import json, sys
@@ -188,8 +192,7 @@ def test_cli_import_loads_no_dataclasses():
         stdlib, seen = json.loads(stdout.splitlines()[-1])
         assert stdlib == []
         expected = [["qmobius"],
-                    ["qmobius", "qmobius.cli", "qmobius.ineq", "qmobius.qmat",
-                     "qmobius.quat"]]
+                    ["qmobius", "qmobius.cli", "qmobius.qmat", "qmobius.quat"]]
         for argv, modules in run:
             expected.append(sorted([*expected[-1], *(f"qmobius.{m}" for m in modules)]))
         assert seen == expected, [argv[0] for argv, _ in run]
