@@ -28,7 +28,8 @@ import enum
 import math
 
 from .quat import (Quaternion, ONE, ZERO, DEFAULT_TOL, _Value, _add, _arg, _conj,
-                   _im_norm, _inv, _mul, _neg, _norm, _norm2, _re_mul, _similar, _sub, arg)
+                   _im_norm, _inv, _mul, _mul_add, _neg, _norm, _norm2, _re_mul,
+                   _similar, _sub, arg)
 from . import qmat
 from .qmat import MatH2, _displacement, _k_value
 
@@ -550,7 +551,7 @@ def non_extreme_tau_test(s: MatH2, t: MatH2, side: str = "upper",
     diag["S_value"] = _s_value(lam, mu)
     eps = EPS_GENERIC if abs(lam[0]) > tol else EPS_PURE_IMAGINARY
     a, _, c, d = s._coords if side == "upper" else s._coords[::-1]
-    rhs = _norm(qmat._prod_sum(_conj(c), d, a, _conj(c)))
+    rhs = _norm(_mul_add(_conj(c), d, a, _conj(c)))
     coupling, tau0, t0, tau0_norm, t0_norm, _ = _displacement(s._coords, t._coords, side)
     if not _coupling_ok(coupling, tol, diag, "c_zero" if side == "upper" else "b_zero"):
         return TestReport(f"non_extreme_{side}", 0.0, rhs, -rhs,

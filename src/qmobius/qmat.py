@@ -18,7 +18,9 @@ and the kernels read and return as they are. Each result coordinate is the
 float expression of the ``Quaternion`` formula in its docstring, in the
 same order, so results and error types are bitwise those of the formula.
 Quaternion formulas are called from :mod:`qmobius.quat` (``_mul``,
-``_add``, ``_norm``...), never respelled; matrix ones are written once here (``_prod_sum``, ``_inverse_entry``).
+``_add``, ``_norm``..., and the fused ``_mul_add`` and ``_conj_mul_conj``
+that a product entry and an inverse entry call), never respelled; matrix
+ones are written once here (``_product``, ``_inverse_entry``).
 ``_conjugate``, the step m t m^-1 given m's alpha (``dynamics.iterate``
 computes it once per step), is bitwise ``m @ t @ inverse(m)``, and
 ``_alphas_and_commutator_trace`` evaluates only the real parts of the
@@ -32,8 +34,8 @@ from __future__ import annotations
 import math
 
 from .quat import (Quaternion, ZERO, ONE, DEFAULT_TOL, _Frozen, _checked_coords,
-                   _add, _conj, _im_norm, _inv, _mul, _neg, _new, _norm, _norm2,
-                   _re_mul, _sub)
+                   _add, _conj, _conj_mul_conj, _im_norm, _inv, _mul, _mul_add, _neg,
+                   _new, _norm, _norm2, _re_mul, _sub)
 
 # Norm threshold under which an entry is treated as zero when dispatching
 # between algebraic case formulas. Dispatch must be deterministic under
@@ -99,18 +101,13 @@ class MatH2(_Frozen):
 _set_coords = MatH2._coords.__set__
 
 
-def _prod_sum(p, q, r, s) -> tuple[float, float, float, float]:
-    """Coordinates of p q + r s: one entry of a matrix product."""
-    return _add(_mul(p, q), _mul(r, s))
-
-
 def _product(m, n) -> tuple[tuple[float, float, float, float], ...]:
     """Entry coordinates of the matrix product m n, from those of m and n:
     entrywise sums of ordered products; factor order matters."""
     a, b, c, d = m
     e, f, g, h = n
-    return (_prod_sum(a, e, b, g), _prod_sum(a, f, b, h),
-            _prod_sum(c, e, d, g), _prod_sum(c, f, d, h))
+    return (_mul_add(a, e, b, g), _mul_add(a, f, b, h),
+            _mul_add(c, e, d, g), _mul_add(c, f, d, h))
 
 
 def _from_coords(entries) -> MatH2:
@@ -316,7 +313,7 @@ def _inverse_entry(p, source, u, v, s) -> tuple[float, float, float, float]:
     entry of :func:`inverse`."""
     n = _norm2(source)
     pw, px, py, pz = p
-    qw, qx, qy, qz = _mul(_mul(_conj(u), source), _conj(v))
+    qw, qx, qy, qz = _conj_mul_conj(u, source, v)
     return ((pw * n - qw) * s, (-px * n - qx) * s,
             (-py * n - qy) * s, (-pz * n - qz) * s)
 
@@ -387,7 +384,7 @@ def _alphas_and_commutator_trace(a: MatH2, b: MatH2) -> tuple[float, float, floa
     on the two determinants and reads the trace.
 
     The product (a b a^-1) b^-1 is evaluated only for the w coordinates of
-    its two diagonal entries, each the expression of ``_prod_sum``.
+    its two diagonal entries, each the w coordinate of ``quat._mul_add``.
     """
     a, b = a._coords, b._coords
     alpha_a, alpha_b = _alpha(a), _alpha(b)

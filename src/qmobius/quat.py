@@ -8,6 +8,11 @@ as the library-wide default for unit-scale data.
 A :class:`Quaternion` holds one coordinate tuple (w, x, y, z). Each formula
 (``_mul``, ``_add``, ``_sub``, ``_neg``, ``_norm``, ``_inv``...) is written once,
 on coordinate tuples; ``Quaternion`` and every other module's kernels call it.
+Three kernels are kept for speed: each is one call for a composition of
+those formulas, with its float expressions in the same order, so bitwise
+that composition. ``_re_mul`` is the w coordinate of ``_mul``, ``_mul_add``
+p q + r s (an entry of a matrix product) and ``_conj_mul_conj`` conj(u) s
+conj(v) (a term of an inverse entry).
 """
 
 from __future__ import annotations
@@ -202,6 +207,38 @@ def _re_mul(p, q) -> float:
     pw, px, py, pz = p
     qw, qx, qy, qz = q
     return pw * qw - px * qx - py * qy - pz * qz
+
+
+def _mul_add(p, q, r, s) -> tuple[float, float, float, float]:
+    """Coordinates of p q + r s: ``_add(_mul(p, q), _mul(r, s))``, the same
+    expressions in the same order, in one call (one entry of a matrix product)."""
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    rw, rx, ry, rz = r
+    sw, sx, sy, sz = s
+    return ((pw * qw - px * qx - py * qy - pz * qz) + (rw * sw - rx * sx - ry * sy - rz * sz),
+            (pw * qx + px * qw + py * qz - pz * qy) + (rw * sx + rx * sw + ry * sz - rz * sy),
+            (pw * qy - px * qz + py * qw + pz * qx) + (rw * sy - rx * sz + ry * sw + rz * sx),
+            (pw * qz + px * qy - py * qx + pz * qw) + (rw * sz + rx * sy - ry * sx + rz * sw))
+
+
+def _conj_mul_conj(u, s, v) -> tuple[float, float, float, float]:
+    """Coordinates of conj(u) s conj(v): ``_mul(_mul(_conj(u), s), _conj(v))``,
+    the same expressions in the same order, in one call (one term of an
+    inverse entry)."""
+    pw, px, py, pz = u
+    px, py, pz = -px, -py, -pz
+    qw, qx, qy, qz = s
+    mw = pw * qw - px * qx - py * qy - pz * qz
+    mx = pw * qx + px * qw + py * qz - pz * qy
+    my = pw * qy - px * qz + py * qw + pz * qx
+    mz = pw * qz + px * qy - py * qx + pz * qw
+    qw, qx, qy, qz = v
+    qx, qy, qz = -qx, -qy, -qz
+    return (mw * qw - mx * qx - my * qy - mz * qz,
+            mw * qx + mx * qw + my * qz - mz * qy,
+            mw * qy - mx * qz + my * qw + mz * qx,
+            mw * qz + mx * qy - my * qx + mz * qw)
 
 
 def _add(p, q) -> tuple[float, float, float, float]:

@@ -256,8 +256,45 @@ def test_a_quaternion_holds_its_coordinate_tuple():
     assert q._c == (1.0, -2.5, 0.0, 3.0) and q._astuple is q._c
     assert (q.w, q.x, q.y, q.z, q.re) == (1.0, -2.5, 0.0, 3.0, 1.0)
     assert not any(hasattr(quat, f"_set_{name}") for name in "wxyz")
-    for name in ("_mul", "_re_mul", "_norm2", "_conj"):
+    for name in ("_mul", "_re_mul", "_norm2", "_conj", "_mul_add", "_conj_mul_conj"):
         assert getattr(qmat, name) is getattr(quat, name), name
+
+
+def _bits(coords) -> list[bytes]:
+    return [struct.pack("<d", c) for c in coords]
+
+
+# |x| in [0.5, 2] scaled by 1, 1e-14 or 1e6, either one scale per quaternion,
+# whose products round so that a re-associated sum changes bits, or one per
+# coordinate among ±0.0
+_unit = st.floats(0.5, 2.0) | st.floats(-2.0, -0.5)
+_SCALES = (1.0, 1e-14, 1e6)
+_fused_quaternion = (
+    st.sampled_from(_SCALES).flatmap(
+        lambda scale: st.tuples(*[_unit.map(lambda x: x * scale)] * 4))
+    | st.tuples(*[st.sampled_from((0.0, -0.0))
+                  | st.one_of(*(_unit.map(lambda x, scale=scale: x * scale)
+                                for scale in _SCALES))] * 4))
+_ZEROS = (0.0, -0.0, 0.0, -0.0)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(p=_fused_quaternion, q=_fused_quaternion, r=_fused_quaternion,
+       s=_fused_quaternion)
+@example(p=(1.0, 0.0, 0.0, 0.0), q=(-0.0,) * 4, r=(-0.0,) * 4, s=(0.0,) * 4)
+@example(p=_ZEROS, q=_ZEROS[::-1], r=(0.0,) * 4, s=(-0.0,) * 4)
+@example(p=(1e6, -0.0, 1e-14, 0.0), q=(-0.0, 1e-14, -1e6, 0.0),
+         r=(0.0, -1e-14, -0.0, 1e6), s=(1e-14, 0.0, -0.0, -1e6))
+@example(p=(-1e-14, 1e-14, -0.0, 0.0), q=(1e6, 1e6, -1e6, 1e6),
+         r=(-0.0, -0.0, 1e-14, -1e-14), s=(0.0, -1e6, 0.0, -0.0))
+def test_property_fused_kernels_are_bitwise_their_compositions(p, q, r, s):
+    # _mul_add and _conj_mul_conj are kept for speed; each must give the bits
+    # of the formulas it fuses, signed zeros included (the first example needs
+    # conj to negate, -0.0, where 0.0 - 0.0 would give 0.0)
+    assert (_bits(quat._mul_add(p, q, r, s))
+            == _bits(quat._add(quat._mul(p, q), quat._mul(r, s))))
+    assert (_bits(quat._conj_mul_conj(p, q, r))
+            == _bits(quat._mul(quat._mul(quat._conj(p), q), quat._conj(r))))
 
 
 # The four-slot Quaternion arithmetic as it was before a quaternion held its
