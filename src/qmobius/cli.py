@@ -216,21 +216,12 @@ def _run_batch(args, evaluate) -> int:
     return EXIT_OK
 
 
-def _csv_line(fields) -> str:
-    """The line csv's excel dialect writes for fields that need no quoting:
-    ints, floats (whose str is their repr), None (an empty field) and the
-    column names."""
-    return ",".join(["" if value is None else str(value) for value in fields]) + "\r\n"
-
-
 def cmd_iterate(args) -> int:
     from . import dynamics
     s, t = _parse_pair(_load_json(args.pair))
-    mode = args.mode
-    if mode == "auto":
-        from . import ineq
-        ineq.auto_select(t, args.tol)      # a full T is an error here too
-        mode = qmat.shape(t, args.tol)
+    mode = qmat.shape(t, args.tol) if args.mode == "auto" else args.mode
+    if mode == "full":
+        raise ValueError(qmat.NO_TRIANGLE)
     # finite (iterate's rule) and whole before --output is opened
     trace = dynamics.iterate(s, t, args.steps, mode, tol=args.tol)
     try:
@@ -239,9 +230,7 @@ def cmd_iterate(args) -> int:
             if args.format == "json":
                 out.write(_dumps(trace.to_dict(), indent=2) + "\n")
             else:
-                out.write(_csv_line(dynamics.csv_header(args.full)))
-                out.writelines(_csv_line(dynamics.csv_row(step, args.full))
-                               for step in trace.steps)   # one row at a time
+                out.writelines(dynamics.csv_lines(trace, args.full))  # a row at a time
             out.flush()             # a failed stdout fails before the summary
     except OSError as exc:
         if not args.output:

@@ -50,7 +50,7 @@ class IterationStep(_Value):
     the triangular modes (b-based in lower mode, which is the quantity the
     invariance theorem propagates there). ``entry_norms`` are |a_n|, |b_n|,
     |c_n|, |d_n|, computed once per step for ``bc_norm``, the divergence
-    check and the CSV row; the JSON record carries S itself instead.
+    check and the :func:`csv_lines` row; the JSON record carries S instead.
 
     S_n is the ``MatH2`` ``s``, which holds its entry coordinates; tau/t
     are stored as their coordinates (``tau_coords``, ``t_coords``, None
@@ -125,24 +125,20 @@ CSV_COLUMNS = ("n", "abs_a", "abs_b", "abs_c", "abs_d", "bc_norm",
 _COORD_COLUMNS = tuple(f"{entry}_{coord}" for entry in "abcd" for coord in "wxyz")
 
 
-def csv_header(full: bool = False) -> tuple[str, ...]:
-    return CSV_COLUMNS + _COORD_COLUMNS if full else CSV_COLUMNS
-
-
-def csv_row(step: IterationStep, full: bool = False) -> list:
-    row = [
-        step.n,
-        *step.entry_norms,
-        step.bc_norm,
-        step.tau_c,                 # None: an empty CSV field
-        step.t_c,
-        step.extremal_lhs,
-        step.det,
-    ]
-    if full:
-        for entry in step.s._coords:
-            row.extend(entry)
-    return row
+def csv_lines(trace: IterationTrace, full: bool = False):
+    """The trace as CSV, one line at a time: the header (``CSV_COLUMNS``,
+    then with ``full`` the 16 entry coordinates ``a_w`` ... ``d_z``), then
+    one row per record. A field is the ``str`` of its value (a float's is
+    its repr), None is an empty field and a line ends in ``\\r\\n``: the
+    line csv's excel dialect writes, as no field needs quoting."""
+    yield ",".join(CSV_COLUMNS + _COORD_COLUMNS if full else CSV_COLUMNS) + "\r\n"
+    for step in trace.steps:
+        row = [step.n, *step.entry_norms, step.bc_norm,
+               step.tau_c, step.t_c, step.extremal_lhs, step.det]
+        if full:
+            for entry in step.s._coords:
+                row.extend(entry)
+        yield ",".join(["" if value is None else str(value) for value in row]) + "\r\n"
 
 
 def iterate(s: MatH2, t: MatH2, n_steps: int, mode: str,

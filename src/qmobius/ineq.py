@@ -610,4 +610,4 @@ def auto_select(t: MatH2, tol: float = DEFAULT_TOL) -> str:
         return "rez" if pure else "jg"
     if kind == "lower":
         return "jlt"
-    raise ValueError("T matches no test shape (neither triangle is zero)")
+    raise ValueError(qmat.NO_TRIANGLE)

@@ -5,7 +5,10 @@ Kellerhals factors and tilde quantities (kept as paper quantities and
 test oracles), Foreman's conjugacy invariants (beta, gamma, delta) and the
 Parker-Short quantities (sigma, tau). The group of determinant-1 matrices
 (called Sigma throughout) acts by isometries on hyperbolic 5-space; its
-boundary action lives in :mod:`qmobius.moebius`.
+boundary action lives in :mod:`qmobius.moebius`. Two error texts are
+written once here: ``NOT_FINITE`` (a result that overflowed) and
+``NO_TRIANGLE`` (a T that :func:`shape` reads as full where a triangle is
+needed: ``ineq.auto_select`` and ``iterate --mode auto``).
 
 The hot path is coordinate kernels: ``_alpha`` (behind :func:`alpha`,
 :func:`det` and :func:`nonsingular_alpha`), ``_conjugate``,
@@ -49,6 +52,8 @@ MODES = ("diagonal", "upper", "lower")
 # the error of a result with a non-finite value: an ``iterate`` record, or
 # any result that overflowed (the CLI's JSON encoder raises it too)
 NOT_FINITE = "result is not finite (a computation overflowed)"
+# the error of a T whose shape is "full"
+NO_TRIANGLE = "T matches no test shape (neither triangle is zero)"
 
 
 class SingularMatrixError(ValueError):

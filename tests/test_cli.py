@@ -277,7 +277,7 @@ def test_iterate_csv_and_summary(capsys):
                          "--steps", "5")
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == list(dynamics.csv_header())
+    assert rows[0] == list(dynamics.CSV_COLUMNS)
     assert len(rows) == 7        # header + steps 0..5
     assert float(rows[1][8]) == pytest.approx(1.0, abs=1e-12)
     summary = json.loads(err)
@@ -298,8 +298,7 @@ def test_iterate_full_adds_coordinate_columns(capsys):
 _csv_float = st.one_of(
     st.sampled_from((-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e308, -1e308, 1e-7)),
     st.floats(allow_nan=False, allow_infinity=False))
-_csv_fields = st.sampled_from((9, 25)).flatmap(lambda n: st.lists(
-    st.one_of(st.none(), st.integers(), _csv_float), min_size=n, max_size=n))
+_csv_optional = st.one_of(st.none(), _csv_float)
 
 
 def _csv_writer_line(fields) -> str:
@@ -309,17 +308,27 @@ def _csv_writer_line(fields) -> str:
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)
-@given(st.integers(0, 10 ** 6), _csv_fields)
-@example(0, [None, -0.0, 5e-324, 1e16, 1e308, 0.1, -2, None, 1.5])
-@example(1000, [1e16, None, -0.0, 5e-324, 1e308, -1e-300, *[0.1] * 19])
-def test_csv_line_is_the_csv_writer_line(n, fields):
-    # rows of 10 and 26 fields (--full), as dynamics.csv_row builds them
-    line = cli._csv_line([n, *fields])
-    assert line == _csv_writer_line([n, *fields])
-    assert line.endswith("\r\n") and line.count("\n") == 1
-    for full in (False, True):
-        header = dynamics.csv_header(full)
-        assert cli._csv_line(header) == _csv_writer_line(header)
+@given(st.integers(0, 10 ** 6), st.lists(_csv_float, min_size=5, max_size=5),
+       st.tuples(_csv_optional, _csv_optional, _csv_optional),
+       st.lists(_csv_float, min_size=16, max_size=16))
+@example(0, [-0.0, 5e-324, 1e16, 1e308, 0.1], (None, -2.0, None), [1.5] * 16)
+@example(1000, [1e16, -0.0, 5e-324, 1e308, -1e-300], (None, None, None),
+         [0.1, -0.0, 5e-324, 1e16, 1e308, *[0.1] * 11])
+def test_csv_line_is_the_csv_writer_line(n, floats, optional, coords):
+    # a one-step trace: norms and det drawn, bc_norm = |b||c| from the
+    # norms; only tau_c, t_c and extremal_lhs may be None
+    *norms, det = floats
+    s = MatH2(*(Quaternion(*coords[i:i + 4]) for i in range(0, 16, 4)))
+    step = dynamics.IterationStep(n, s, det, tuple(norms), None, None, *optional)
+    trace = dynamics.IterationTrace("upper", [step])
+    row = [n, *norms, norms[1] * norms[2], *optional, det]
+    for full, fields in ((False, row), (True, row + coords)):
+        header = [*dynamics.CSV_COLUMNS,
+                  *(f"{e}_{c}" for e in "abcd" for c in "wxyz" if full)]
+        lines = list(dynamics.csv_lines(trace, full))
+        assert lines == [_csv_writer_line(header), _csv_writer_line(fields)]
+        assert len(fields) == len(header) == (26 if full else 10)
+        assert all(line.endswith("\r\n") and line.count("\n") == 1 for line in lines)
 
 
 def test_iterate_json_format(capsys, tmp_path):
@@ -1076,6 +1085,7 @@ REJECTED_RUNS = [
     ("extreme_steps_negative", None),
     ("extreme_steps_zero", None),
     ("iterate_overflow_keeps_output", None),
+    ("iterate_auto_full_t_keeps_output", None),
     ("stdout_full", None),
     ("stdout_full", "batch"),
     ("output_full", None),
@@ -1106,6 +1116,9 @@ def _rejected_argv(tmp_path, case, form):
                          "--batch") if form == "batch"
                         else ("test", json.dumps(EXTREME_PAIR))),
         "output_full": ("iterate", json.dumps(EXTREME_PAIR), "--output", "/dev/full"),
+        "iterate_auto_full_t_keeps_output": (
+            "iterate", json.dumps(FULL_PAIR), "--mode", "auto",
+            "--output", str(tmp_path / "trace.json")),
     }[case]
 
 

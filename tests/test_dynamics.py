@@ -9,7 +9,7 @@ import pytest
 from qmobius.quat import DEFAULT_TOL, Quaternion, ZERO, ONE, J, K, isclose
 from qmobius import ineq, dynamics, qmat
 from qmobius.dynamics import (ConvergenceKind, IterationStep, IterationTrace,
-                              classify_convergence, csv_header, csv_row,
+                              classify_convergence, csv_lines,
                               extremal_invariance_check, iterate,
                               recurrence_deviation, verify_recurrence)
 from qmobius.ineq import Verdict, k_value
@@ -462,15 +462,15 @@ def test_iterate_records_the_selectors_lhs_bit_for_bit():
 
 def test_csv_helpers():
     trace = iterate(EXTREME_S, EXTREME_T, 2, "upper")
-    header = csv_header()
-    assert header == ("n", "abs_a", "abs_b", "abs_c", "abs_d", "bc_norm",
-                      "tau_c", "t_c", "extremal_lhs", "det")
-    row = csv_row(trace.steps[1])
-    assert len(row) == len(header)
-    assert row[0] == 1
-    full_header = csv_header(full=True)
-    assert len(full_header) == len(header) + 16
-    assert len(csv_row(trace.steps[1], full=True)) == len(full_header)
+    header, *rows = csv_lines(trace)
+    assert header == "n,abs_a,abs_b,abs_c,abs_d,bc_norm,tau_c,t_c,extremal_lhs,det\r\n"
+    assert len(rows) == 3 and rows[1].startswith("1,")
+    assert all(row.count(",") == 9 and row.endswith("\r\n") for row in rows)
+    full_header, *full_rows = csv_lines(trace, full=True)
+    assert full_header == header[:-2] + "".join(
+        f",{entry}_{coord}" for entry in "abcd" for coord in "wxyz") + "\r\n"
+    for row, full_row in zip(rows, full_rows, strict=True):
+        assert full_row.startswith(row[:-2] + ",") and full_row.count(",") == 25
 
 
 def test_trace_json_round_trip_values():

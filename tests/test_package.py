@@ -146,18 +146,19 @@ def test_every_quaternion_is_built_through_its_constructor():
 
 # three processes, each running its commands in turn: what each command
 # loads on top of import qmobius.cli and the commands before it. Only the
-# commands that evaluate a test load ineq: iterate in an explicit mode and
-# invariants do not, and iterate --mode auto, test and extreme do
+# commands that evaluate a test load ineq: test and extreme do, and iterate
+# in every mode (auto reads T's triangle from qmat.shape), invariants and
+# classify do not
 _PAIR = json.dumps({"S": {"a": [1, 0, 0, 0], "b": [0, 0, 0, 0], "c": [1, 0, 0, 0],
                           "d": [1, 0, 0, 0]},
                     "T": {"a": [1, 0, 0, 0], "b": [0, 0, 1, 0], "c": [0, 0, 0, 0],
                           "d": [1, 0, 0, 0]}})
 _T = json.dumps(json.loads(_PAIR)["T"])
 _RUNS = [
-    [(["iterate", _PAIR, "--steps", "1", "--mode", "upper"], ["dynamics"]),
+    [(["iterate", _PAIR, "--steps", "1", "--mode", "auto"], ["dynamics"]),
      (["invariants", _T], []),
      (["classify", _T], ["moebius"]),
-     (["iterate", _PAIR, "--steps", "1", "--mode", "auto"], ["ineq"])],
+     (["iterate", _PAIR, "--steps", "1", "--mode", "upper"], [])],
     [(["test", _PAIR, "--select", "wat"], ["ineq"])],
     [(["extreme", _PAIR, "--steps", "1"], ["dynamics", "ineq"])],
 ]
