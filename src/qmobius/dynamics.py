@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .quat import Quaternion, DEFAULT_TOL, _Value, _norm
+from .quat import DEFAULT_TOL, _Value, _norm
 from . import qmat
 from .qmat import MODES, NOT_FINITE, MatH2
 
@@ -42,7 +42,7 @@ MIN_CLASSIFY_STEPS = 5
 class IterationStep(_Value):
     """Per-step statistics of the sequence.
 
-    ``tau``/``t`` are the displacement quantities of S_n against T (upper
+    tau/t are the displacement quantities of S_n against T (upper
     formulas for diagonal and upper modes, lower formulas for lower mode);
     ``tau_c``/``t_c`` their norms times the coupling entry norm (c_n, or
     b_n in lower mode). ``extremal_lhs`` is the mode's extremal quantity:
@@ -54,7 +54,7 @@ class IterationStep(_Value):
 
     S_n is the ``MatH2`` ``s``, which holds its entry coordinates; tau/t
     are stored as their coordinates (``tau_coords``, ``t_coords``, None
-    where undefined), and ``tau`` and ``t`` build the quaternions when read.
+    where undefined).
     """
 
     __slots__ = _fields = ("n", "s", "det", "entry_norms", "tau_coords",
@@ -75,14 +75,6 @@ class IterationStep(_Value):
         self.tau_c = tau_c
         self.t_c = t_c
         self.extremal_lhs = extremal_lhs
-
-    @property
-    def tau(self) -> Quaternion | None:
-        return None if self.tau_coords is None else Quaternion(*self.tau_coords)
-
-    @property
-    def t(self) -> Quaternion | None:
-        return None if self.t_coords is None else Quaternion(*self.t_coords)
 
     @property
     def bc_norm(self) -> float:

@@ -182,7 +182,7 @@ def _pair_gates(s: MatH2, t: MatH2, tol: float, shapes: tuple[str, ...],
     det_s, det_t = (qmat.det(s), qmat.det(t)) if dets is None else dets
     diag = {"det_S": det_s, "det_T": det_t}
     ok = (qmat.shape(t, tol) in shapes
-          and abs(diag["det_S"] - 1.0) <= tol and abs(diag["det_T"] - 1.0) <= tol)
+          and abs(det_s - 1.0) <= tol and abs(det_t - 1.0) <= tol)
     return ok, diag
 
 

@@ -342,8 +342,3 @@ def complex_representative(q: Quaternion) -> tuple[float, float]:
     picks the upper-half-plane member, so the value is constant on classes.
     """
     return (q.re, q.im_norm())
-
-
-def isclose(p: Quaternion, q: Quaternion, tol: float = DEFAULT_TOL) -> bool:
-    """Componentwise closeness |p - q| <= tol."""
-    return (p - q).norm() <= tol

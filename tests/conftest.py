@@ -1,4 +1,4 @@
-"""Shared generators and independent oracles for the test suite.
+"""Shared builders, generators and independent oracles for the test suite.
 
 Randomized tests use explicitly seeded ``random.Random`` instances so
 every run exercises the same cases. The multiplication oracle goes
@@ -9,9 +9,27 @@ path from the Hamilton product in the library.
 import math
 import random
 
-from qmobius.quat import Quaternion
+from qmobius.quat import DEFAULT_TOL, Quaternion
 from qmobius import qmat
 from qmobius.qmat import MatH2
+
+
+def unit_complex(theta: float) -> Quaternion:
+    return Quaternion(math.cos(theta), math.sin(theta))
+
+
+def real_matrix(a: float, b: float, c: float, d: float) -> MatH2:
+    return MatH2(Quaternion(a), Quaternion(b), Quaternion(c), Quaternion(d))
+
+
+def j_flip(m: MatH2) -> MatH2:
+    """J m J with J = [[0, 1], [1, 0]]: the reversed entry tuple."""
+    return MatH2(m.d, m.c, m.b, m.a)
+
+
+def isclose(p: Quaternion, q: Quaternion, tol: float = DEFAULT_TOL) -> bool:
+    """Componentwise closeness |p - q| <= tol."""
+    return (p - q).norm() <= tol
 
 
 def random_quaternion(rng: random.Random, scale: float = 1.0) -> Quaternion:

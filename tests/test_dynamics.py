@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qmobius.quat import DEFAULT_TOL, Quaternion, ZERO, ONE, J, K, isclose
+from qmobius.quat import DEFAULT_TOL, Quaternion, ZERO, ONE, J, K
 from qmobius import ineq, dynamics, qmat
 from qmobius.dynamics import (ConvergenceKind, IterationStep, IterationTrace,
                               classify_convergence, csv_lines,
@@ -14,7 +14,7 @@ from qmobius.dynamics import (ConvergenceKind, IterationStep, IterationTrace,
                               recurrence_deviation, verify_recurrence)
 from qmobius.ineq import Verdict, k_value
 from qmobius.qmat import MatH2, diagonal, identity, lower_triangular, upper_triangular
-from conftest import (near_sixth_turn_pairs, random_elliptic_entry,
+from conftest import (isclose, near_sixth_turn_pairs, random_elliptic_entry,
                       random_quaternion, random_sigma, random_unit_imaginary)
 import hurwitz
 
@@ -62,8 +62,8 @@ def test_extreme_pair_first_step_hand_values():
     for got, want in zip(s1.entries(), expected.entries()):
         assert isclose(got, want, 1e-12)
     assert trace.steps[1].s.c.norm() == pytest.approx(1.0, abs=1e-12)
-    assert isclose(trace.steps[1].tau, J, 1e-12)
-    assert isclose(trace.steps[1].t, J, 1e-12)
+    assert isclose(Quaternion(*trace.steps[1].tau_coords), J, 1e-12)
+    assert isclose(Quaternion(*trace.steps[1].t_coords), J, 1e-12)
 
 
 def test_extreme_pair_classifies_stationary():
@@ -486,8 +486,9 @@ def test_diagonal_mode_records_tau_when_coupling_nonzero():
     s, t = obstruction_pair()
     trace = iterate(s, t, 5, "diagonal")
     for step in trace.steps:
-        assert step.tau is not None
-        assert step.tau_c == pytest.approx(step.tau.norm() * step.s.c.norm())
+        assert step.tau_coords is not None
+        assert step.tau_c == pytest.approx(
+            Quaternion(*step.tau_coords).norm() * step.s.c.norm())
         assert step.extremal_lhs == pytest.approx(
             k_value(t.a, t.d) * (1.0 + step.bc_norm))
 

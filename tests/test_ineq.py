@@ -6,7 +6,7 @@ import struct
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qmobius.quat import DEFAULT_TOL, Quaternion, ZERO, ONE, I, J, isclose
+from qmobius.quat import DEFAULT_TOL, Quaternion, ZERO, ONE, I, J
 from qmobius import qmat, ineq
 from qmobius.ineq import (Verdict, auto_select, beta_t, displacement_threshold,
                           eta_normalized_test, extremality_criteria,
@@ -15,20 +15,12 @@ from qmobius.ineq import (Verdict, auto_select, beta_t, displacement_threshold,
                           kellerhals_form, non_extreme_tau_test, rez_test,
                           s_value, tau0_t0_upper, waterman_test)
 from qmobius.qmat import MatH2, diagonal, lower_triangular, upper_triangular
-from conftest import (check_report_invariants, mul_oracle, random_quaternion,
-                      random_sigma, random_unit_quaternion,
-                      random_elliptic_entry)
+from conftest import (check_report_invariants, isclose, j_flip, mul_oracle,
+                      random_quaternion, random_sigma, random_unit_quaternion,
+                      random_elliptic_entry, real_matrix, unit_complex)
 import hurwitz
 
 SQRT2 = math.sqrt(2.0)
-
-
-def unit_complex(theta):
-    return Quaternion(math.cos(theta), math.sin(theta))
-
-
-def real_matrix(a, b, c, d):
-    return MatH2(Quaternion(a), Quaternion(b), Quaternion(c), Quaternion(d))
 
 
 def random_diagonal_sigma_entries(rng):
@@ -164,8 +156,8 @@ def test_tau0_t0_second_implementation_oracle():
         t_lower = lower_triangular(t.a, t.b, t.d)
         lower = ineq._displacement(s._coords, t_lower._coords, "lower")
         assert (_reading_bits(lower)
-                == _reading_bits(ineq._displacement(_flip(s)._coords,
-                                                    _flip(t_lower)._coords, "upper")))
+                == _reading_bits(ineq._displacement(j_flip(s)._coords,
+                                                    j_flip(t_lower)._coords, "upper")))
         tau0, t0 = Quaternion(*lower[1]), Quaternion(*lower[2])
         binv = s.b.inverse()
         binv_a = mul_oracle(binv, s.a)
@@ -174,11 +166,6 @@ def test_tau0_t0_second_implementation_oracle():
         t_oracle = mul_oracle(t.d, d_binv) + t.b - mul_oracle(d_binv, t.a)
         assert isclose(tau0, tau_oracle, 1e-12)
         assert isclose(t0, t_oracle, 1e-12)
-
-
-def _flip(m):
-    """J m J with J = [[0, 1], [1, 0]]."""
-    return MatH2(m.d, m.c, m.b, m.a)
 
 
 def _reading_bits(reading):
@@ -204,12 +191,12 @@ def test_j_flip_is_conjugation_by_j():
                  MatH2(Quaternion(-0.0, 1.0, -0.0, 2.0), ZERO,
                        Quaternion(0.0, -0.0, 3.0, -0.0), Quaternion(-1.0))]
     for m, n in zip(matrices, matrices[1:] + matrices[:1]):
-        assert _flip(m) == j @ m @ j
+        assert j_flip(m) == j @ m @ j
         for side in ("upper", "lower"):
             other = "lower" if side == "upper" else "upper"
             assert (_reading_bits(ineq._displacement(m._coords, n._coords, side))
-                    == _reading_bits(ineq._displacement(_flip(m)._coords,
-                                                        _flip(n)._coords, other)))
+                    == _reading_bits(ineq._displacement(j_flip(m)._coords,
+                                                        j_flip(n)._coords, other)))
 
 
 def test_tau0_t0_domain_errors():
@@ -229,7 +216,7 @@ def test_tau0_t0_domain_errors():
     above = math.nextafter(qmat.NONZERO_TOL, math.inf)
     for c in (qmat.NONZERO_TOL, above, math.nan):
         s = MatH2(Quaternion(2, 1), ONE, Quaternion(c), Quaternion(1, 0, 0.5))
-        for m, n, side in ((s, t, "upper"), (_flip(s), _flip(t), "lower")):
+        for m, n, side in ((s, t, "upper"), (j_flip(s), j_flip(t), "lower")):
             reading = ineq._displacement(m._coords, n._coords, side)
             if c == above:
                 assert reading[0] == above
@@ -594,7 +581,7 @@ def test_property_jlt_is_the_j_flip_of_jg_and_rez(entries, b_zero, kappa, tau,
                          Quaternion(kappa) + v * (math.exp(tau) * sin_y / v.norm()))
     mirrored = ineq._jlt_b_form(s, t, DEFAULT_TOL)
     upper_test = jg_test if abs(kappa) > ineq.DEFAULT_TOL else rez_test
-    reference = upper_test(_flip(s), _flip(t))
+    reference = upper_test(j_flip(s), j_flip(t))
     assert ((mirrored.lhs, mirrored.threshold, mirrored.verdict,
              mirrored.preconditions_met)
             == (reference.lhs, reference.threshold, reference.verdict,
@@ -732,7 +719,7 @@ def test_every_test_is_invariant_under_diagonal_conjugation():
         ts = [diagonal(lam, mu), diagonal(Quaternion(k), Quaternion(1.0 / k)),
               jg_regime_T(eta), upper_triangular(one, eta, one),
               upper_triangular(elliptic, ONE, elliptic)]
-        ts += [_flip(t) for t in ts[2:4]]
+        ts += [j_flip(t) for t in ts[2:4]]
         u, v = random_unit_quaternion(rng), random_unit_quaternion(rng)
         for name, evaluate in ineq.TESTS.items():
             w = u if name == "wat" else v

@@ -5,17 +5,14 @@ import random
 
 import pytest
 
-from qmobius.quat import Quaternion, ZERO, ONE, I, J, isclose
+from qmobius.quat import Quaternion, ZERO, ONE, I, J
 from qmobius import qmat, moebius
 from qmobius.moebius import (ALL_POINTS, INFINITY, IsometryClass, apply,
                              classify_normal_form, encode_point,
                              fixed_points_normal_form)
 from qmobius.qmat import MatH2, diagonal, identity, upper_triangular
-from conftest import random_sigma, random_quaternion, random_nonzero_quaternion
-
-
-def unit_complex(theta):
-    return Quaternion(math.cos(theta), math.sin(theta))
+from conftest import (isclose, random_sigma, random_quaternion,
+                      random_nonzero_quaternion, unit_complex)
 
 
 def test_apply_examples():

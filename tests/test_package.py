@@ -259,7 +259,9 @@ def test_mutable_value_types():
                          entry_norms=(1.0, 2.0, 3.0, 4.0), tau_coords=None,
                          t_coords=None, tau_c=None, t_c=None, extremal_lhs=None)
     assert step.s == M
-    assert (step.tau, step.t, step.tau_c, step.t_c, step.extremal_lhs) == (None,) * 5
+    assert (step.tau_coords, step.t_coords, step.tau_c, step.t_c,
+            step.extremal_lhs) == (None,) * 5
+    assert not hasattr(step, "tau") and not hasattr(step, "t")
     assert not hasattr(step, "__dict__")
     step.det = 2.0
     assert step != IterationStep(0, M, 1.0, (1.0, 2.0, 3.0, 4.0),

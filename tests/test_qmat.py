@@ -8,14 +8,11 @@ from math import isfinite
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qmobius.quat import Quaternion, ZERO, ONE, I, J, isclose
+from qmobius.quat import Quaternion, ZERO, ONE, I, J
 from qmobius import ineq, moebius, qmat
 from qmobius.qmat import MatH2, diagonal, identity
-from conftest import random_invertible, random_sigma, random_quaternion
-
-
-def real_matrix(a, b, c, d):
-    return MatH2(Quaternion(a), Quaternion(b), Quaternion(c), Quaternion(d))
+from conftest import (isclose, random_invertible, random_sigma, random_quaternion,
+                      real_matrix)
 
 
 # --- alpha / det -----------------------------------------------------------

@@ -11,8 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from qmobius import qmat, quat
 from qmobius.quat import (Quaternion, ZERO, ONE, I, J, K, DEFAULT_TOL, _Frozen,
-                          arg, complex_representative, isclose, similar)
-from conftest import mul_oracle, random_quaternion, random_nonzero_quaternion
+                          arg, complex_representative, similar)
+from conftest import isclose, mul_oracle, random_quaternion, random_nonzero_quaternion
 
 
 def test_basis_products():

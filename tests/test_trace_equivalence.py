@@ -22,8 +22,8 @@ from qmobius import dynamics, ineq, qmat
 from qmobius.dynamics import IterationStep, IterationTrace
 from qmobius.qmat import MatH2
 from qmobius.quat import ONE, ZERO, Quaternion
-from conftest import (random_elliptic_entry, random_quaternion, random_sigma,
-                      random_unit_quaternion)
+from conftest import (j_flip, random_elliptic_entry, random_quaternion,
+                      random_sigma, random_unit_quaternion)
 
 
 def _reference_step_record(n, s, t_upper, mode, k):
@@ -31,7 +31,7 @@ def _reference_step_record(n, s, t_upper, mode, k):
     tau = tt = tau_c = t_c = lhs = None
     cn = norms[1] if mode == "lower" else norms[2]
     if cn > qmat.NONZERO_TOL:
-        tau, tt = ineq.tau0_t0_upper(_flip(s) if mode == "lower" else s, t_upper)
+        tau, tt = ineq.tau0_t0_upper(j_flip(s) if mode == "lower" else s, t_upper)
         tau_norm, t_norm = tau.norm(), tt.norm()
         tau_c = tau_norm * cn
         t_c = t_norm * cn
@@ -45,11 +45,6 @@ def _reference_step_record(n, s, t_upper, mode, k):
     return step, cn
 
 
-def _flip(m):
-    """J m J with J = [[0, 1], [1, 0]]: the reversed entry tuple."""
-    return qmat._from_coords(m._coords[::-1])
-
-
 def _coords(quaternions):
     """The coordinates of these quaternions, in order, as one flat tuple."""
     return tuple(x for q in quaternions for x in q.as_list())
@@ -57,7 +52,7 @@ def _coords(quaternions):
 
 def reference_iterate(s, t, n_steps, mode):
     k = ineq.k_value(t.a, t.d)
-    t_upper = _flip(t) if mode == "lower" else t
+    t_upper = j_flip(t) if mode == "lower" else t
     trace = IterationTrace(mode=mode)
     current = s
     for n in range(n_steps + 1):
