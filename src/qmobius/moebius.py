@@ -40,13 +40,16 @@ def apply(m: MatH2, z: ExtQuaternion) -> ExtQuaternion:
     Finite Z with cZ + d ~ 0 maps to infinity: |cZ + d| <= NONZERO_TOL *
     (1 + |Z|), or = 0 if |c| <= NONZERO_TOL (such an m fixes infinity and
     has no finite pole). Infinity maps to a c^-1 otherwise. A singular or
-    overflowing m is an error (:func:`qmat.nonsingular_alpha`).
+    overflowing m is an error (:func:`qmat.nonsingular_alpha`), and so is
+    ALL_POINTS, a set of points rather than a point.
     """
     qmat.nonsingular_alpha(m)
     a, b, c, d = m._coords
     fixes_infinity = _norm(c) <= NONZERO_TOL
     if z is INFINITY:
         return INFINITY if fixes_infinity else Quaternion(*_mul(a, _inv(c, _norm2(c))))
+    if z is ALL_POINTS:
+        raise ValueError("ALL_POINTS is a set of points, not a point")
     z = z._c
     denom = _add(_mul(c, z), d)
     pole_tol = 0.0 if fixes_infinity else NONZERO_TOL * (1.0 + _norm(z))

@@ -605,8 +605,9 @@ def write_batch(tmp_path, *lines):
 
 @pytest.mark.parametrize("pair, extra, message", [
     (FULL_PAIR, (), "no test shape"),
+    (WAT_FULL_PAIR, ("--mode", "auto"), "no test shape"),
     (EXTREME_PAIR, ("--mode", "diagonal"), "does not match mode"),
-], ids=["full_t", "mode_mismatch"])
+], ids=["full_t", "hurwitz_full_t", "mode_mismatch"])
 def test_iterate_shape_errors_are_usage_errors(capsys, pair, extra, message):
     code, out, err = run(capsys, "iterate", json.dumps(pair), *extra)
     assert code == 2

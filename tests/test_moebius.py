@@ -35,6 +35,14 @@ def test_apply_infinity_and_poles():
         apply(MatH2(ZERO, ZERO, ZERO, ZERO), ZERO)
 
 
+def test_apply_refuses_all_points():
+    # ExtQuaternion admits ALL_POINTS, the identity's fixed-point set, but
+    # it names no point to map: a domain error, even under the identity
+    for m in (identity(), MatH2(ZERO, ONE, ONE, ZERO)):
+        with pytest.raises(ValueError, match="set of points"):
+            apply(m, ALL_POINTS)
+
+
 def test_apply_group_action():
     rng = random.Random(301)
     checked = 0
