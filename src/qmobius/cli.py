@@ -249,12 +249,12 @@ def cmd_iterate(args) -> int:
 
 
 def cmd_extreme(args) -> int:
-    from . import dynamics, ineq
+    from . import dynamics
     s, t = _parse_pair(_load_json(args.pair))
-    payload = {}
-    if qmat.shape(t, args.tol) == "diagonal":
-        payload["pointwise"] = ineq.extremality_criteria(s, t, tol=args.tol).to_dict()
-    invariance = dynamics.extremal_invariance_check(s, t, args.steps, tol=args.tol)
+    kind = qmat.shape(t, args.tol)
+    pointwise = dynamics._pointwise(s, t, kind, args.tol)
+    invariance = dynamics._invariance_check(s, t, args.steps, args.tol, pointwise, kind)
+    payload = {"pointwise": pointwise.to_dict()} if kind == "diagonal" else {}
     payload["invariance"] = invariance.to_dict()
     _emit(payload, args.format)
     return VERDICT_EXIT[invariance.verdict.value]

@@ -4,11 +4,11 @@ The sequence drives both the obstruction proofs (contraction of |b_n c_n|
 for diagonal T) and the extremality theorems (invariance of the extremal
 quantity). :func:`iterate` works on the entry coordinates that a ``MatH2``
 holds, from input to output, and each record keeps S_n as the ``MatH2`` of
-the coordinates its step computed. Each step computes alpha of S_n once,
-for ``det`` and for the conjugation S_n T S_n^-1 (``qmat._conjugate``,
-bitwise ``S_n @ T @ inverse(S_n)``), and the coupling and displacement
-quantities through :func:`qmat._displacement` (on the J-flip in lower
-mode).
+the coordinates its step computed. Each step takes the squared norms of
+S_n's entries once, and alpha of S_n once, for ``det``, the entry norms,
+the conjugation S_n T S_n^-1 (``qmat._conjugate``, bitwise ``S_n @ T @
+inverse(S_n)``) and the coupling and displacement quantities of
+:func:`qmat._displacement` (on the J-flip in lower mode).
 Every value of a record must be finite; :func:`iterate` is the one place
 that checks. The closed entry recurrences are recomputed only to
 cross-check the products, which is itself a meaningful test of the
@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .quat import DEFAULT_TOL, _Value, _norm
+from .quat import DEFAULT_TOL, _Value
 from . import qmat
 from .qmat import MODES, NOT_FINITE, MatH2
 
@@ -148,9 +148,8 @@ def iterate(s: MatH2, t: MatH2, n_steps: int, mode: str,
     time (a sum of finite values can overflow): the first that is not
     finite is a ``ValueError`` (:data:`NOT_FINITE`), never a trace.
 
-    S_n stays entry coordinates from step to step: alpha is computed once
-    per step, for ``det`` and for the conjugation, which has the bits of
-    ``S_n @ T @ inverse(S_n)``.
+    S_n stays entry coordinates from step to step, and each step reads its
+    squared entry norms and alpha once (see the module docstring).
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -163,14 +162,15 @@ def iterate(s: MatH2, t: MatH2, n_steps: int, mode: str,
     trace = IterationTrace(mode=mode)
     current = s._coords
     for n in range(n_steps + 1):
-        value = qmat._alpha(current)
+        n2 = qmat._norms2(current)
+        value = qmat._alpha(current, n2)
         det = math.sqrt(value)
-        norms = tuple(map(_norm, current))
+        norms = tuple(map(math.sqrt, n2))
         bc = norms[1] * norms[2]
         checked = [*norms, det, bc]
         tau_c = t_c = None
         coupling, tau, tt, tau_norm, t_norm, lhs = qmat._displacement(
-            current, t_coords, mode)
+            current, t_coords, mode, n2)
         if tau is not None:
             tau_c = tau_norm * coupling
             t_c = t_norm * coupling
@@ -191,7 +191,7 @@ def iterate(s: MatH2, t: MatH2, n_steps: int, mode: str,
             break
         if n < n_steps:
             try:
-                current = qmat._conjugate(current, t_coords, qmat._nonsingular(value))
+                current = qmat._conjugate(current, t_coords, n2, qmat._nonsingular(value))
             except ValueError:
                 # entry growth destroys the determinant (error scales with
                 # the fourth power of the entry norms) well before any
@@ -249,15 +249,23 @@ def extremal_invariance_check(s: MatH2, t: MatH2, n_steps: int,
     A trace record with a non-finite value is :func:`iterate`'s
     ``ValueError``, never a deviation that compares false.
     """
-    from . import ineq
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    name = ineq.auto_select(t, tol)
-    # lower mode propagates the b-based quantity (see IterationStep); a
-    # diagonal T reads the extreme selector, jss with its equality criteria
-    name = "extreme" if name == "jss" else name
-    pointwise = (ineq._jlt_b_form if name == "jlt" else ineq.TESTS[name])(s, t, tol)
+    kind = qmat.shape(t, tol)
+    return _invariance_check(s, t, n_steps, tol, _pointwise(s, t, kind, tol), kind)
 
+
+def _pointwise(s: MatH2, t: MatH2, kind: str, tol: float) -> ineq.TestReport:
+    """The pointwise test of T's shape ``kind``: extreme, rez or jg, or jlt's b-form."""
+    from . import ineq
+    test = {"diagonal": ineq.extremality_criteria, "lower": ineq._jlt_b_form}.get(kind)
+    return (test or ineq.TESTS[ineq.auto_select(t, tol)])(s, t, tol)
+
+
+def _invariance_check(s: MatH2, t: MatH2, n_steps: int, tol: float,
+                      pointwise: ineq.TestReport, kind: str) -> ineq.TestReport:
+    """:func:`extremal_invariance_check` given the pair's pointwise report and T's shape."""
+    from . import ineq
     diag = {
         "pointwise_lhs": pointwise.lhs,
         "pointwise_threshold": pointwise.threshold,
@@ -270,7 +278,7 @@ def extremal_invariance_check(s: MatH2, t: MatH2, n_steps: int,
                                ineq.Verdict.INCONCLUSIVE, False, diag)
     diag["pointwise_extremal"] = 1.0
 
-    trace = iterate(s, t, n_steps, qmat.shape(t, tol), tol=tol)
+    trace = iterate(s, t, n_steps, kind, tol=tol)
     target = pointwise.lhs
     max_dev = 0.0
     within = True

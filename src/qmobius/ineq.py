@@ -31,7 +31,7 @@ from .quat import (Quaternion, ONE, ZERO, DEFAULT_TOL, _Value, _add, _arg, _conj
                    _im_norm, _inv, _mul, _mul_add, _neg, _norm, _norm2, _re_mul,
                    _similar, _sub, arg)
 from . import qmat
-from .qmat import MatH2, _displacement, _k_value
+from .qmat import MatH2, _displacement, _k_value, _norms2
 
 # An extremal verdict means an exact equality held; the fixed slack is
 # wider than arithmetic rounding but far below any interesting margin.
@@ -168,21 +168,20 @@ def tau0_t0_upper(s: MatH2, t: MatH2) -> tuple[Quaternion, Quaternion]:
     Read from :func:`qmat._displacement`, bitwise the ``Quaternion`` expressions
     above (``c.inverse()`` for c^-1); |c| not above NONZERO_TOL raises.
     """
-    _, tau0, t0, _, _, _ = _displacement(s._coords, t._coords, "upper")
+    _, tau0, t0, _, _, _ = _displacement(s._coords, t._coords, "upper", _norms2(s._coords))
     if tau0 is None:
         raise ValueError("S and T share a fixed point; pair is elementary-suspect")
     return (Quaternion(*tau0), Quaternion(*t0))
 
 
 def _pair_gates(s: MatH2, t: MatH2, tol: float, shapes: tuple[str, ...],
-                dets: tuple[float, float] | None = None) -> tuple[bool, dict[str, float]]:
+                known: tuple[float, float, str] | None = None) -> tuple[bool, dict[str, float]]:
     """Whether T has one of ``shapes`` (:func:`qmat.shape`) and S and T both
     have determinant 1 within tol; diagnostics start with det_S and det_T.
-    ``dets`` are those two determinants when the caller has them already."""
-    det_s, det_t = (qmat.det(s), qmat.det(t)) if dets is None else dets
+    ``known`` is (det S, det T, T's shape) when the caller has them already."""
+    det_s, det_t, kind = known or (qmat.det(s), qmat.det(t), qmat.shape(t, tol))
     diag = {"det_S": det_s, "det_T": det_t}
-    ok = (qmat.shape(t, tol) in shapes
-          and abs(det_s - 1.0) <= tol and abs(det_t - 1.0) <= tol)
+    ok = kind in shapes and abs(det_s - 1.0) <= tol and abs(det_t - 1.0) <= tol
     return ok, diag
 
 
@@ -276,20 +275,22 @@ def hyperbolic_commutator_test(a: MatH2, b: MatH2,
     delta_[A,B] is the trace of :func:`qmat.commutator` without the matrix,
     bitwise the ``a.re + d.re`` of ``commutator(a, b)``, computed with
     alpha of A and of B, which the determinant gates read too; A singular
-    or overflowing is reported before B.
+    or overflowing is reported before B. Each entry's squared norm is taken once.
     """
-    lam, _, _, mu = a._coords
-    _, b_b, b_c, _ = b._coords
+    ma, mb = a._coords, b._coords
+    na, nb = _norms2(ma), _norms2(mb)
+    lam, _, _, mu = ma
+    _, b_b, b_c, _ = mb
     k = lam[0]
-    alpha_a, alpha_b, delta_comm = qmat._alphas_and_commutator_trace(a, b)
-    ok, dets = _pair_gates(b, a, tol, ("diagonal",),
-                           (math.sqrt(alpha_b), math.sqrt(alpha_a)))
+    alpha_a, alpha_b, delta_comm = qmat._alphas_and_commutator_trace(ma, mb, na, nb)
+    ok, dets = _pair_gates(b, a, tol, ("diagonal",), (
+        math.sqrt(alpha_b), math.sqrt(alpha_a), qmat._shape(na[1], na[2], tol)))
     normal_form = (_im_norm(lam) <= tol and _im_norm(mu) <= tol
                    and abs(k * mu[0] - 1.0) <= tol)
     nontrivial = abs(abs(k) - 1.0) > tol and abs(k) > tol
 
     delta_a = k + mu[0]
-    sigma_b, _ = qmat._parker_short(b._coords)
+    sigma_b, _ = qmat._parker_short(mb, nb)
     term_a = abs(delta_a * delta_a - 4.0)
     term_c = abs(delta_comm - 2.0)
     diag = {
@@ -302,7 +303,7 @@ def hyperbolic_commutator_test(a: MatH2, b: MatH2,
         "commutator_hyperbolicity_unverified": 1.0,
         "det_B": dets["det_S"],
     }
-    ok = _coupling_ok(_norm(b_c), tol, diag, "c_zero") and ok and normal_form and nontrivial
+    ok = _coupling_ok(math.sqrt(nb[2]), tol, diag, "c_zero") and ok and normal_form and nontrivial
     return _inequality_report("jh", term_a + term_c, 1.0, ok, diag)
 
 
@@ -328,7 +329,8 @@ def _displacement_test(name: str, s: MatH2, t: MatH2, side: str, re_gate: bool,
     diag["S_value"] = _s_value(lam, mu)
     diag["swapped"] = 1.0 if _norm(lam) > 1.0 + tol else 0.0
     diag.update({"eta_norm": _norm(b if side == "upper" else c), **(extra or {})})
-    coupling_norm, _, _, tau0_norm, t0_norm, lhs = _displacement(s._coords, t._coords, side)
+    coupling_norm, _, _, tau0_norm, t0_norm, lhs = _displacement(
+        s._coords, t._coords, side, _norms2(s._coords))
     coupling_ok = _coupling_ok(coupling_norm, tol, diag,
                                "c_zero" if side == "upper" else "b_zero")
     ok = ok and re_gate and diag["S_value"] <= eps + tol and coupling_ok
@@ -391,7 +393,7 @@ def eta_normalized_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestRep
     if "c_zero" in diag:
         lhs = 0.0
     else:
-        c_norm, tau0, t0, *_ = _displacement(s._coords, t._coords, "upper")
+        c_norm, tau0, t0, *_ = _displacement(s._coords, t._coords, "upper", _norms2(s._coords))
         eta_inv = _inv(eta, _norm2(eta))
         tau0p = diag["tau0_prime_norm"] = _norm(_mul(tau0, eta_inv))
         t0p = diag["t0_prime_norm"] = _norm(_mul(t0, eta_inv))
@@ -429,9 +431,10 @@ def waterman_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestReport:
           and abs(_norm(lam) - 1.0) <= tol
           and im_lam <= 0.125 + tol and c_ok)
     if c_ok and qmat.shape(t, tol) in ("upper", "diagonal"):
-        qmat._nonsingular(qmat._alpha((lam, eta, ZERO._c, mu)))
+        n2 = _norms2((lam, eta, ZERO._c, mu))
+        qmat._nonsingular(qmat._alpha((lam, eta, ZERO._c, mu), n2))
         cinv = _inv(c, _norm2(c))
-        mu_inv = _inv(mu, _norm2(mu))
+        mu_inv = _inv(mu, n2[3])
         points = {"displacement_1": _mul(a, cinv), "displacement_2": _neg(_mul(cinv, d))}
         for key, p in points.items():
             diag[key] = _norm(_sub(_mul(_add(_mul(lam, p), eta), mu_inv), p))
@@ -552,7 +555,8 @@ def non_extreme_tau_test(s: MatH2, t: MatH2, side: str = "upper",
     eps = EPS_GENERIC if abs(lam[0]) > tol else EPS_PURE_IMAGINARY
     a, _, c, d = s._coords if side == "upper" else s._coords[::-1]
     rhs = _norm(_mul_add(_conj(c), d, a, _conj(c)))
-    coupling, tau0, t0, tau0_norm, t0_norm, _ = _displacement(s._coords, t._coords, side)
+    coupling, tau0, t0, tau0_norm, t0_norm, _ = _displacement(
+        s._coords, t._coords, side, _norms2(s._coords))
     if not _coupling_ok(coupling, tol, diag, "c_zero" if side == "upper" else "b_zero"):
         return TestReport(f"non_extreme_{side}", 0.0, rhs, -rhs,
                           Verdict.INCONCLUSIVE, False, diag)

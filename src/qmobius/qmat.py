@@ -10,26 +10,17 @@ written once here: ``NOT_FINITE`` (a result that overflowed) and
 ``NO_TRIANGLE`` (a T that :func:`shape` reads as full where a triangle is
 needed: ``ineq.auto_select`` and ``iterate --mode auto``).
 
-The hot path is coordinate kernels: ``_alpha`` (behind :func:`alpha`,
-:func:`det` and :func:`nonsingular_alpha`), ``_conjugate``,
-``_alphas_and_commutator_trace``, ``_parker_short`` (behind
-:func:`parker_short`), and the two readings of a pair that ``ineq`` and
-``dynamics.iterate`` share, ``_k_value`` and ``_displacement`` (the
-coupling entry and tau0/t0 of a triangle); ``MatH2 @`` and
-:func:`inverse` run on the same coordinates, which a :class:`MatH2` holds
-and the kernels read and return as they are. Each result coordinate is the
-float expression of the ``Quaternion`` formula in its docstring, in the
-same order, so results and error types are bitwise those of the formula.
-Quaternion formulas are called from :mod:`qmobius.quat` (``_mul``,
-``_add``, ``_norm``..., and the fused ``_mul_add`` and ``_conj_mul_conj``
-that a product entry and an inverse entry call), never respelled; matrix
-ones are written once here (``_product``, ``_inverse_entry``).
-``_conjugate``, the step m t m^-1 given m's alpha (``dynamics.iterate``
-computes it once per step), is bitwise ``m @ t @ inverse(m)``, and
-``_alphas_and_commutator_trace`` evaluates only the real parts of the
-diagonal of :func:`commutator` (a, b), bitwise its ``a.re + d.re``,
-returning the two alphas it computes on the way (``ineq`` ``jh`` gates on
-them).
+The hot path is coordinate kernels on the entry coordinates a
+:class:`MatH2` holds: ``_alpha``, ``_inverse_coords``, ``_conjugate`` (the
+step m t m^-1 of ``dynamics.iterate``), ``_alphas_and_commutator_trace``
+(the two alphas and the real trace of :func:`commutator` that ``ineq``
+``jh`` reads), ``_parker_short``, and the readings of a pair, ``_k_value``
+and ``_displacement`` (the coupling entry and tau0/t0 of a triangle). A
+matrix kernel takes ``n2``, its four entries' squared norms (``_norms2``),
+from its caller, which computes them once. Each kernel is bitwise, errors
+included, the ``Quaternion`` formula in its docstring: it calls
+:mod:`qmobius.quat` for every quaternion formula, and the matrix ones are
+written once here (``_product``, ``_inverse_entry``).
 """
 
 from __future__ import annotations
@@ -37,8 +28,8 @@ from __future__ import annotations
 import math
 
 from .quat import (Quaternion, ZERO, ONE, DEFAULT_TOL, _Frozen, _checked_coords,
-                   _add, _conj, _conj_mul_conj, _im_norm, _inv, _mul, _mul_add, _neg,
-                   _new, _norm, _norm2, _re_mul, _sub)
+                   _add, _conj, _conj_mul_conj, _im_norm, _inv, _mul, _mul_add,
+                   _new, _norm, _norm2, _re_cross, _re_mul, _sub, _tau0_t0)
 
 # Norm threshold under which an entry is treated as zero when dispatching
 # between algebraic case formulas. Dispatch must be deterministic under
@@ -54,6 +45,7 @@ MODES = ("diagonal", "upper", "lower")
 NOT_FINITE = "result is not finite (a computation overflowed)"
 # the error of a T whose shape is "full"
 NO_TRIANGLE = "T matches no test shape (neither triangle is zero)"
+_KEYS = {"a", "b", "c", "d"}        # the entries of an input matrix
 
 
 class SingularMatrixError(ValueError):
@@ -97,10 +89,10 @@ class MatH2(_Frozen):
     @classmethod
     def from_dict(cls, obj) -> "MatH2":
         """Decode {"a": [...], ..., "d": [...]}, the one check of an input matrix."""
-        if not isinstance(obj, dict) or not obj.keys() >= {"a", "b", "c", "d"}:
+        if not isinstance(obj, dict) or not obj.keys() >= _KEYS:
             raise ValueError("matrix must be an object with entries a, b, c, d")
-        return _from_coords(tuple(map(_checked_coords, (obj["a"], obj["b"],
-                                                        obj["c"], obj["d"]))))
+        return _from_coords((_checked_coords(obj["a"]), _checked_coords(obj["b"]),
+                             _checked_coords(obj["c"]), _checked_coords(obj["d"])))
 
 
 _set_coords = MatH2._coords.__set__
@@ -120,6 +112,12 @@ def _from_coords(entries) -> MatH2:
     m = _new(MatH2)
     _set_coords(m, entries)
     return m
+
+
+def _norms2(m) -> tuple[float, float, float, float]:
+    """The squared norms of the four entries with coordinates m."""
+    a, b, c, d = m
+    return (_norm2(a), _norm2(b), _norm2(c), _norm2(d))
 
 
 def identity() -> MatH2:
@@ -142,8 +140,13 @@ def shape(m: MatH2, tol: float) -> str:
     """The triangle of m: "diagonal", "upper", "lower" or "full" by which
     off-diagonal entries have norm <= tol. Every shape gate asks this."""
     _, b, c, _ = m._coords
-    b_zero = _norm(b) <= tol
-    if _norm(c) <= tol:
+    return _shape(_norm2(b), _norm2(c), tol)
+
+
+def _shape(nb: float, nc: float, tol: float) -> str:
+    """:func:`shape` of the matrix whose b and c have squared norms nb and nc."""
+    b_zero = math.sqrt(nb) <= tol
+    if math.sqrt(nc) <= tol:
         return "diagonal" if b_zero else "upper"
     return "lower" if b_zero else "full"
 
@@ -155,14 +158,13 @@ def alpha(m: MatH2) -> float:
     determinant); tiny negative rounding residue is clamped away, but not
     an overflow (inf - inf = NaN), which must not read as a singular matrix.
     """
-    return _alpha(m._coords)
+    return _alpha(m._coords, _norms2(m._coords))
 
 
-def _alpha(m) -> float:
-    """:func:`alpha` of the matrix with entry coordinates m."""
+def _alpha(m, n2) -> float:
+    """:func:`alpha` of the matrix with entry coordinates m (and n2)."""
     a, b, c, d = m
-    value = (_norm2(a) * _norm2(d) + _norm2(b) * _norm2(c)
-             - 2.0 * _re_mul(_mul(_mul(a, _conj(c)), d), _conj(b)))
+    value = n2[0] * n2[3] + n2[1] * n2[2] - 2.0 * _re_cross(a, c, d, b)
     return 0.0 if value < 0.0 else value
 
 
@@ -172,7 +174,7 @@ def det(m: MatH2) -> float:
     Coincides with |ad - a c a^-1 b| whenever a != 0; the alpha route is
     used because it needs no inverses.
     """
-    return math.sqrt(_alpha(m._coords))
+    return math.sqrt(alpha(m))
 
 
 def nonsingular_alpha(m: MatH2) -> float:
@@ -184,7 +186,7 @@ def nonsingular_alpha(m: MatH2) -> float:
     never a NaN result. The coordinate kernels apply the same rule,
     ``_nonsingular``, to an alpha they have already computed.
     """
-    return _nonsingular(_alpha(m._coords))
+    return _nonsingular(alpha(m))
 
 
 def _nonsingular(value: float) -> float:
@@ -301,22 +303,22 @@ def inverse(m: MatH2) -> MatH2:
     paper's quantities and as test oracles.
     """
     m = m._coords
-    return _from_coords(_inverse_coords(m, _nonsingular(_alpha(m))))
+    n2 = _norms2(m)
+    return _from_coords(_inverse_coords(m, n2, _nonsingular(_alpha(m, n2))))
 
 
-def _inverse_coords(m, value: float) -> tuple[tuple[float, float, float, float], ...]:
+def _inverse_coords(m, n2, value: float) -> tuple[tuple[float, float, float, float], ...]:
     """Coordinates of the four entries of :func:`inverse` of the matrix with
-    entry coordinates m, given its alpha ``value`` (checked by the caller)."""
+    entry coordinates m (and n2), given its alpha ``value`` (checked by the caller)."""
     s = 1.0 / value
     a, b, c, d = m
-    return (_inverse_entry(a, d, c, b, s), _inverse_entry(c, b, a, d, s),
-            _inverse_entry(b, c, d, a, s), _inverse_entry(d, a, b, c, s))
+    return (_inverse_entry(a, n2[3], c, d, b, s), _inverse_entry(c, n2[1], a, b, d, s),
+            _inverse_entry(b, n2[2], d, c, a, s), _inverse_entry(d, n2[0], b, a, c, s))
 
 
-def _inverse_entry(p, source, u, v, s) -> tuple[float, float, float, float]:
-    """Coordinates of (conj(p) |source|^2 - conj(u) source conj(v)) s: one
-    entry of :func:`inverse`."""
-    n = _norm2(source)
+def _inverse_entry(p, n, u, source, v, s) -> tuple[float, float, float, float]:
+    """Coordinates of (conj(p) n - conj(u) source conj(v)) s, n = |source|^2:
+    one entry of :func:`inverse`."""
     pw, px, py, pz = p
     qw, qx, qy, qz = _conj_mul_conj(u, source, v)
     return ((pw * n - qw) * s, (-px * n - qx) * s,
@@ -329,10 +331,10 @@ def inverse_r(m: MatH2) -> MatH2:
     return MatH2(t.d_s, -t.b_s, -t.c_s, t.a_s)
 
 
-def _conjugate(m, t, value: float) -> tuple[tuple[float, float, float, float], ...]:
-    """Entry coordinates of m t m^-1 from those of m and t, given m's alpha
-    ``value`` (checked by the caller): bitwise ``m @ t @ inverse(m)``."""
-    return _product(_product(m, t), _inverse_coords(m, value))
+def _conjugate(m, t, n2, value: float) -> tuple[tuple[float, float, float, float], ...]:
+    """Entry coordinates of m t m^-1 from those of m and t, given m's n2 and
+    alpha ``value`` (checked by the caller): bitwise ``m @ t @ inverse(m)``."""
+    return _product(_product(m, t), _inverse_coords(m, n2, value))
 
 
 def _k_value(lam, mu) -> float:
@@ -342,10 +344,10 @@ def _k_value(lam, mu) -> float:
     return dr * dr + di * di
 
 
-def _displacement(s, t, side: str) -> tuple:
+def _displacement(s, t, side: str, n2) -> tuple:
     """(|coupling|, tau0, t0, |tau0|, |t0|, |coupling| sqrt(|tau0| |t0|)) of
-    the pair with entry coordinates s and t, from one |coupling|^2 (for the
-    cutoff and c^-1); the last five are None unless |coupling| > NONZERO_TOL.
+    the pair with entry coordinates s and t, from |coupling|^2 in s's n2 (for
+    the cutoff and c^-1); the last five are None unless |coupling| > NONZERO_TOL.
 
     The coupling entry is c of S on any side but ``"lower"``, which reads the
     J-flip J m J = [[d, c], [b, a]], J = [[0, 1], [1, 0]]: the reversed entry
@@ -360,18 +362,14 @@ def _displacement(s, t, side: str) -> tuple:
     Gates, determinants and the diagonal quantities read the pair as given.
     """
     if side == "lower":
-        s, t = s[::-1], t[::-1]
+        s, t, n2 = s[::-1], t[::-1], n2[::-1]
     a, _, c, d = s
-    n = _norm2(c)
-    coupling = math.sqrt(n)
+    coupling = math.sqrt(n2[2])
     if not coupling > NONZERO_TOL:
         return (coupling, None, None, None, None, None)
     lam, eta, _, mu = t
-    cinv = _inv(c, n)
-    cinv_d = _mul(cinv, d)
-    a_cinv = _mul(a, cinv)
-    tau0 = _add(_add(_mul(lam, _neg(cinv_d)), eta), _mul(cinv_d, mu))
-    t0 = _sub(_add(_mul(lam, a_cinv), eta), _mul(a_cinv, mu))
+    cinv = _inv(c, n2[2])
+    tau0, t0 = _tau0_t0(lam, eta, mu, _mul(cinv, d), _mul(a, cinv))
     tau0_norm, t0_norm = _norm(tau0), _norm(t0)
     return (coupling, tau0, t0, tau0_norm, t0_norm,
             coupling * math.sqrt(tau0_norm * t0_norm))
@@ -382,19 +380,14 @@ def commutator(a: MatH2, b: MatH2) -> MatH2:
     return a @ b @ inverse(a) @ inverse(b)
 
 
-def _alphas_and_commutator_trace(a: MatH2, b: MatH2) -> tuple[float, float, float]:
-    """:func:`alpha` of a and of b, each computed once, and Re(c.a) +
-    Re(c.d) of c = :func:`commutator` (a, b), bitwise and with the same
-    errors in the same order (a's check before b's): ``ineq`` ``jh`` gates
-    on the two determinants and reads the trace.
-
-    The product (a b a^-1) b^-1 is evaluated only for the w coordinates of
-    its two diagonal entries, each the w coordinate of ``quat._mul_add``.
-    """
-    a, b = a._coords, b._coords
-    alpha_a, alpha_b = _alpha(a), _alpha(b)
-    xa, xb, xc, xd = _conjugate(a, b, _nonsingular(alpha_a))
-    e, f, g, h = _inverse_coords(b, _nonsingular(alpha_b))
+def _alphas_and_commutator_trace(a, b, na, nb) -> tuple[float, float, float]:
+    """:func:`alpha` of a and of b (entry coordinates; n2 na and nb), each
+    computed once, and Re(c.a) + Re(c.d) of c = :func:`commutator` (a, b),
+    bitwise and with the same errors in the same order (a's check before
+    b's), from the w coordinates of the diagonal of (a b a^-1) b^-1 alone."""
+    alpha_a, alpha_b = _alpha(a, na), _alpha(b, nb)
+    xa, xb, xc, xd = _conjugate(a, b, na, _nonsingular(alpha_a))
+    e, f, g, h = _inverse_coords(b, nb, _nonsingular(alpha_b))
     return (alpha_a, alpha_b,
             (_re_mul(xa, e) + _re_mul(xb, g)) + (_re_mul(xc, f) + _re_mul(xd, h)))
 
@@ -424,17 +417,17 @@ def parker_short(m: MatH2) -> tuple[Quaternion, Quaternion]:
     Four-case dispatch on which entries vanish (norm <= NONZERO_TOL):
     c != 0; c = 0, b != 0; b = c = 0 with a != d; and b = c = 0, a = d.
     """
-    return tuple(Quaternion(*e) for e in _parker_short(m._coords))
+    return tuple(Quaternion(*e) for e in _parker_short(m._coords, _norms2(m._coords)))
 
 
-def _parker_short(m) -> tuple[tuple[float, float, float, float], ...]:
-    """(sigma, tau) of :func:`parker_short` on m's entry coordinates."""
+def _parker_short(m, n2) -> tuple[tuple[float, float, float, float], ...]:
+    """(sigma, tau) of :func:`parker_short` on m's entry coordinates (and n2)."""
     a, b, c, d = m
-    if _norm(c) > NONZERO_TOL:
-        core = _mul(_mul(c, a), _inv(c, _norm2(c)))
+    if math.sqrt(n2[2]) > NONZERO_TOL:
+        core = _mul(_mul(c, a), _inv(c, n2[2]))
         return (_sub(_mul(core, d), _mul(c, b)), _add(core, d))
-    if _norm(b) > NONZERO_TOL:
-        core = _mul(_mul(b, d), _inv(b, _norm2(b)))
+    if math.sqrt(n2[1]) > NONZERO_TOL:
+        core = _mul(_mul(b, d), _inv(b, n2[1]))
         return (_mul(core, a), _add(core, a))
     diff = _sub(d, a)
     if _norm(diff) > NONZERO_TOL:

@@ -8,11 +8,11 @@ as the library-wide default for unit-scale data.
 A :class:`Quaternion` holds one coordinate tuple (w, x, y, z). Each formula
 (``_mul``, ``_add``, ``_sub``, ``_neg``, ``_norm``, ``_inv``...) is written once,
 on coordinate tuples; ``Quaternion`` and every other module's kernels call it.
-Three kernels are kept for speed: each is one call for a composition of
-those formulas, with its float expressions in the same order, so bitwise
-that composition. ``_re_mul`` is the w coordinate of ``_mul``, ``_mul_add``
-p q + r s (an entry of a matrix product) and ``_conj_mul_conj`` conj(u) s
-conj(v) (a term of an inverse entry).
+Five kernels are kept for speed, each one call for a composition of those
+formulas with its float expressions in the same order, so bitwise that
+composition: ``_re_mul`` (Re p q), ``_mul_add`` (p q + r s, a product entry),
+``_conj_mul_conj`` (a term of an inverse entry), ``_re_cross`` (the cross
+term of alpha) and ``_tau0_t0`` (the displacement pair of a triangle).
 """
 
 from __future__ import annotations
@@ -239,6 +239,41 @@ def _conj_mul_conj(u, s, v) -> tuple[float, float, float, float]:
             mw * qx + mx * qw + my * qz - mz * qy,
             mw * qy - mx * qz + my * qw + mz * qx,
             mw * qz + mx * qy - my * qx + mz * qw)
+
+
+def _re_cross(p, q, r, s) -> float:
+    """Re(p conj(q) r conj(s)): ``_re_mul(_mul(_mul(p, _conj(q)), r), _conj(s))``,
+    the same expressions in the same order, in one call."""
+    (pw, px, py, pz), (qw, qx, qy, qz) = p, q
+    qx, qy, qz = -qx, -qy, -qz
+    mw = pw * qw - px * qx - py * qy - pz * qz
+    mx = pw * qx + px * qw + py * qz - pz * qy
+    my = pw * qy - px * qz + py * qw + pz * qx
+    mz = pw * qz + px * qy - py * qx + pz * qw
+    (qw, qx, qy, qz), (pw, px, py, pz) = r, s
+    px, py, pz = -px, -py, -pz
+    return ((mw * qw - mx * qx - my * qy - mz * qz) * pw
+            - (mw * qx + mx * qw + my * qz - mz * qy) * px
+            - (mw * qy - mx * qz + my * qw + mz * qx) * py
+            - (mw * qz + mx * qy - my * qx + mz * qw) * pz)
+
+
+def _tau0_t0(lam, eta, mu, u, v) -> tuple[tuple[float, float, float, float], ...]:
+    """Coordinates of tau0 = lam (-u) + eta + u mu and t0 = lam v + eta - v mu:
+    ``_add(_add(_mul(lam, _neg(u)), eta), _mul(u, mu))`` and ``_sub(_add(_mul(lam,
+    v), eta), _mul(v, mu))``, the same expressions in the same order, in one call."""
+    (pw, px, py, pz), (ew, ex, ey, ez), (qw, qx, qy, qz) = lam, eta, mu
+    (uw, ux, uy, uz), (vw, vx, vy, vz) = u, v
+    tau0 = (
+        (pw * -uw - px * -ux - py * -uy - pz * -uz) + ew + (uw * qw - ux * qx - uy * qy - uz * qz),
+        (pw * -ux + px * -uw + py * -uz - pz * -uy) + ex + (uw * qx + ux * qw + uy * qz - uz * qy),
+        (pw * -uy - px * -uz + py * -uw + pz * -ux) + ey + (uw * qy - ux * qz + uy * qw + uz * qx),
+        (pw * -uz + px * -uy - py * -ux + pz * -uw) + ez + (uw * qz + ux * qy - uy * qx + uz * qw))
+    return tau0, (
+        (pw * vw - px * vx - py * vy - pz * vz) + ew - (vw * qw - vx * qx - vy * qy - vz * qz),
+        (pw * vx + px * vw + py * vz - pz * vy) + ex - (vw * qx + vx * qw + vy * qz - vz * qy),
+        (pw * vy - px * vz + py * vw + pz * vx) + ey - (vw * qy - vx * qz + vy * qw + vz * qx),
+        (pw * vz + px * vy - py * vx + pz * vw) + ez - (vw * qz + vx * qy - vy * qx + vz * qw))
 
 
 def _add(p, q) -> tuple[float, float, float, float]:

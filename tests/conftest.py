@@ -27,6 +27,12 @@ def j_flip(m: MatH2) -> MatH2:
     return MatH2(m.d, m.c, m.b, m.a)
 
 
+def displacement(s: MatH2, t: MatH2, side: str) -> tuple:
+    """``qmat._displacement`` of the pair (S, T) on one side, given the
+    squared norms of S's entries."""
+    return qmat._displacement(s._coords, t._coords, side, qmat._norms2(s._coords))
+
+
 def isclose(p: Quaternion, q: Quaternion, tol: float = DEFAULT_TOL) -> bool:
     """Componentwise closeness |p - q| <= tol."""
     return (p - q).norm() <= tol

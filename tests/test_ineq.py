@@ -15,8 +15,8 @@ from qmobius.ineq import (Verdict, auto_select, beta_t, displacement_threshold,
                           kellerhals_form, non_extreme_tau_test, rez_test,
                           s_value, tau0_t0_upper, waterman_test)
 from qmobius.qmat import MatH2, diagonal, lower_triangular, upper_triangular
-from conftest import (check_report_invariants, isclose, j_flip, mul_oracle,
-                      random_quaternion, random_sigma, random_unit_quaternion,
+from conftest import (check_report_invariants, displacement, isclose, j_flip,
+                      mul_oracle, random_quaternion, random_sigma, random_unit_quaternion,
                       random_elliptic_entry, real_matrix, unit_complex)
 import hurwitz
 
@@ -154,10 +154,9 @@ def test_tau0_t0_second_implementation_oracle():
         # the lower formulas: the lower reading, bitwise the upper reading
         # of the J-flipped pair
         t_lower = lower_triangular(t.a, t.b, t.d)
-        lower = ineq._displacement(s._coords, t_lower._coords, "lower")
+        lower = displacement(s, t_lower, "lower")
         assert (_reading_bits(lower)
-                == _reading_bits(ineq._displacement(j_flip(s)._coords,
-                                                    j_flip(t_lower)._coords, "upper")))
+                == _reading_bits(displacement(j_flip(s), j_flip(t_lower), "upper")))
         tau0, t0 = Quaternion(*lower[1]), Quaternion(*lower[2])
         binv = s.b.inverse()
         binv_a = mul_oracle(binv, s.a)
@@ -169,7 +168,7 @@ def test_tau0_t0_second_implementation_oracle():
 
 
 def _reading_bits(reading):
-    """The IEEE bit patterns of a :func:`ineq._displacement` result, None
+    """The IEEE bit patterns of a :func:`qmat._displacement` result, None
     kept: NaN compares unequal to itself, its bits do not."""
     return tuple(None if v is None
                  else struct.pack("4d", *v) if isinstance(v, tuple)
@@ -194,9 +193,8 @@ def test_j_flip_is_conjugation_by_j():
         assert j_flip(m) == j @ m @ j
         for side in ("upper", "lower"):
             other = "lower" if side == "upper" else "upper"
-            assert (_reading_bits(ineq._displacement(m._coords, n._coords, side))
-                    == _reading_bits(ineq._displacement(j_flip(m)._coords,
-                                                        j_flip(n)._coords, other)))
+            assert (_reading_bits(displacement(m, n, side))
+                    == _reading_bits(displacement(j_flip(m), j_flip(n), other)))
 
 
 def test_tau0_t0_domain_errors():
@@ -206,7 +204,7 @@ def test_tau0_t0_domain_errors():
     # point, met on the J-flip): no displacement quantities to read
     for s, t, side in ((real_matrix(1, 1, 0, 1), upper_triangular(ONE, J, ONE), "upper"),
                        (real_matrix(1, 0, 1, 1), lower_triangular(ONE, J, ONE), "lower")):
-        assert (ineq._displacement(s._coords, t._coords, side)
+        assert (displacement(s, t, side)
                 == (0.0, None, None, None, None, None))
     # one cutoff, at its boundary: a coupling whose norm reads NONZERO_TOL is
     # zero, the next float above it is not, for tau0_t0_upper as for
@@ -217,7 +215,7 @@ def test_tau0_t0_domain_errors():
     for c in (qmat.NONZERO_TOL, above, math.nan):
         s = MatH2(Quaternion(2, 1), ONE, Quaternion(c), Quaternion(1, 0, 0.5))
         for m, n, side in ((s, t, "upper"), (j_flip(s), j_flip(t), "lower")):
-            reading = ineq._displacement(m._coords, n._coords, side)
+            reading = displacement(m, n, side)
             if c == above:
                 assert reading[0] == above
                 tau0, t0 = tau0_t0_upper(s, t)

@@ -116,8 +116,10 @@ def test_every_quaternion_formula_is_spelled_once():
     assert found == []
     quat = Path(qmobius.__file__).with_name("quat.py")
     # _mul, _add, _sub, _neg and _norm, each once, and the fused kernels
-    # _mul_add and _conj_mul_conj, kept for speed as _re_mul is
-    assert sum(map(_respelled_formula, ast.walk(ast.parse(quat.read_text())))) == 7
+    # _mul_add and _conj_mul_conj, kept for speed as _re_mul is; the fused
+    # _re_cross and _tau0_t0 add two: _tau0_t0 spells its results tau0 and
+    # t0 as two 4-tuples, and _re_cross, whose result is a real number, none
+    assert sum(map(_respelled_formula, ast.walk(ast.parse(quat.read_text())))) == 9
 
 
 def _builds_past_init(node) -> bool:

@@ -1,5 +1,7 @@
+import importlib
 import json
 import math
+import pkgutil
 import random
 import reprlib
 import struct
@@ -9,10 +11,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from qmobius.quat import Quaternion, ZERO, ONE, I, J
-from qmobius import ineq, moebius, qmat
+import qmobius
+from qmobius import dynamics, ineq, moebius, qmat, quat
 from qmobius.qmat import MatH2, diagonal, identity
-from conftest import (isclose, random_invertible, random_sigma, random_quaternion,
-                      real_matrix)
+from conftest import (displacement, isclose, random_invertible, random_sigma,
+                      random_quaternion, real_matrix)
 
 
 # --- alpha / det -----------------------------------------------------------
@@ -276,12 +279,18 @@ def _reference_alphas_and_commutator_trace(a: MatH2, b: MatH2) -> tuple:
     return (qmat.alpha(a), qmat.alpha(b), comm.a.re + comm.d.re)
 
 
+def _alphas_and_commutator_trace(a: MatH2, b: MatH2) -> tuple:
+    a, b = a._coords, b._coords
+    return qmat._alphas_and_commutator_trace(a, b, qmat._norms2(a), qmat._norms2(b))
+
+
 def _commutator_trace(a: MatH2, b: MatH2) -> float:
-    return qmat._alphas_and_commutator_trace(a, b)[2]
+    return _alphas_and_commutator_trace(a, b)[2]
 
 
 def _conjugate_given_alpha(m: MatH2, t: MatH2) -> MatH2:
     return qmat._from_coords(qmat._conjugate(m._coords, t._coords,
+                                             qmat._norms2(m._coords),
                                              qmat.nonsingular_alpha(m)))
 
 
@@ -358,9 +367,9 @@ def _reference_eta_normalized(s: MatH2, t: MatH2, tol: float = 1e-9) -> ineq.Tes
 
 
 def _lower_reading(s: MatH2, t: MatH2) -> tuple:
-    """tau0, t0 of ``ineq._displacement`` on the lower side, or the
+    """tau0, t0 of ``qmat._displacement`` on the lower side, or the
     reference's ValueError where that reading has none."""
-    _, tau0, t0, *_ = ineq._displacement(s._coords, t._coords, "lower")
+    _, tau0, t0, *_ = displacement(s, t, "lower")
     if tau0 is None:
         raise ValueError("S and T share a fixed point")
     return (Quaternion(*tau0), Quaternion(*t0))
@@ -425,11 +434,11 @@ def test_property_kernels_are_bitwise_the_quaternion_formulas(m):
             (_conjugate_given_alpha, _reference_conjugate, (m, n)),
             (_conjugate_given_alpha, _reference_conjugate, (n, m)),
             (qmat.commutator, _reference_commutator, (m, n)),
-            (qmat._alphas_and_commutator_trace,
+            (_alphas_and_commutator_trace,
              _reference_alphas_and_commutator_trace, (m, n)),
-            (qmat._alphas_and_commutator_trace,
+            (_alphas_and_commutator_trace,
              _reference_alphas_and_commutator_trace, (n, m)),
-            (qmat._alphas_and_commutator_trace,
+            (_alphas_and_commutator_trace,
              _reference_alphas_and_commutator_trace, (m, n.scaled(2.0))),
             (ineq.tau0_t0_upper, _reference_tau0_t0_upper, (m, n)),
             (ineq.eta_normalized_test, _reference_eta_normalized, (m, n)),
@@ -450,6 +459,46 @@ def test_property_kernels_are_bitwise_the_quaternion_formulas(m):
     # the lower formulas are the lower reading of the pair
     assert (_outcome(_lower_reading, m, n)
             == _outcome(_reference_tau0_t0_lower, m, n))
+
+
+def test_each_entry_norm_is_read_once_per_step_and_per_jh(monkeypatch):
+    # the matrix kernels take the squared entry norms from their caller,
+    # which computes them once: an iterate step reads |e|^2 of each entry e
+    # of S_n once (alpha, the entry norms, the coupling and the inverse all
+    # share it), and a jh evaluation each entry of A and of B once (alphas,
+    # inverses, T's shape, Parker-Short and the coupling)
+    norm2, reads = quat._norm2, []
+
+    def counted(p):
+        reads.append(p)
+        return norm2(p)
+
+    bound = []
+    for info in pkgutil.iter_modules(qmobius.__path__, "qmobius."):
+        module = importlib.import_module(info.name)
+        if getattr(module, "_norm2", None) is norm2:
+            monkeypatch.setattr(module, "_norm2", counted)
+            bound.append(info.name)
+    assert {"qmobius.quat", "qmobius.qmat", "qmobius.ineq"} <= set(bound)
+
+    def reads_of(m: MatH2) -> list[int]:
+        return [sum(p is entry for p in reads) for entry in m._coords]
+
+    # from_dict gives every entry a tuple of its own, zeros included
+    s = MatH2.from_dict({"a": [1, 0.5, 0, 0], "b": [0.25, 0, 1, 0],
+                         "c": [0.5, 0, 0, -0.5], "d": [2, 0, 0.5, 0]})
+    lam, eta, mu = [0.6, 0.8, 0, 0], [0, 0, 1, 0], [0.6, 0, -0.8, 0]
+    zero = [0, 0, 0, 0]
+    for mode, t in (("diagonal", {"a": lam, "b": zero, "c": zero, "d": mu}),
+                    ("upper", {"a": lam, "b": eta, "c": zero, "d": mu}),
+                    ("lower", {"a": lam, "b": zero, "c": eta, "d": mu})):
+        reads.clear()
+        trace = dynamics.iterate(s, MatH2.from_dict(t), 1, mode)
+        assert [reads_of(step.s) for step in trace.steps] == [[1] * 4] * 2, mode
+    a = MatH2.from_dict({"a": [2, 0, 0, 0], "b": zero, "c": zero, "d": [0.5, 0, 0, 0]})
+    reads.clear()
+    ineq.TESTS["jh"](s, a, 1e-9)
+    assert reads_of(a) == reads_of(s) == [1] * 4
 
 
 # --- invariants ------------------------------------------------------------

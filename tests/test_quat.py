@@ -256,7 +256,8 @@ def test_a_quaternion_holds_its_coordinate_tuple():
     assert q._c == (1.0, -2.5, 0.0, 3.0) and q._astuple is q._c
     assert (q.w, q.x, q.y, q.z, q.re) == (1.0, -2.5, 0.0, 3.0, 1.0)
     assert not any(hasattr(quat, f"_set_{name}") for name in "wxyz")
-    for name in ("_mul", "_re_mul", "_norm2", "_conj", "_mul_add", "_conj_mul_conj"):
+    for name in ("_mul", "_re_mul", "_norm2", "_conj", "_mul_add", "_conj_mul_conj",
+                 "_re_cross", "_tau0_t0"):
         assert getattr(qmat, name) is getattr(quat, name), name
 
 
@@ -288,13 +289,23 @@ _ZEROS = (0.0, -0.0, 0.0, -0.0)
 @example(p=(-1e-14, 1e-14, -0.0, 0.0), q=(1e6, 1e6, -1e6, 1e6),
          r=(-0.0, -0.0, 1e-14, -1e-14), s=(0.0, -1e6, 0.0, -0.0))
 def test_property_fused_kernels_are_bitwise_their_compositions(p, q, r, s):
-    # _mul_add and _conj_mul_conj are kept for speed; each must give the bits
-    # of the formulas it fuses, signed zeros included (the first example needs
-    # conj to negate, -0.0, where 0.0 - 0.0 would give 0.0)
+    # _mul_add, _conj_mul_conj, _re_cross and _tau0_t0 are kept for speed;
+    # each must give the bits of the formulas it fuses, signed zeros included
+    # (the first example needs conj to negate, -0.0, where 0.0 - 0.0 would
+    # give 0.0)
     assert (_bits(quat._mul_add(p, q, r, s))
             == _bits(quat._add(quat._mul(p, q), quat._mul(r, s))))
     assert (_bits(quat._conj_mul_conj(p, q, r))
             == _bits(quat._mul(quat._mul(quat._conj(p), q), quat._conj(r))))
+    assert (_bits([quat._re_cross(p, q, r, s)])
+            == _bits([quat._re_mul(quat._mul(quat._mul(p, quat._conj(q)), r),
+                                   quat._conj(s))]))
+    # tau0 and t0 of lam = p, eta = q, mu = r, u = s and v = s reversed
+    v = s[::-1]
+    tau0, t0 = quat._tau0_t0(p, q, r, s, v)
+    assert _bits(tau0) == _bits(quat._add(quat._add(quat._mul(p, quat._neg(s)), q),
+                                          quat._mul(s, r)))
+    assert _bits(t0) == _bits(quat._sub(quat._add(quat._mul(p, v), q), quat._mul(v, r)))
 
 
 # The four-slot Quaternion arithmetic as it was before a quaternion held its
