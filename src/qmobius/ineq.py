@@ -31,7 +31,7 @@ from .quat import (Quaternion, ONE, ZERO, DEFAULT_TOL, _Value, _add, _arg, _conj
                    _im_norm, _inv, _mul, _mul_add, _neg, _norm, _norm2, _re_mul,
                    _similar, _sub, arg)
 from . import qmat
-from .qmat import MatH2, _displacement, _k_value, _norms2
+from .qmat import MatH2, _alpha, _displacement, _k_value, _norms2, _shape
 
 # An extremal verdict means an exact equality held; the fixed slack is
 # wider than arithmetic rounding but far below any interesting margin.
@@ -168,21 +168,23 @@ def tau0_t0_upper(s: MatH2, t: MatH2) -> tuple[Quaternion, Quaternion]:
     Read from :func:`qmat._displacement`, bitwise the ``Quaternion`` expressions
     above (``c.inverse()`` for c^-1); |c| not above NONZERO_TOL raises.
     """
-    _, tau0, t0, _, _, _ = _displacement(s._coords, t._coords, "upper", _norms2(s._coords))
+    _, tau0, t0, *_ = _displacement(s._coords, t._coords, "upper", _norms2(s._coords))
     if tau0 is None:
         raise ValueError("S and T share a fixed point; pair is elementary-suspect")
     return (Quaternion(*tau0), Quaternion(*t0))
 
 
-def _pair_gates(s: MatH2, t: MatH2, tol: float, shapes: tuple[str, ...],
-                known: tuple[float, float, str] | None = None) -> tuple[bool, dict[str, float]]:
+def _pair_gates(s: MatH2, t: MatH2, tol: float, shapes: tuple[str, ...]) -> tuple:
     """Whether T has one of ``shapes`` (:func:`qmat.shape`) and S and T both
     have determinant 1 within tol; diagnostics start with det_S and det_T.
-    ``known`` is (det S, det T, T's shape) when the caller has them already."""
-    det_s, det_t, kind = known or (qmat.det(s), qmat.det(t), qmat.shape(t, tol))
-    diag = {"det_S": det_s, "det_T": det_t}
-    ok = kind in shapes and abs(det_s - 1.0) <= tol and abs(det_t - 1.0) <= tol
-    return ok, diag
+    The one reading of the pair: also returns the squared entry norms
+    (``qmat._norms2``) of S and of T and alpha of each, taken once here."""
+    ns, nt = _norms2(s._coords), _norms2(t._coords)
+    alpha_s, alpha_t = _alpha(s._coords, ns), _alpha(t._coords, nt)
+    det_s, det_t = math.sqrt(alpha_s), math.sqrt(alpha_t)
+    ok = (_shape(nt[1], nt[2], tol) in shapes
+          and abs(det_s - 1.0) <= tol and abs(det_t - 1.0) <= tol)
+    return ok, {"det_S": det_s, "det_T": det_t}, ns, nt, alpha_s, alpha_t
 
 
 def _coupling_ok(norm: float, tol: float, diag: dict[str, float], flag: str) -> bool:
@@ -205,8 +207,8 @@ def _diagonal_gates(s: MatH2, t: MatH2, tol: float) -> tuple[bool, dict[str, flo
     which the diagonal T fixes too, so the pair is elementary: a failed gate
     with the ``b_zero`` / ``c_zero`` flag."""
     lam, _, _, mu = t._coords
-    ok, diag = _pair_gates(s, t, tol, ("diagonal",))
-    b_norm, c_norm = _norm(s._coords[1]), _norm(s._coords[2])
+    ok, diag, ns, *_ = _pair_gates(s, t, tol, ("diagonal",))
+    b_norm, c_norm = math.sqrt(ns[1]), math.sqrt(ns[2])
     diag.update({
         "bc_norm": b_norm * c_norm,
         "K": _k_value(lam, mu),
@@ -273,18 +275,16 @@ def hyperbolic_commutator_test(a: MatH2, b: MatH2,
     algorithmically checkable here; the report carries
     ``commutator_hyperbolicity_unverified`` = 1 always.
     delta_[A,B] is the trace of :func:`qmat.commutator` without the matrix,
-    bitwise the ``a.re + d.re`` of ``commutator(a, b)``, computed with
-    alpha of A and of B, which the determinant gates read too; A singular
-    or overflowing is reported before B. Each entry's squared norm is taken once.
+    bitwise the ``a.re + d.re`` of ``commutator(a, b)``, computed from the
+    squared entry norms and alphas that :func:`_pair_gates` reads; A
+    singular or overflowing is reported before B.
     """
     ma, mb = a._coords, b._coords
-    na, nb = _norms2(ma), _norms2(mb)
     lam, _, _, mu = ma
     _, b_b, b_c, _ = mb
     k = lam[0]
-    alpha_a, alpha_b, delta_comm = qmat._alphas_and_commutator_trace(ma, mb, na, nb)
-    ok, dets = _pair_gates(b, a, tol, ("diagonal",), (
-        math.sqrt(alpha_b), math.sqrt(alpha_a), qmat._shape(na[1], na[2], tol)))
+    ok, dets, nb, na, alpha_b, alpha_a = _pair_gates(b, a, tol, ("diagonal",))
+    delta_comm = qmat._commutator_trace(ma, mb, na, nb, alpha_a, alpha_b)
     normal_form = (_im_norm(lam) <= tol and _im_norm(mu) <= tol
                    and abs(k * mu[0] - 1.0) <= tol)
     nontrivial = abs(abs(k) - 1.0) > tol and abs(k) > tol
@@ -321,24 +321,21 @@ def _displacement_test(name: str, s: MatH2, t: MatH2, side: str, re_gate: bool,
     (:func:`_coupling_ok`) is a failed gate with lhs 0 and the ``c_zero``
     (lower triangle: ``b_zero``) flag. ``extra`` goes into diagnostics ahead
     of the displacement norms, whose key order is part of the output. The
-    coupling and displacements are :func:`_displacement` of the side, and
-    eta is the off-diagonal entry of T on that side.
+    displacements are :func:`_displacement` of the side, taken only past the
+    coupling gate, and eta is the off-diagonal entry of T on that side.
     """
     lam, b, c, mu = t._coords
-    ok, diag = _pair_gates(s, t, tol, (side, "diagonal"))
+    ok, diag, ns, *_ = _pair_gates(s, t, tol, (side, "diagonal"))
     diag["S_value"] = _s_value(lam, mu)
     diag["swapped"] = 1.0 if _norm(lam) > 1.0 + tol else 0.0
     diag.update({"eta_norm": _norm(b if side == "upper" else c), **(extra or {})})
-    coupling_norm, _, _, tau0_norm, t0_norm, lhs = _displacement(
-        s._coords, t._coords, side, _norms2(s._coords))
-    coupling_ok = _coupling_ok(coupling_norm, tol, diag,
+    coupling_ok = _coupling_ok(math.sqrt(ns[2 if side == "upper" else 1]), tol, diag,
                                "c_zero" if side == "upper" else "b_zero")
     ok = ok and re_gate and diag["S_value"] <= eps + tol and coupling_ok
+    lhs = 0.0
     if coupling_ok:
-        diag["tau0_norm"] = tau0_norm
-        diag["t0_norm"] = t0_norm
-    else:
-        lhs = 0.0
+        *_, diag["tau0_norm"], diag["t0_norm"], lhs = _displacement(
+            s._coords, t._coords, side, ns)
     threshold = displacement_threshold(diag["S_value"], eps)
     return _inequality_report(name, lhs, threshold, ok, diag)
 
@@ -422,19 +419,18 @@ def waterman_test(s: MatH2, t: MatH2, tol: float = DEFAULT_TOL) -> TestReport:
     lam, eta, _, mu = t._coords
     a, _, c, d = s._coords
     im_lam = _im_norm(lam)
-    ok, diag = _pair_gates(s, t, tol, ("upper", "diagonal"))
+    ok, diag, ns, nt, *_ = _pair_gates(s, t, tol, ("upper", "diagonal"))
     diag.update({"im_lambda": im_lam, "eta_norm": _norm(eta)})
-    c_norm = _norm(c)
+    c_norm = math.sqrt(ns[2])
     c_ok = _coupling_ok(c_norm, tol, diag, "c_zero")
     ok = (ok and _norm(_sub(eta, ONE._c)) <= tol
           and _norm(_sub(lam, mu)) <= tol
           and abs(_norm(lam) - 1.0) <= tol
           and im_lam <= 0.125 + tol and c_ok)
-    if c_ok and qmat.shape(t, tol) in ("upper", "diagonal"):
-        n2 = _norms2((lam, eta, ZERO._c, mu))
-        qmat._nonsingular(qmat._alpha((lam, eta, ZERO._c, mu), n2))
-        cinv = _inv(c, _norm2(c))
-        mu_inv = _inv(mu, n2[3])
+    if c_ok and _shape(nt[1], nt[2], tol) in ("upper", "diagonal"):
+        qmat._nonsingular(_alpha((lam, eta, ZERO._c, mu), nt[:2] + (0.0, nt[3])))
+        cinv = _inv(c, ns[2])
+        mu_inv = _inv(mu, nt[3])
         points = {"displacement_1": _mul(a, cinv), "displacement_2": _neg(_mul(cinv, d))}
         for key, p in points.items():
             diag[key] = _norm(_sub(_mul(_add(_mul(lam, p), eta), mu_inv), p))
@@ -549,17 +545,17 @@ def non_extreme_tau_test(s: MatH2, t: MatH2, side: str = "upper",
     if side not in ("upper", "lower"):
         raise ValueError("side must be 'upper' or 'lower'")
     lam, _, _, mu = t._coords
-    ok, diag = _pair_gates(s, t, tol, (side, "diagonal"))
+    ok, diag, ns, *_ = _pair_gates(s, t, tol, (side, "diagonal"))
     ok = ok and abs(lam[0] - mu[0]) <= tol
     diag["S_value"] = _s_value(lam, mu)
     eps = EPS_GENERIC if abs(lam[0]) > tol else EPS_PURE_IMAGINARY
     a, _, c, d = s._coords if side == "upper" else s._coords[::-1]
     rhs = _norm(_mul_add(_conj(c), d, a, _conj(c)))
-    coupling, tau0, t0, tau0_norm, t0_norm, _ = _displacement(
-        s._coords, t._coords, side, _norms2(s._coords))
-    if not _coupling_ok(coupling, tol, diag, "c_zero" if side == "upper" else "b_zero"):
+    if not _coupling_ok(math.sqrt(ns[2 if side == "upper" else 1]), tol, diag,
+                        "c_zero" if side == "upper" else "b_zero"):
         return TestReport(f"non_extreme_{side}", 0.0, rhs, -rhs,
                           Verdict.INCONCLUSIVE, False, diag)
+    _, tau0, t0, tau0_norm, t0_norm, _ = _displacement(s._coords, t._coords, side, ns)
     gap = _norm(_sub(tau0, t0))
     diag.update({"tau0_norm": tau0_norm, "t0_norm": t0_norm,
                  "tau0_minus_t0_norm": gap})

@@ -12,9 +12,9 @@ needed: ``ineq.auto_select`` and ``iterate --mode auto``).
 
 The hot path is coordinate kernels on the entry coordinates a
 :class:`MatH2` holds: ``_alpha``, ``_inverse_coords``, ``_conjugate`` (the
-step m t m^-1 of ``dynamics.iterate``), ``_alphas_and_commutator_trace``
-(the two alphas and the real trace of :func:`commutator` that ``ineq``
-``jh`` reads), ``_parker_short``, and the readings of a pair, ``_k_value``
+step m t m^-1 of ``dynamics.iterate``), ``_commutator_trace`` (the real
+trace of :func:`commutator` that ``ineq`` ``jh`` reads, given both
+alphas), ``_parker_short``, and the readings of a pair, ``_k_value``
 and ``_displacement`` (the coupling entry and tau0/t0 of a triangle). A
 matrix kernel takes ``n2``, its four entries' squared norms (``_norms2``),
 from its caller, which computes them once. Each kernel is bitwise, errors
@@ -380,16 +380,14 @@ def commutator(a: MatH2, b: MatH2) -> MatH2:
     return a @ b @ inverse(a) @ inverse(b)
 
 
-def _alphas_and_commutator_trace(a, b, na, nb) -> tuple[float, float, float]:
-    """:func:`alpha` of a and of b (entry coordinates; n2 na and nb), each
-    computed once, and Re(c.a) + Re(c.d) of c = :func:`commutator` (a, b),
-    bitwise and with the same errors in the same order (a's check before
-    b's), from the w coordinates of the diagonal of (a b a^-1) b^-1 alone."""
-    alpha_a, alpha_b = _alpha(a, na), _alpha(b, nb)
+def _commutator_trace(a, b, na, nb, alpha_a: float, alpha_b: float) -> float:
+    """Re(c.a) + Re(c.d) of c = :func:`commutator` (a, b), from the entry
+    coordinates, n2 and alpha of a and of b, bitwise and with the same errors
+    in the same order (a's check before b's), from the w coordinates of the
+    diagonal of (a b a^-1) b^-1 alone."""
     xa, xb, xc, xd = _conjugate(a, b, na, _nonsingular(alpha_a))
     e, f, g, h = _inverse_coords(b, nb, _nonsingular(alpha_b))
-    return (alpha_a, alpha_b,
-            (_re_mul(xa, e) + _re_mul(xb, g)) + (_re_mul(xc, f) + _re_mul(xd, h)))
+    return (_re_mul(xa, e) + _re_mul(xb, g)) + (_re_mul(xc, f) + _re_mul(xd, h))
 
 
 def foreman_invariants(m: MatH2) -> tuple[float, float, float]:

@@ -274,18 +274,16 @@ def _reference_commutator(a: MatH2, b: MatH2) -> MatH2:
     return _reference_matmul(_reference_conjugate(a, b), _reference_inverse(b))
 
 
-def _reference_alphas_and_commutator_trace(a: MatH2, b: MatH2) -> tuple:
+def _reference_commutator_trace(a: MatH2, b: MatH2) -> float:
     comm = _reference_commutator(a, b)      # a's errors before b's
-    return (qmat.alpha(a), qmat.alpha(b), comm.a.re + comm.d.re)
-
-
-def _alphas_and_commutator_trace(a: MatH2, b: MatH2) -> tuple:
-    a, b = a._coords, b._coords
-    return qmat._alphas_and_commutator_trace(a, b, qmat._norms2(a), qmat._norms2(b))
+    return comm.a.re + comm.d.re
 
 
 def _commutator_trace(a: MatH2, b: MatH2) -> float:
-    return _alphas_and_commutator_trace(a, b)[2]
+    # the jh path: n2 and alpha of both, then the kernel checks a before b
+    a, b = a._coords, b._coords
+    na, nb = qmat._norms2(a), qmat._norms2(b)
+    return qmat._commutator_trace(a, b, na, nb, qmat._alpha(a, na), qmat._alpha(b, nb))
 
 
 def _conjugate_given_alpha(m: MatH2, t: MatH2) -> MatH2:
@@ -434,12 +432,9 @@ def test_property_kernels_are_bitwise_the_quaternion_formulas(m):
             (_conjugate_given_alpha, _reference_conjugate, (m, n)),
             (_conjugate_given_alpha, _reference_conjugate, (n, m)),
             (qmat.commutator, _reference_commutator, (m, n)),
-            (_alphas_and_commutator_trace,
-             _reference_alphas_and_commutator_trace, (m, n)),
-            (_alphas_and_commutator_trace,
-             _reference_alphas_and_commutator_trace, (n, m)),
-            (_alphas_and_commutator_trace,
-             _reference_alphas_and_commutator_trace, (m, n.scaled(2.0))),
+            (_commutator_trace, _reference_commutator_trace, (m, n)),
+            (_commutator_trace, _reference_commutator_trace, (n, m)),
+            (_commutator_trace, _reference_commutator_trace, (m, n.scaled(2.0))),
             (ineq.tau0_t0_upper, _reference_tau0_t0_upper, (m, n)),
             (ineq.eta_normalized_test, _reference_eta_normalized, (m, n)),
             (ineq.eta_normalized_test, _reference_eta_normalized, (m, upper))):
@@ -466,7 +461,8 @@ def test_each_entry_norm_is_read_once_per_step_and_per_jh(monkeypatch):
     # which computes them once: an iterate step reads |e|^2 of each entry e
     # of S_n once (alpha, the entry norms, the coupling and the inverse all
     # share it), and a jh evaluation each entry of A and of B once (alphas,
-    # inverses, T's shape, Parker-Short and the coupling)
+    # inverses, T's shape, Parker-Short and the coupling); every selector
+    # reads S's entries once, in the pair gate, which hands its reading on
     norm2, reads = quat._norm2, []
 
     def counted(p):
@@ -499,6 +495,13 @@ def test_each_entry_norm_is_read_once_per_step_and_per_jh(monkeypatch):
     reads.clear()
     ineq.TESTS["jh"](s, a, 1e-9)
     assert reads_of(a) == reads_of(s) == [1] * 4
+    # read twice: jlt's c for lhs_printed, extreme's a and d for ad_deviation
+    twice = {"jlt": [1, 1, 2, 1], "extreme": [2, 1, 1, 2]}
+    upper = MatH2.from_dict({"a": lam, "b": eta, "c": zero, "d": mu})
+    for name, test in ineq.TESTS.items():
+        reads.clear()
+        test(s, upper, 1e-9)
+        assert reads_of(s) == twice.get(name, [1] * 4), name
 
 
 # --- invariants ------------------------------------------------------------
