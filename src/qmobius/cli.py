@@ -1,12 +1,10 @@
 """Command-line front end.
 
-Subcommands:
-
-- ``invariants``  conjugacy invariants and determinant of one matrix
-- ``classify``    normal-form classification and fixed points
-- ``test``        run one inequality test on a pair (or --batch JSONL)
-- ``iterate``     run the conjugation sequence, emit a CSV/JSON trace
-- ``extreme``     pointwise extremality plus invariance over n steps
+The subcommands and their options are one table, :data:`COMMANDS`, behind
+the parser and the ``-h``/``--help`` text (usage on stdout, exit 0). An
+argument error is one ``error:`` line, exit 2. An option goes before or after
+the positional, as ``--opt value``, ``--opt=value`` or a unique prefix
+(``--sel jh``); a repeated one's last value wins; ``--`` ends the options.
 
 Input is either inline JSON or a path to a JSON file. A quaternion is
 ``[w, x, y, z]``, an array of four numbers (strings and booleans are
@@ -14,15 +12,15 @@ rejected); a matrix is ``{"a": [...], "b": [...], "c": [...], "d": [...]}``;
 a pair is ``{"v": 1, "S": {...}, "T": {...}}``.
 
 Exit codes: 0 inconclusive, 10 obstruction, 11 extremal, 12 not extreme,
-2 usage or malformed input (including malformed or too deeply nested JSON,
-a non-finite coordinate or an integer too large for a float, a T that
-matches no test shape or iterate mode, ``--steps`` < 1, ``--batch`` with
-``--format text``, and a failed write to stdout or ``--output``), 3
-singular matrix (``invariants``,
-``classify``, and any command whose evaluation must invert or act by a
-singular matrix, such as ``test --select jh``), 141 stdout closed early by
-its reader (e.g. piped into ``head``; 128 + SIGPIPE). A result that
-overflows (a determinant too) is an error (exit 2), never
+2 usage or malformed input (including an argument error such as an unknown
+option or an invalid choice, malformed or too deeply nested JSON, a
+non-finite coordinate or an integer too large for a float, a T that matches
+no test shape or iterate mode, ``--steps`` < 1, ``--batch`` with ``--format
+text``, and a failed write to stdout or ``--output``), 3 singular matrix
+(``invariants``, ``classify``, and any command whose evaluation must invert
+or act by a singular matrix, such as ``test --select jh``), 141 stdout
+closed early by its reader (e.g. piped into ``head``; 128 + SIGPIPE). A
+result that overflows (a determinant too) is an error (exit 2), never
 ``NaN``/``Infinity`` in JSON or ``inf``/``nan`` in CSV. An elementary pair
 (zero coupling entry) is a report with failed preconditions, not an error.
 :func:`main` is the one place that maps failures to exit codes; ``--batch``
@@ -38,22 +36,20 @@ constant (see the README).
 
 from __future__ import annotations
 
-# The package's layers are imported before the standard library's modules.
-# A process that writes no bytecode compiles each layer from source; done
-# first, the compiler's short-lived memory is freed before argparse and json
-# load and they reuse it, where otherwise it would stack on top of them, so
-# peak RSS is lower. dynamics, ineq and moebius are imported by the commands
-# that run them.
+# The package's layers come before the standard library's modules: a process
+# that writes no bytecode compiles them, and json then reuses the memory the
+# compiler freed, so peak RSS is lower. dynamics, ineq and moebius are
+# imported by the commands that run them.
 from . import qmat
 from .qmat import MatH2
 from .quat import DEFAULT_TOL
 
-import argparse
 import contextlib
 import json
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -260,69 +256,103 @@ def cmd_extreme(args) -> int:
     return VERDICT_EXIT[invariance.verdict.value]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qmobius",
-        description="Quaternionic Moebius arithmetic and Joergensen-type "
-                    "discreteness tests")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, fmt_choices=("json", "text")):
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="structural tolerance (default %(default)g, at most "
-                       f"MAX_TOL = {MAX_TOL:g})")
-        p.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
-
-    p_inv = sub.add_parser("invariants", help="conjugacy invariants of a matrix")
-    p_inv.add_argument("matrix", help="matrix JSON (inline or file path)")
-    p_inv.add_argument("--normalize", action="store_true",
-                       help="also emit the determinant-normalized matrix")
-    common(p_inv)
-    p_inv.set_defaults(func=cmd_invariants)
-
-    p_cls = sub.add_parser("classify", help="normal-form classification")
-    p_cls.add_argument("matrix", help="matrix JSON (inline or file path)")
-    common(p_cls)
-    p_cls.set_defaults(func=cmd_classify)
-
-    p_test = sub.add_parser("test", help="run one inequality test on a pair")
-    p_test.add_argument("pair", help="pair JSON (inline or file path); "
-                        "with --batch, a JSONL file of pairs")
-    p_test.add_argument("--select", choices=SELECTORS, default="auto",
-                        help="which test to run (auto picks by T's shape; "
-                        "jh reads T as the strictly hyperbolic generator)")
-    p_test.add_argument("--batch", action="store_true",
-                        help="treat input as JSON-lines, one pair per line")
-    common(p_test)
-    p_test.set_defaults(func=cmd_test)
-
-    p_it = sub.add_parser("iterate", help="run the conjugation sequence")
-    p_it.add_argument("pair", help="pair JSON (inline or file path)")
-    p_it.add_argument("--steps", type=int, default=25)
-    p_it.add_argument("--mode", choices=("auto",) + qmat.MODES,
-                      default="auto")
-    p_it.add_argument("--output", help="write the trace here instead of stdout")
-    p_it.add_argument("--full", action="store_true",
-                      help="include all 16 entry coordinates in the CSV")
-    common(p_it, fmt_choices=("csv", "json"))
-    p_it.set_defaults(func=cmd_iterate)
-
-    p_ext = sub.add_parser("extreme", help="extremality analysis of a pair")
-    p_ext.add_argument("pair", help="pair JSON (inline or file path)")
-    p_ext.add_argument("--steps", type=int, default=25)
-    common(p_ext)
-    p_ext.set_defaults(func=cmd_extreme)
-
-    return parser
+# An option is (default, parse, help), parse being None for a flag, a tuple
+# of choices or the type of its value.
+_COMMON = {"tol": (DEFAULT_TOL, float, f"structural tolerance (default {DEFAULT_TOL:g}, "
+                   f"at most MAX_TOL = {MAX_TOL:g})"), "format": ("json", ("json", "text"), "")}
+COMMANDS = {    # each subcommand's handler, help, positional argument and options
+    "invariants": (cmd_invariants, "conjugacy invariants and determinant", "matrix", {
+        "normalize": (False, None, "also emit the determinant-normalized matrix"), **_COMMON}),
+    "classify": (cmd_classify, "normal-form class and fixed points", "matrix", _COMMON),
+    "test": (cmd_test, "run one inequality test on a pair (or --batch JSONL)", "pair", {
+        "select": ("auto", SELECTORS, "which test to run (auto picks by T's shape; "
+                   "jh reads T as the strictly hyperbolic generator)"),
+        "batch": (False, None, "read pair as a JSON-lines file, one pair per line"), **_COMMON}),
+    "iterate": (cmd_iterate, "run the conjugation sequence, emit a CSV/JSON trace", "pair", {
+        "steps": (25, int, ""), "mode": ("auto", ("auto", *qmat.MODES), ""),
+        "output": (None, str, "write the trace here instead of stdout"),
+        "full": (False, None, "include all 16 entry coordinates in the CSV"),
+        **_COMMON, "format": ("csv", ("csv", "json"), "")}),
+    "extreme": (cmd_extreme, "extremality of a pair", "pair", {"steps": (25, int, ""), **_COMMON}),
+}
 
 
-# built once per process; parse_args keeps no state between calls
-PARSER = build_parser()
+def _usage(command=None) -> str:
+    """The -h/--help text of qmobius, or of one of its COMMANDS."""
+    head, rows = "[-h] {%s} ..." % ",".join(COMMANDS), [
+        (name, spec[1]) for name, spec in COMMANDS.items()]
+    if command:
+        _, about, positional, options = COMMANDS[command]
+        head = f"{command} [-h] [options] {positional}\n\n{about}"
+        rows = [(f"--{name}" + ("" if parse is None else " {%s}" % ",".join(parse)
+                                if isinstance(parse, tuple) else f" {name.upper()}"), help)
+                for name, (_, parse, help) in options.items()]
+    return f"usage: qmobius {head}\n\n" + "".join(f"  {row:<21} {help}".rstrip() + "\n"
+                                                 for row, help in rows)
+
+
+def _option(token: str, names) -> tuple:
+    """(name, value) of TOKEN: -h, --NAME or a unique prefix, value None without
+    =VALUE; the name is None for a positional, as argparse reads one, "" if unknown."""
+    key, eq, value = token.partition("=")
+    found = (["help"] if key == "-h" else [name for name in names if f"--{name}" == key]
+             or [name for name in names if len(key) > 2 and f"--{name}".startswith(key)])
+    if len(found) > 1:
+        raise ValueError(f"ambiguous option: {key} could match --{', --'.join(found)}")
+    if found:
+        return found[0], value if eq else None
+    return (None if len(token) < 2 or token[0] != "-" or " " in token
+            or token[1:].replace(".", "", 1).isdigit() else ""), None
+
+
+def _parse(argv: list[str]):
+    """The arguments of a command line under COMMANDS, or None once its
+    -h/--help text is printed. Every argument error is a ValueError."""
+    command, options, values, found, unknown = None, {}, {}, [], []
+    args = iter(argv)
+    for token in args:
+        name, value = _option(token, ("help", *options))
+        parse = options[name][1] if name in options else None
+        if token == "--":
+            found += args           # every later token is a positional
+        elif name is None and command is None:
+            if token not in COMMANDS:
+                raise ValueError(f"argument command: invalid choice: {token!r} (choose "
+                                 f"from {', '.join(map(repr, COMMANDS))})")
+            command, options = token, COMMANDS[token][3]
+            values = {key: spec[0] for key, spec in options.items()}
+        elif not name:              # as in argparse, an unknown option fails last
+            (unknown if name == "" else found).append(token)
+        elif parse is None:
+            if value is not None:
+                raise ValueError(f"argument --{name}: ignored explicit argument {value!r}")
+            if name == "help":
+                return print(_usage(command), flush=True)
+            values[name] = True
+        else:
+            # the next token, unless it is an option or there is none ("--")
+            if value is None and _option(value := next(args, "--"), options)[0] is not None:
+                raise ValueError(f"argument --{name}: expected one argument")
+            if isinstance(parse, tuple) and value not in parse:
+                raise ValueError(f"argument --{name}: invalid choice: {value!r} (choose "
+                                 f"from {', '.join(map(repr, parse))})")
+            try:
+                values[name] = value if isinstance(parse, tuple) else parse(value)
+            except ValueError:
+                raise ValueError(f"argument --{name}: invalid {parse.__name__} value: "
+                                 f"{value!r}") from None
+    func, _, positional, _ = COMMANDS.get(command, (None, "", "command", {}))
+    if func is None or not found:
+        raise ValueError(f"the following arguments are required: {positional}")
+    if found[1:] + unknown:
+        raise ValueError(f"unrecognized arguments: {' '.join(found[1:] + unknown)}")
+    return SimpleNamespace(func=func, **{positional: found[0]}, **values)
 
 
 def main(argv=None) -> int:
-    args = PARSER.parse_args(argv)
     try:
+        if (args := _parse(sys.argv[1:] if argv is None else argv)) is None:
+            return EXIT_OK
         if not 0.0 <= args.tol <= MAX_TOL:
             raise ValueError(f"--tol must be finite, non-negative and at most "
                              f"MAX_TOL = {MAX_TOL:g}, got {args.tol}")

@@ -1173,6 +1173,65 @@ def test_tol_must_be_finite_and_non_negative(capsys, tmp_path, command, tol):
     assert_one_error_line(err, "--tol")
 
 
+# --- the command line's grammar ---------------------------------------------
+
+_TEST = ("test", json.dumps(EXTREME_PAIR), "--select", "rez")
+_ITERATE = ("iterate", json.dumps(EXTREME_PAIR), "--steps", "3", "--mode", "upper", "--full")
+# (argv, expected, in a fresh process): expected is the argv of the same run
+# in its plainest form, the fragment of the one error line, or "help"
+GRAMMAR = {
+    "option_before_positional": (("test", "--select", "rez", _TEST[1]), _TEST, False),
+    "option_equals_value": (("test", _TEST[1], "--select=rez"), _TEST, False),
+    "unique_prefix": (("test", _TEST[1], "--sel", "rez"), _TEST, False),
+    "unique_prefix_equals_value": (("test", "--s=rez", _TEST[1]), _TEST, False),
+    "repeated_option_last_wins": (_TEST + ("--select", "jss", "--select", "rez"), _TEST, False),
+    "iterate_forms": (("iterate", "--fu", "--st=3", _ITERATE[1], "--mode", "lower", "--mo",
+                       "upper"), _ITERATE, False),
+    "dash_dash_before_dash_positional": (("test", "--select", "rez", "--", "-pair.json"),
+                                         _TEST, False),
+    "negative_value_fails_the_range_check": (_TEST + ("--tol", "-1"), "--tol must be", False),
+    "unknown_option": (_TEST + ("--bogus",), "unrecognized arguments: --bogus", False),
+    "ambiguous_prefix": (_ITERATE + ("--f",), "ambiguous option: --f could match", False),
+    "invalid_choice": (_TEST + ("--select", "x"), "argument --select: invalid choice: 'x'",
+                       True),
+    "steps_not_an_int": (_ITERATE + ("--steps", "abc"),
+                         "argument --steps: invalid int value: 'abc'", False),
+    "option_without_its_value": (_TEST + ("--select",), "expected one argument", False),
+    # argparse read --opt=-- as an empty list: a traceback under --tol
+    "equals_dash_dash_value": (_TEST + ("--tol=--",), "invalid float value: '--'", False),
+    "missing_positional": (("test", "--select", "rez"), "required: pair", False),
+    "extra_positional": (_TEST + ("x",), "unrecognized arguments: x", False),
+    "unknown_command": (("bogus",) + _TEST[1:], "invalid choice: 'bogus'", False),
+    "missing_command": ((), "required: command", True),
+    "value_given_to_a_flag": (_TEST + ("--batch=1",), "ignored explicit argument '1'", False),
+    "help": (("-h",), "help", False),
+    "help_long_in_a_process": (("--help",), "help", True),
+    "help_prefix": (("--he",), "help", False),
+    "help_test": (_TEST + ("-h",), "help", False),
+    **{f"help_{command}": ((command, "--help"), "help", False)
+       for command in ("invariants", "classify", "iterate", "extreme")},
+}
+
+
+@pytest.mark.parametrize("argv, expected, process", GRAMMAR.values(), ids=GRAMMAR)
+def test_command_line_grammar(capsys, tmp_path, monkeypatch, argv, expected, process):
+    # every form argparse accepted keeps its meaning; an argument error is
+    # returned by cli.main as exit 2 with one error line, never raised as
+    # SystemExit; -h/--help is usage on stdout and exit 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-pair.json").write_text(json.dumps(EXTREME_PAIR))
+    code, out, err = run_process(argv, subprocess.PIPE) if process else run(capsys, *argv)
+    if expected == "help":
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: qmobius " + ("" if argv[0][0] == "-" else argv[0]))
+    elif isinstance(expected, str):
+        assert (code, out) == (2, "")
+        assert_one_error_line(err, expected)
+    else:
+        assert (code, out, err) == run(capsys, *expected)
+        assert code == (11 if expected == _TEST else 0)
+
+
 # --- no input ends in a traceback ------------------------------------------
 
 _decade = st.integers(-300, 300).map(lambda e: 10.0 ** e)

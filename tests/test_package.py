@@ -172,7 +172,8 @@ import qmobius
 seen = [loaded()]
 import qmobius.cli
 seen.append(loaded())
-stdlib = sorted({"dataclasses", "inspect", "pathlib"} & set(sys.modules))
+stdlib = sorted({"argparse", "dataclasses", "gettext", "inspect", "locale", "pathlib"}
+                & set(sys.modules))
 for argv in json.loads(sys.argv[1]):
     qmobius.cli.main(argv)
     seen.append(loaded())
